@@ -28,12 +28,12 @@ csv_path = OUT / "experiment.csv"
 csv_path.write_text(rows_to_csv(rows))
 print(f"wrote {csv_path} ({len(rows)} rows)")
 
-print("\n  n    m   crossings  saved k=0  saved k=1   t(k=1) ms")
+print("\n  n    m   crossings  saved k=0  saved k=1   t(k=0) ms  t(k=1,w1) ms  t(k=1,w2) ms")
 for r in rows:
     print(
         f"{r['n']:4d} {r['m']:4d} {r['crossings_1sided']:10d} "
         f"{r['saved_pct_k0']:9.1f}% {r['saved_pct_k1']:9.1f}% "
-        f"{r['time_k1_ms']:10.1f}"
+        f"{r['time_k0_ms']:10.1f} {r['time_k1_ms']:13.1f} {r['time_k1_w2_ms']:13.1f}"
     )
 
 k0, k1 = mean_saved_pct(rows)

@@ -13,8 +13,12 @@ subproblem values over windows of the line:
 
 A single value is its weight plus a sweep over the intervals nested in it; a
 pair value adds three independent sweeps over the left, middle and right
-regions the pair cuts out of its window.  Values are filled in increasing
-order of window span, so each sweep only consults finished entries, and a
+regions the pair cuts out of its window.  A sweep's value depends only on
+its window's right end, so the tables are filled with one shared sweep per
+right end, taking the right ends in ascending order (the schedule of
+Valiente's O(l) maximum-weight independent set algorithm for circle graphs,
+ISAAC 2003): each region is a lookup into the sweep of its right end, and
+every entry a sweep consults ends further left and is already final.  A
 final sweep over the whole line assembles the optimum.  Solution recovery
 re-runs the sweeps of the windows along the optimal decomposition and reads
 off the recorded choices; all arithmetic is exact integer arithmetic.
@@ -27,20 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _sweep
-from .model import (
-    Interval,
-    IntervalSet,
-    Solution,
-    forward_overlap_set,
-    restrict,
-)
+from .model import Interval, IntervalSet, Solution
 
 __all__ = [
     "Dms1Table",
     "compute_dms1",
     "dms1_single",
     "dms1_pair",
-    "restrict",
     "solve_k1",
     "solve_k0",
 ]
@@ -49,55 +46,64 @@ _NEG = -(1 << 60)  # sentinel for "not yet computed"
 
 
 class _Engine:
-    """Flat-array form of an IntervalSet plus the DP tables."""
+    """Flat-sequence form of an IntervalSet plus the DP tables."""
 
     def __init__(self, s: IntervalSet, kernel: str = "auto"):
         self.s = s
         self.kernel = _sweep.get_kernel(kernel)
+        seq = (lambda xs: np.asarray(xs, dtype=np.int64)) if self.kernel.compiled else list
         n = len(s)
         self.n = n
-        self.left = np.zeros(n, dtype=np.int64)
-        self.right = np.zeros(n, dtype=np.int64)
-        self.weight = np.zeros(n, dtype=np.int64)
-        self.start_at = np.full(2 * n + 2, -1, dtype=np.int64)
+        start_at = [-1] * (2 * n + 2)
+        end_at = [-1] * (2 * n + 2)
         for i, iv in enumerate(s.intervals):
-            self.left[i] = iv.left
-            self.right[i] = iv.right
-            self.weight[i] = iv.weight
-            self.start_at[iv.left] = i
+            start_at[iv.left] = i
+            end_at[iv.right] = i
 
-        # CSR over forward overlap pairs, partners ascending by id.
+        # CSR over forward overlap pairs, partners ascending by id; pair t
+        # joins owner[t] (the left one) with partner[t].
         fwd: list[list[int]] = [[] for _ in range(n)]
         for (i, j) in sorted(s.pair_weights):
-            a, b = s.intervals[i], s.intervals[j]
-            if a.left < b.left:
+            if s.intervals[i].left < s.intervals[j].left:
                 fwd[i].append(j)
             else:
                 fwd[j].append(i)
-        self.ptr = np.zeros(n + 1, dtype=np.int64)
-        flat: list[int] = []
+        ptr, partner, owner, pair_w = [0], [], [], []
         for i in range(n):
-            self.ptr[i] = len(flat)
-            flat.extend(fwd[i])
-        self.ptr[n] = len(flat)
-        self.partner = np.asarray(flat, dtype=np.int64) if flat else np.zeros(0, dtype=np.int64)
-        self.pair_of = {}
-        self.pair_w = np.zeros(len(flat), dtype=np.int64)
-        for i in range(n):
-            for t in range(int(self.ptr[i]), int(self.ptr[i + 1])):
-                j = int(self.partner[t])
-                self.pair_of[(i, j)] = t
-                self.pair_w[t] = s.pair_weight(i, j)
+            for j in fwd[i]:
+                partner.append(j)
+                owner.append(i)
+                pair_w.append(s.pair_weight(i, j))
+            ptr.append(len(partner))
+        # The same pairs indexed by their second member.
+        back: list[list[int]] = [[] for _ in range(n)]
+        for t, j in enumerate(partner):
+            back[j].append(t)
+        bptr, bpair = [0], []
+        for j in range(n):
+            bpair.extend(back[j])
+            bptr.append(len(bpair))
 
-        self.dms_single = np.full(n, _NEG, dtype=np.int64)
-        self.pair_val = np.full(len(flat), _NEG, dtype=np.int64)
-        self.s_buf = np.zeros(2 * n + 2, dtype=np.int64)
-        self.choice_code = np.zeros(2 * n + 2, dtype=np.int64)
-        self.choice_aux = np.zeros(2 * n + 2, dtype=np.int64)
+        self.start_at = seq(start_at)
+        self.end_at = seq(end_at)
+        self.left = seq([iv.left for iv in s.intervals])
+        self.right = seq([iv.right for iv in s.intervals])
+        self.weight = seq([iv.weight for iv in s.intervals])
+        self.ptr = seq(ptr)
+        self.partner = seq(partner)
+        self.owner = seq(owner)
+        self.pair_w = seq(pair_w)
+        self.bptr = seq(bptr)
+        self.bpair = seq(bpair)
+        self.dms_single = seq([_NEG] * n)
+        self.pair_val = seq([_NEG] * len(partner))
+        self.s_buf = seq([0] * (2 * n + 2))
+        self.choice_code = seq([0] * (2 * n + 2))
+        self.choice_aux = seq([0] * (2 * n + 2))
 
     def sweep(self, lo: int, hi: int, use_pairs: bool) -> int:
         return int(
-            self.kernel(
+            self.kernel.sweep(
                 lo,
                 hi,
                 self.start_at,
@@ -113,39 +119,23 @@ class _Engine:
             )
         )
 
-    def tasks(self, use_pairs: bool) -> list[tuple[int, int, int, int]]:
-        """(window span, kind, left endpoint, id) for every table entry,
-        ascending; processing in this order satisfies the computation
-        preconditions (all strictly smaller windows done first)."""
-        out = []
-        for i in range(self.n):
-            out.append((int(self.right[i] - self.left[i]), 0, int(self.left[i]), i))
-        if use_pairs:
-            for (i, j), t in self.pair_of.items():
-                out.append((int(self.right[j] - self.left[i]), 1, int(self.left[i]), t))
-        out.sort()
-        return out
-
     def fill_tables(self, use_pairs: bool) -> None:
-        for _span, kind, _lft, ident in self.tasks(use_pairs):
-            if kind == 0:
-                i = ident
-                inner = self.sweep(int(self.left[i]), int(self.right[i]), use_pairs)
-                self.dms_single[i] = inner + int(self.weight[i])
-            else:
-                t = ident
-                self.pair_val[t] = self._pair_value(t, use_pairs)
-
-    def _pair_value(self, t: int, use_pairs: bool) -> int:
-        i = int(np.searchsorted(self.ptr, t, side="right")) - 1
-        j = int(self.partner[t])
-        c, d = int(self.left[i]), int(self.right[i])
-        e, f = int(self.left[j]), int(self.right[j])
-        lreg = self.sweep(c, e, use_pairs)
-        mreg = self.sweep(e, d, use_pairs)
-        rreg = self.sweep(d, f, use_pairs)
-        return (
-            lreg + mreg + rreg + int(self.weight[i]) + int(self.weight[j]) - int(self.pair_w[t])
+        self.kernel.fill(
+            self.start_at,
+            self.end_at,
+            self.left,
+            self.right,
+            self.weight,
+            self.ptr,
+            self.partner,
+            self.pair_w,
+            self.bptr,
+            self.bpair,
+            self.owner,
+            use_pairs,
+            self.s_buf,
+            self.dms_single,
+            self.pair_val,
         )
 
     def solve(self, use_pairs: bool) -> tuple[int, list[int]]:
@@ -172,7 +162,7 @@ class _Engine:
                     x = int(self.right[i]) + 1
                 else:
                     t = int(self.choice_aux[x])
-                    i = int(np.searchsorted(self.ptr, t, side="right")) - 1
+                    i = int(self.owner[t])
                     j = int(self.partner[t])
                     chosen.append(i)
                     chosen.append(j)
@@ -198,98 +188,94 @@ def compute_dms1(s: IntervalSet, include_pairs: bool = True, kernel: str = "auto
     """Fill both value families bottom-up for the whole instance."""
     eng = _Engine(s, kernel)
     eng.fill_tables(include_pairs)
-    single = {i: int(eng.dms_single[i]) for i in range(eng.n)}
+    single = {i: int(v) for i, v in enumerate(eng.dms_single)}
     pair = {}
     if include_pairs:
-        for (i, j), t in eng.pair_of.items():
-            pair[(i, j)] = int(eng.pair_val[t])
+        for t in range(len(eng.partner)):
+            pair[(int(eng.owner[t]), int(eng.partner[t]))] = int(eng.pair_val[t])
     return Dms1Table(single, pair)
 
 
-def _interval_id(interval: Interval, s: IntervalSet) -> int:
-    for i, iv in enumerate(s.intervals):
-        if iv.left == interval.left and iv.right == interval.right:
-            return i
-    raise ValueError(f"interval [{interval.left},{interval.right}] is not in the set")
+def _interval_id(eng: _Engine, interval: Interval) -> int:
+    i = int(eng.start_at[interval.left]) if 0 < interval.left <= 2 * eng.n else -1
+    if i < 0 or eng.right[i] != interval.right:
+        raise ValueError(f"interval [{interval.left},{interval.right}] is not in the set")
+    return i
 
 
-def _load_table(eng: _Engine, table: Dms1Table) -> None:
-    for i, v in table.single.items():
-        eng.dms_single[i] = v
-    for (i, j), v in table.pair.items():
-        eng.pair_val[eng.pair_of[(i, j)]] = v
+def _window_value(eng: _Engine, table: Dms1Table, lo: int, hi: int) -> int:
+    """Sweep value of the open window (lo, hi) over ``table``.
+
+    Loads exactly the entries that sweep reads -- every interval inside the
+    window and every forward pair inside it -- and raises ValueError when
+    ``table`` lacks one of them.
+    """
+    for x in range(lo + 1, hi):
+        a = int(eng.start_at[x])
+        if a < 0 or eng.right[a] >= hi:
+            continue
+        if a not in table.single:
+            raise ValueError(f"table lacks the dms1 value of interval {a}")
+        eng.dms_single[a] = table.single[a]
+        for t in range(int(eng.ptr[a]), int(eng.ptr[a + 1])):
+            b = int(eng.partner[t])
+            if eng.right[b] < hi:
+                if (a, b) not in table.pair:
+                    raise ValueError(f"table lacks the dms1 value of pair {(a, b)}")
+                eng.pair_val[t] = table.pair[(a, b)]
+    return eng.sweep(lo, hi, use_pairs=True)
 
 
 def dms1_single(interval: Interval, s: IntervalSet, table: Dms1Table) -> int:
     """Best 1-overlap set on the window of ``interval`` forced to contain it.
 
-    All values for strictly shorter windows must already be in ``table``; a
-    violation is a programming error in the computation schedule.
+    ``table`` must hold the value of every interval and forward pair nested
+    in the window; a missing one raises ValueError.
     """
-    i = _interval_id(interval, s)
-    length = interval.length
-    for j, iv in enumerate(s.intervals):
-        if iv.length < length:
-            assert j in table.single, f"missing dms1 single for interval {j}"
-    for a in range(len(s)):
-        for b in s.neighbors[a]:
-            if a < b:
-                ia, ib = s.intervals[a], s.intervals[b]
-                pair_span = max(ia.right, ib.right) - min(ia.left, ib.left)
-                if pair_span < length:
-                    key = (a, b) if ia.left < ib.left else (b, a)
-                    assert key in table.pair, f"missing dms1 pair for {key}"
     eng = _Engine(s)
-    _load_table(eng, table)
-    inner = eng.sweep(interval.left, interval.right, use_pairs=True)
-    return inner + interval.weight
+    _interval_id(eng, interval)
+    return _window_value(eng, table, interval.left, interval.right) + interval.weight
 
 
 def dms1_pair(i_interval: Interval, j_interval: Interval, s: IntervalSet, table: Dms1Table) -> int:
     """Best 1-overlap set on the pair's window forced to contain both.
 
-    ``j_interval`` must lie in the forward overlap set of ``i_interval``.
+    ``j_interval`` must lie in the forward overlap set of ``i_interval``, and
+    ``table`` must hold the value of every interval and forward pair nested in
+    the pair's left, middle and right regions; a missing one raises
+    ValueError.
     """
-    if j_interval not in forward_overlap_set(i_interval, s.intervals):
+    eng = _Engine(s)
+    i = _interval_id(eng, i_interval)
+    j = _interval_id(eng, j_interval)
+    pairs = range(int(eng.ptr[i]), int(eng.ptr[i + 1]))
+    t = next((t for t in pairs if eng.partner[t] == j), None)
+    if t is None:
         raise ValueError("second interval must overlap the first on its right side")
-    i = _interval_id(i_interval, s)
-    j = _interval_id(j_interval, s)
     c, d = i_interval.left, i_interval.right
     e, f = j_interval.left, j_interval.right
-    window_fit = max(e - c, d - e, f - d)
-    for a, iv in enumerate(s.intervals):
-        if iv.length < window_fit:
-            assert a in table.single, f"missing dms1 single for interval {a}"
-    for a in range(len(s)):
-        for b in s.neighbors[a]:
-            if a < b:
-                ia, ib = s.intervals[a], s.intervals[b]
-                pair_span = max(ia.right, ib.right) - min(ia.left, ib.left)
-                if pair_span < window_fit:
-                    key = (a, b) if ia.left < ib.left else (b, a)
-                    assert key in table.pair, f"missing dms1 pair for {key}"
-    eng = _Engine(s)
-    _load_table(eng, table)
-    lreg = eng.sweep(c, e, use_pairs=True)
-    mreg = eng.sweep(e, d, use_pairs=True)
-    rreg = eng.sweep(d, f, use_pairs=True)
-    return lreg + mreg + rreg + i_interval.weight + j_interval.weight - s.pair_weight(i, j)
+    regions = (
+        _window_value(eng, table, c, e)
+        + _window_value(eng, table, e, d)
+        + _window_value(eng, table, d, f)
+    )
+    return regions + i_interval.weight + j_interval.weight - int(eng.pair_w[t])
+
+
+def _solve(s: IntervalSet, k: int, kernel: str) -> Solution:
+    weight, chosen = _Engine(s, kernel).solve(use_pairs=k == 1)
+    sol = Solution.from_chosen(chosen, s, k=k)
+    if sol.weight != weight:
+        raise AssertionError(f"recovered solution weighs {sol.weight}, the DP value is {weight}")
+    return sol
 
 
 def solve_k1(s: IntervalSet, kernel: str = "auto") -> Solution:
     """Exact max-weight 1-overlap set with solution recovery."""
-    eng = _Engine(s, kernel)
-    weight, chosen = eng.solve(use_pairs=True)
-    sol = Solution.from_chosen(chosen, s, k=1)
-    assert sol.weight == weight, "recovered solution disagrees with DP value"
-    return sol
+    return _solve(s, 1, kernel)
 
 
 def solve_k0(s: IntervalSet, kernel: str = "auto") -> Solution:
     """Exact max-weight independent (0-overlap) set: the same dynamic
     program with every pair option disabled."""
-    eng = _Engine(s, kernel)
-    weight, chosen = eng.solve(use_pairs=False)
-    sol = Solution.from_chosen(chosen, s, k=0)
-    assert sol.weight == weight, "recovered solution disagrees with DP value"
-    return sol
+    return _solve(s, 0, kernel)

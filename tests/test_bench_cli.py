@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -89,6 +90,16 @@ def test_csv_schema_and_determinism():
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 3
     assert all(len(line.split(",")) == len(CSV_COLUMNS) for line in lines)
+
+
+def test_each_experiment_solve_is_timed():
+    # a clock that advances one second per reading: every timed solve spans
+    # exactly two readings of its own
+    ticks = itertools.count()
+    config = ExperimentConfig(cases=((8, 14),), repetitions=2)
+    rows = run_experiment(config, clock=lambda: next(ticks))
+    for row in rows:
+        assert row["time_k0_ms"] == row["time_k1_ms"] == row["time_k1_w2_ms"] == 1000.0
 
 
 # -- CLI ----------------------------------------------------------------------

@@ -4,10 +4,13 @@ from itertools import combinations
 import pytest
 
 from conftest import make_set
+from twosided import _sweep
 from twosided.bench import random_interval_set
 from twosided.model import restrict, solution_weight
 from twosided.oracle import brute_force_k_overlap
 from twosided.solver_k1 import (
+    Dms1Table,
+    _Engine,
     compute_dms1,
     dms1_pair,
     dms1_single,
@@ -70,6 +73,79 @@ def test_dms1_pair_rejects_backward_or_disjoint():
         dms1_pair(t.intervals[0], t.intervals[1], t, compute_dms1(t))
 
 
+def test_dms1_rejects_table_missing_a_nested_entry():
+    s = make_set([(1, 8), (2, 4), (3, 5), (6, 7)], [0, 3, 3, 1], 1)
+    table = compute_dms1(s)
+    assert dms1_single(s.intervals[0], s, table) == 6
+    no_single = Dms1Table({i: v for i, v in table.single.items() if i != 3}, table.pair)
+    with pytest.raises(ValueError, match="interval 3"):
+        dms1_single(s.intervals[0], s, no_single)
+    no_pair = Dms1Table(table.single, {})
+    with pytest.raises(ValueError, match="pair"):
+        dms1_single(s.intervals[0], s, no_pair)
+    # entries outside the window are not needed
+    only_nested = Dms1Table({i: table.single[i] for i in (1, 2, 3)}, table.pair)
+    assert dms1_single(s.intervals[0], s, only_nested) == 6
+
+    # I=[1,5], J=[4,8]; [2,3] sits in the left region, [6,7] in the right one
+    t = make_set([(1, 5), (4, 8), (2, 3), (6, 7)], [2, 3, 6, 1], 1)
+    table = compute_dms1(t)
+    assert dms1_pair(t.intervals[0], t.intervals[1], t, table) == 6 + 1 + 2 + 3 - 1
+    for missing in (2, 3):
+        partial = Dms1Table({i: v for i, v in table.single.items() if i != missing}, table.pair)
+        with pytest.raises(ValueError, match=f"interval {missing}"):
+            dms1_pair(t.intervals[0], t.intervals[1], t, partial)
+
+
+# -- the shared-sweep table fill ---------------------------------------------
+
+
+def test_fill_matches_window_by_window_sweeps():
+    """Every entry of the one-sweep-per-right-end fill equals its own
+    window's sweep (``run_sweep_py``) evaluated on the finished table: a
+    single is its window's sweep plus its weight, a pair the three-region
+    formula."""
+    checked = 0
+    for trial in range(300):
+        rng = random.Random(5000 + trial)
+        s = random_interval_set(rng.randint(1, 16), rng)
+        for use_pairs in (False, True):
+            eng = _Engine(s, kernel="python")
+            eng.fill_tables(use_pairs)
+
+            def sweep(lo, hi):
+                return _sweep.run_sweep_py(
+                    lo, hi, eng.start_at, eng.right, eng.dms_single, eng.ptr,
+                    eng.partner, eng.pair_val, use_pairs, [0] * len(eng.s_buf),
+                    [0] * len(eng.s_buf), [0] * len(eng.s_buf),
+                )
+
+            for i, iv in enumerate(s.intervals):
+                assert eng.dms_single[i] == sweep(iv.left, iv.right) + iv.weight, (trial, i)
+                checked += 1
+            if not use_pairs:
+                continue
+            for t, (i, j) in enumerate(zip(eng.owner, eng.partner)):
+                a, b = s.intervals[i], s.intervals[j]
+                assert a.left < b.left < a.right < b.right
+                want = (
+                    sweep(a.left, b.left) + sweep(b.left, a.right) + sweep(a.right, b.right)
+                    + a.weight + b.weight - s.pair_weight(i, j)
+                )
+                assert eng.pair_val[t] == want, (trial, i, j)
+                checked += 1
+    assert checked > 3000
+
+
+def test_recovery_mismatch_raises(monkeypatch):
+    s = make_set([(1, 3), (2, 4), (5, 6)], [2, 2, 4], 1)
+    assert solve_k1(s).weight == 7
+    monkeypatch.setattr(_Engine, "_backtrack", lambda self, use_pairs: [2])
+    for solver in (solve_k0, solve_k1):
+        with pytest.raises(AssertionError, match="recovered solution weighs 4"):
+            solver(s)
+
+
 # -- solve_k1 ----------------------------------------------------------------
 
 
@@ -120,12 +196,21 @@ def test_oracle_equivalence_small(rng):
 
 
 def test_python_kernel_parity(rng):
+    """numba kernels against their pure-Python twins.  Without numba there is
+    nothing to compare ("auto" is the Python kernel), so only the fallback
+    is checked and parity stays unverified."""
+    if not _sweep.HAVE_NUMBA:
+        assert _sweep.get_kernel("auto") is _sweep.get_kernel("python")
+        with pytest.raises(RuntimeError):
+            _sweep.get_kernel("numba")
+        return
     for trial in range(25):
         s = random_interval_set(rng.randint(1, 10), random.Random(1000 + trial))
         fast = solve_k1(s)
         slow = solve_k1(s, kernel="python")
         assert fast.weight == slow.weight
         assert fast.chosen == slow.chosen
+        assert compute_dms1(s) == compute_dms1(s, kernel="python")
 
 
 def test_k_monotonicity(rng):
