@@ -3,15 +3,14 @@
 Every edge of the layout becomes a node of the circle graph, linked to the
 edges it crosses.  Cutting the circle and projecting the chords onto a line
 turns each chord into an interval, and crossing chords into properly
-overlapping intervals -- the form the solvers work on.  Node weights are
-degrees (crossings removed by routing that edge outside); link weights pick
+overlapping intervals -- the form the solvers work on.  Interval weights are
+degrees (crossings removed by routing that edge outside); pair weights pick
 the crossing-accounting mode.
 """
 
 from twosided import (
     EdgeWeightMode,
     LayoutInstance,
-    build_circle_graph,
     dump_intervals,
     overlap_kind,
     project_to_intervals,
@@ -20,13 +19,12 @@ from twosided import (
 inst = LayoutInstance.build(
     range(1, 5), [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3), (2, 4)]
 )
-graph = build_circle_graph(inst, EdgeWeightMode.IGNORE_SHIFTED)
-print(f"C4 plus both diagonals: {graph.n_nodes} circle-graph nodes")
-print(f"links (crossing chord pairs): {dict(graph.link_weights)}")
-print(f"node weights (degrees): {graph.node_weights}")
-
 proj = project_to_intervals(inst, EdgeWeightMode.IGNORE_SHIFTED)
 s = proj.interval_set
+print(f"C4 plus both diagonals: {len(s)} circle-graph nodes")
+print(f"links (crossing chord pairs): {dict(s.pair_weights)}")
+print(f"node weights (degrees): {tuple(iv.weight for iv in s.intervals)}")
+
 print("\ninterval representation (id left right weight / pair lines):")
 print(dump_intervals(s), end="")
 

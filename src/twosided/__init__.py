@@ -15,9 +15,10 @@ from .model import (
     LayoutInstance,
     Solution,
     TwoSidedAssignment,
-    WeightedCircleGraph,
+    Overlaps,
     chords_cross,
     count_crossings,
+    crossings_per_chord,
     fit,
     forward_overlap_set,
     nested_set,
@@ -27,11 +28,10 @@ from .model import (
     solution_weight,
     span,
 )
-from .transform import EdgeWeightMode, ProjectionResult, build_circle_graph, project_to_intervals
+from .transform import EdgeWeightMode, ProjectionResult, project_to_intervals
 from .solver_k1 import Dms1Table, compute_dms1, dms1_pair, dms1_single, solve_k0, solve_k1
 from .solver_general import (
     CapacityVector,
-    basic_vector,
     GeneralSolver,
     LegalSuccessor,
     dms_k,

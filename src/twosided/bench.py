@@ -107,7 +107,8 @@ def generate_random_biconnected(n: int, m: int, seed: int) -> LayoutInstance:
     chords = rng.sample(candidates, m - n)
     edges = sorted(cycle) + sorted(chords)
     instance = LayoutInstance.build(range(1, n + 1), edges)
-    assert _is_biconnected(instance), "generator produced a non-biconnected graph"
+    if not _is_biconnected(instance):
+        raise AssertionError("generator produced a non-biconnected graph")
     return instance
 
 

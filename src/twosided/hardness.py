@@ -62,7 +62,7 @@ def reduce_mds_to_bdmwis(g: IntervalSet) -> ReducedInstance:
     # Token stream: walk the original endpoints in order; right before the
     # left endpoint of parent i insert its leaf left-endpoints (outermost
     # first), right after it the leaf right-endpoints (innermost first).
-    owner_of_left = {g.intervals[i].left: i for i in range(n)}
+    owner_of_end = {p: i for i, iv in enumerate(g.intervals) for p in (iv.left, iv.right)}
     leaf_ids: dict[int, list[int]] = {}
     next_id = n
     leaf_parent: dict[int, int] = {}
@@ -75,10 +75,9 @@ def reduce_mds_to_bdmwis(g: IntervalSet) -> ReducedInstance:
 
     tokens: list[tuple[int, int]] = []  # (interval id, 0=left / 1=right)
     for p in range(1, 2 * n + 1):
-        i = owner_of_left.get(p)
-        if i is None:
-            owner = next(j for j in range(n) if g.intervals[j].right == p)
-            tokens.append((owner, 1))
+        i = owner_of_end[p]
+        if g.intervals[i].right == p:
+            tokens.append((i, 1))
         else:
             for u in reversed(leaf_ids[i]):
                 tokens.append((u, 0))

@@ -10,15 +10,20 @@ This module holds the vocabulary shared by everything else in the package:
 * :class:`LayoutInstance`      -- input graph plus cyclic vertex order
 * :class:`TwoSidedAssignment`  -- partition of the edges into interior chords
   and exterior curves
-* :class:`WeightedCircleGraph` -- the chord intersection graph, weighted for
-  the crossing-minimization objective
 * :class:`Interval` / :class:`IntervalSet` -- the normalized interval view of
-  the circle graph that the dynamic programs run on
+  the layout's circle graph (one node per edge, a link per crossing pair)
+  that the dynamic programs run on
+* :class:`Overlaps`            -- the overlap relation of an interval set,
+  computed once by a left-endpoint scan and owned by the set
 * :class:`Solution`            -- a selected subset and its objective value
 
 plus the small interval-set operators (overlap, nesting, span, fit, window
 restriction) the solvers are built from.  All types are immutable after
 construction and every operation is a pure function.
+
+The crossing accounting (:func:`count_crossings`, :func:`crossings_per_chord`)
+counts alternating chords with a Fenwick tree and shares no code with
+:class:`Overlaps`.
 """
 
 from __future__ import annotations
@@ -122,47 +127,6 @@ class TwoSidedAssignment:
             raise ValueError("assignment does not cover the edge set")
 
 
-@dataclass(frozen=True, eq=False)
-class WeightedCircleGraph:
-    """Intersection graph of the chords of a one-sided layout.
-
-    One node per edge of the source graph; a link for every crossing chord
-    pair.  Node weights equal the node degree (the number of crossings the
-    chord is involved in) when built by the standard transform; link weights
-    are uniform in {1, 2} depending on the crossing-accounting mode.
-    """
-
-    node_weights: tuple[int, ...]
-    link_weights: Mapping[Pair, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        n = len(self.node_weights)
-        for (u, v) in self.link_weights:
-            if not (0 <= u < v < n):
-                raise ValueError(f"bad link ({u},{v})")
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.node_weights)
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        nbr: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for u, v in self.link_weights:
-            nbr[u].append(v)
-            nbr[v].append(u)
-        return tuple(tuple(sorted(x)) for x in nbr)
-
-    def degree(self, node: int) -> int:
-        return len(self.adjacency[node])
-
-    @cached_property
-    def max_degree(self) -> int:
-        if self.n_nodes == 0:
-            return 0
-        return max(len(a) for a in self.adjacency)
-
-
 # ---------------------------------------------------------------------------
 # Chord crossing predicates
 # ---------------------------------------------------------------------------
@@ -192,23 +156,67 @@ def count_crossings(instance: LayoutInstance, assignment: TwoSidedAssignment) ->
 
     Interior counts alternating pairs drawn as chords, exterior counts
     alternating pairs routed outside; a pair split across the two sides never
-    crosses.
+    crosses.  Each side's count is half the sum of its per-chord counts.
     """
     assignment.validate_for(instance)
+    interior = sum(crossings_per_chord(instance, assignment.interior)) // 2
+    exterior = sum(crossings_per_chord(instance, assignment.exterior)) // 2
+    return interior, exterior
+
+
+def crossings_per_chord(instance: LayoutInstance, edge_ids: Iterable[int]) -> list[int]:
+    """For each given edge, in the given order, the number of the other given
+    edges whose chord crosses its chord.
+
+    Each chord becomes the span (a, b), a < b, of its endpoints' order
+    positions.  Chord (c, d) crosses (a, b) iff a < c < b < d or
+    c < a < d < b; chords sharing a vertex meet in an endpoint and satisfy
+    neither.  The first case is counted by :func:`_starts_inside_ends_beyond`,
+    the second is the first on the mirrored circle.  O((n + m) log n).
+    """
     pos = instance.positions
     n = instance.n_vertices
-    edges = instance.edges
-    interior = sorted(assignment.interior)
-    exterior = sorted(assignment.exterior)
-    counts = []
-    for side in (interior, exterior):
-        c = 0
-        for i in range(len(side)):
-            for j in range(i + 1, len(side)):
-                if _alternate(pos, n, edges[side[i]], edges[side[j]]):
-                    c += 1
-        counts.append(c)
-    return counts[0], counts[1]
+    spans = []
+    for e in edge_ids:
+        u, v = instance.edges[e]
+        spans.append((pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]))
+    mirrored = [(n - 1 - b, n - 1 - a) for a, b in spans]
+    right = _starts_inside_ends_beyond(spans, n)
+    left = _starts_inside_ends_beyond(mirrored, n)
+    return [x + y for x, y in zip(right, left)]
+
+
+def _starts_inside_ends_beyond(spans: Sequence[Pair], n: int) -> list[int]:
+    """For each span (a, b) over positions 0..n-1, the number of spans
+    (c, d) with a < c < b < d.
+
+    Sweeps the right ends b downwards.  A Fenwick tree (binary indexed tree)
+    holds the left ends of the spans ending beyond b; the spans ending at b
+    are counted before they are added, so spans sharing an end never count.
+    """
+    ending_at: list[list[int]] = [[] for _ in range(n)]
+    for t, (_, b) in enumerate(spans):
+        ending_at[b].append(t)
+    tree = [0] * (n + 1)
+    out = [0] * len(spans)
+    for b in range(n - 1, -1, -1):
+        for t in ending_at[b]:
+            out[t] = _fenwick_below(tree, b) - _fenwick_below(tree, spans[t][0] + 1)
+        for t in ending_at[b]:
+            x = spans[t][0] + 1
+            while x <= n:
+                tree[x] += 1
+                x += x & -x
+    return out
+
+
+def _fenwick_below(tree: list[int], x: int) -> int:
+    """Number of positions < x held by the Fenwick tree."""
+    total = 0
+    while x > 0:
+        total += tree[x]
+        x &= x - 1
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +263,6 @@ def overlap_kind(a: Interval, b: Interval) -> str:
     if b.left < a.left and a.right < b.right:
         return B_NESTS_A
     return OVERLAP
-
-
-def intervals_overlap(a: Interval, b: Interval) -> bool:
-    return overlap_kind(a, b) == OVERLAP
 
 
 def _same_span(a: Interval, b: Interval) -> bool:
@@ -343,28 +347,99 @@ def fit(subset: Sequence[Interval]) -> int:
 
 
 @dataclass(frozen=True, eq=False)
+class Overlaps:
+    """The overlap relation of a normalized span list, from one scan.
+
+    :meth:`scan` lists the ids in left-endpoint order (``by_left``).  The ids
+    starting inside (left_i, right_i) are then one run of that order,
+    ``by_left[rank[i] + 1 : run_end[i]]``; those ending after right_i are
+    i's forward partners, the rest are nested in i.  The forward partners are
+    kept as compressed rows: i's partners are ``partner[ptr[i]:ptr[i + 1]]``,
+    ascending by id.  Every overlapping pair appears once, under its member
+    with the smaller left endpoint.
+    """
+
+    spans: tuple[Pair, ...]
+    by_left: tuple[int, ...]
+    rank: tuple[int, ...]
+    run_end: tuple[int, ...]
+    ptr: tuple[int, ...]
+    partner: tuple[int, ...]
+
+    @classmethod
+    def scan(cls, spans: Iterable[Sequence[int]]) -> "Overlaps":
+        """Scan (left, right) spans whose 2n endpoints are exactly {1..2n}.
+
+        O(n + l) for the total span length l, plus sorting each row."""
+        spans = tuple((l, r) for l, r in spans)
+        n = len(spans)
+        if sorted(p for sp in spans for p in sp) != list(range(1, 2 * n + 1)):
+            raise ValueError("endpoints must be exactly {1..2n} with no repeats")
+        at = [0] * (2 * n + 1)
+        for i, (l, r) in enumerate(spans):
+            at[l] = at[r] = i
+        by_left: list[int] = []
+        rank = [0] * n
+        run_end = [0] * n
+        for x in range(1, 2 * n + 1):
+            i = at[x]
+            if spans[i][0] == x:
+                rank[i] = len(by_left)
+                by_left.append(i)
+            else:
+                run_end[i] = len(by_left)
+        ptr, partner = [0], []
+        for i, (_, r) in enumerate(spans):
+            partner.extend(sorted(j for j in by_left[rank[i] + 1 : run_end[i]] if spans[j][1] > r))
+            ptr.append(len(partner))
+        return cls(spans, tuple(by_left), tuple(rank), tuple(run_end), tuple(ptr), tuple(partner))
+
+    def forward(self, i: int) -> tuple[int, ...]:
+        """Ids j with left_i < left_j < right_i < right_j, ascending."""
+        return self.partner[self.ptr[i] : self.ptr[i + 1]]
+
+    def nested(self, i: int) -> list[int]:
+        """Ids strictly nested in interval i, in left-endpoint order."""
+        r = self.spans[i][1]
+        return [j for j in self.by_left[self.rank[i] + 1 : self.run_end[i]] if self.spans[j][1] < r]
+
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Ids of the intervals overlapping each interval, ascending."""
+        nbr: list[list[int]] = [list(self.forward(i)) for i in range(len(self.spans))]
+        for i in range(len(self.spans)):
+            for j in self.forward(i):
+                nbr[j].append(i)
+        return tuple(tuple(sorted(x)) for x in nbr)
+
+    @cached_property
+    def pairs(self) -> list[Pair]:
+        """Every overlapping pair (i, j), i < j, in lexicographic order."""
+        return [(i, j) for i, nb in enumerate(self.neighbors) for j in nb if j > i]
+
+
+@dataclass(frozen=True, eq=False)
 class IntervalSet:
     """A normalized interval representation of a weighted circle graph.
 
     The 2n endpoints are exactly {1, ..., 2n}; ``pair_weights`` carries one
     entry per properly overlapping pair (keyed by the interval indices in
     ``intervals``, smaller index first).  Interval ids are positions in
-    ``intervals``.
+    ``intervals``.  ``overlaps`` is the set's overlap relation: scanned on
+    construction, or passed in when the caller already scanned these spans.
     """
 
     intervals: tuple[Interval, ...]
     pair_weights: Mapping[Pair, int] = field(default_factory=dict)
+    overlaps: Overlaps | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        n = len(self.intervals)
-        pts = sorted(p for i in self.intervals for p in (i.left, i.right))
-        if pts != list(range(1, 2 * n + 1)):
-            raise ValueError("endpoints must be exactly {1..2n} with no repeats")
-        expected = set()
-        for i in range(n):
-            for j in range(i + 1, n):
-                if overlap_kind(self.intervals[i], self.intervals[j]) == OVERLAP:
-                    expected.add((i, j))
+        spans = tuple((i.left, i.right) for i in self.intervals)
+        if self.overlaps is None:
+            object.__setattr__(self, "overlaps", Overlaps.scan(spans))
+        elif self.overlaps.spans != spans:
+            raise ValueError("the overlap structure was scanned from other spans")
+        expected = set(self.overlaps.pairs)
         got = set(self.pair_weights)
         if got != expected:
             raise ValueError(
@@ -392,14 +467,9 @@ class IntervalSet:
             Interval(l, r, w, source_node=i) for i, ((l, r), w) in enumerate(zip(spans, ws))
         )
         if isinstance(pair_weights, int):
-            pw = {}
-            for i in range(len(ivs)):
-                for j in range(i + 1, len(ivs)):
-                    if overlap_kind(ivs[i], ivs[j]) == OVERLAP:
-                        pw[(i, j)] = pair_weights
-        else:
-            pw = {canonical_edge(*k): v for k, v in pair_weights.items()}
-        return cls(ivs, pw)
+            overlaps = Overlaps.scan((iv.left, iv.right) for iv in ivs)
+            return cls(ivs, dict.fromkeys(overlaps.pairs, pair_weights), overlaps)
+        return cls(ivs, {canonical_edge(*k): v for k, v in pair_weights.items()})
 
     def __len__(self) -> int:
         return len(self.intervals)
@@ -410,24 +480,27 @@ class IntervalSet:
     def pair_weight(self, i: int, j: int) -> int:
         return self.pair_weights[canonical_edge(i, j)]
 
-    @cached_property
-    def overlap_pairs(self) -> frozenset[Pair]:
-        return frozenset(self.pair_weights)
+    def id_of(self, interval: Interval | int) -> int:
+        """Id of an interval given by its id or by its endpoints."""
+        if isinstance(interval, int):
+            return interval
+        i = self._ids.get((interval.left, interval.right))
+        if i is None:
+            raise ValueError(f"interval [{interval.left},{interval.right}] is not in the set")
+        return i
 
     @cached_property
+    def _ids(self) -> dict[Pair, int]:
+        return {sp: i for i, sp in enumerate(self.overlaps.spans)}
+
+    @property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Ids of the intervals overlapping each interval, ascending."""
-        nbr: list[list[int]] = [[] for _ in self.intervals]
-        for (i, j) in self.pair_weights:
-            nbr[i].append(j)
-            nbr[j].append(i)
-        return tuple(tuple(sorted(x)) for x in nbr)
+        return self.overlaps.neighbors
 
     @cached_property
     def max_degree(self) -> int:
-        if not self.intervals:
-            return 0
-        return max(len(x) for x in self.neighbors)
+        return max(map(len, self.neighbors), default=0)
 
     @cached_property
     def total_length(self) -> int:
@@ -443,37 +516,18 @@ def restrict(s: IntervalSet | Sequence[Interval], x: float, y: float) -> list[In
     return [i for i in source if x <= i.left and i.right <= y]
 
 
+def overlap_pairs_within(chosen: Iterable[int], s: IntervalSet) -> frozenset[Pair]:
+    """The overlapping pairs inside a chosen id set; O(sum of their degrees)."""
+    ids = set(chosen)
+    return frozenset((i, j) for i in ids for j in s.neighbors[i] if j > i and j in ids)
+
+
 def solution_weight(chosen: Iterable[int], s: IntervalSet) -> int:
     """Objective value of a chosen interval subset: the sum of its interval
     weights minus the weights of the overlapping pairs inside it."""
-    ids = sorted(set(chosen))
-    total = sum(s.intervals[i].weight for i in ids)
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            key = (ids[a], ids[b])
-            if key in s.pair_weights:
-                total -= s.pair_weights[key]
-    return total
-
-
-def overlap_pairs_within(chosen: Iterable[int], s: IntervalSet) -> frozenset[Pair]:
-    ids = sorted(set(chosen))
-    out = set()
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            key = (ids[a], ids[b])
-            if key in s.pair_weights:
-                out.add(key)
-    return frozenset(out)
-
-
-def overlap_degrees(chosen: Iterable[int], s: IntervalSet) -> dict[int, int]:
     ids = set(chosen)
-    deg = {i: 0 for i in ids}
-    for (a, b) in overlap_pairs_within(ids, s):
-        deg[a] += 1
-        deg[b] += 1
-    return deg
+    pairs = overlap_pairs_within(ids, s)
+    return sum(s.intervals[i].weight for i in ids) - sum(s.pair_weights[p] for p in pairs)
 
 
 @dataclass(frozen=True)

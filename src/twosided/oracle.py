@@ -111,7 +111,8 @@ def brute_force_two_sided(
             if best is None or key < best:
                 best = key
                 best_counts = (interior_crossings, interior_crossings + exterior_crossings)
-    assert best is not None
+    if best is None:
+        raise AssertionError("no exterior edge set was feasible, not even the empty one")
     assignment = TwoSidedAssignment.from_exterior(instance, best[1])
     return assignment, best_counts[0], best_counts[1]
 

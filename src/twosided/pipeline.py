@@ -1,4 +1,4 @@
-"""End-to-end solve: layout graph -> circle graph -> intervals -> selection.
+"""End-to-end solve: layout graph -> interval projection -> selection.
 
 Ties the transform and the solvers together and re-derives the crossing
 accounting of the resulting two-sided drawing.  With pair weights 1

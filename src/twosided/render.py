@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import LayoutInstance, TwoSidedAssignment, _alternate, count_crossings
+from .model import LayoutInstance, TwoSidedAssignment, count_crossings, crossings_per_chord
 
 __all__ = ["LayoutStats", "layout_stats", "render_layout"]
 
@@ -34,18 +34,8 @@ class LayoutStats:
 
 def layout_stats(instance: LayoutInstance, assignment: TwoSidedAssignment) -> LayoutStats:
     interior, exterior = count_crossings(instance, assignment)
-    pos = instance.positions
-    n = instance.n_vertices
-    ext = sorted(assignment.exterior)
-    worst = 0
-    for i in ext:
-        c = sum(
-            1
-            for j in ext
-            if j != i and _alternate(pos, n, instance.edges[i], instance.edges[j])
-        )
-        worst = max(worst, c)
-    return LayoutStats(interior, exterior, len(ext), worst)
+    worst = max(crossings_per_chord(instance, assignment.exterior), default=0)
+    return LayoutStats(interior, exterior, len(assignment.exterior), worst)
 
 
 def _fmt(x: float) -> str:

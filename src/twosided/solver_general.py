@@ -48,7 +48,6 @@ __all__ = [
     "CapacityVector",
     "LegalSuccessor",
     "GeneralSolver",
-    "basic_vector",
     "is_valid_for",
     "legal_successors",
     "transition_weight",
@@ -151,14 +150,8 @@ class GeneralSolver:
         self.pw = dict(s.pair_weights)
 
         # Strictly nested members per owner, sorted by left endpoint.
-        self.members: list[list[int]] = [[] for _ in range(n + 1)]
-        for i in range(n):
-            for j in range(n):
-                if i != j and self.left[i] < self.left[j] and self.right[j] < self.right[i]:
-                    self.members[i].append(j)
-            self.members[self.dummy].append(i)
-        for lst in self.members:
-            lst.sort(key=lambda j: self.left[j])
+        ov = s.overlaps
+        self.members = [ov.nested(i) for i in range(n)] + [list(ov.by_left)]
         self.member_lefts = [[self.left[j] for j in lst] for lst in self.members]
 
         self.f_memo: dict = {}
@@ -346,8 +339,10 @@ class GeneralSolver:
         finally:
             sys.setrecursionlimit(old_limit)
         sol = Solution.from_chosen(chosen, self.s, self.k)
-        assert sol.weight == value, "recovered solution disagrees with DP value"
-        assert sol.max_overlap_degree() <= self.k, "recovered solution infeasible"
+        if sol.weight != value:
+            raise AssertionError(f"recovered solution weighs {sol.weight}, the DP value is {value}")
+        if sol.max_overlap_degree() > self.k:
+            raise AssertionError(f"recovered solution is not {self.k}-overlap")
         self.value, self.chosen = value, sol.chosen
         return sol
 
@@ -416,34 +411,11 @@ def _to_vector(state: Mapping[int, object], s: IntervalSet) -> CapacityVector:
     return CapacityVector(tuple(ent))
 
 
-def _interval_id(interval: Interval | int, s: IntervalSet) -> int:
-    if isinstance(interval, int):
-        return interval
-    for i, iv in enumerate(s.intervals):
-        if iv.left == interval.left and iv.right == interval.right:
-            return i
-    raise ValueError(f"interval [{interval.left},{interval.right}] is not in the set")
-
-
-def basic_vector(lam: CapacityVector, interval: Interval | int, s: IntervalSet) -> tuple:
-    """Restriction of a vector to the positions that can influence the
-    interval's window: its overlapping neighbors (plus the interval itself,
-    whose state is fixed by the commit).  Two vectors agreeing here yield the
-    same window optimum, which makes this the memoization key."""
-    i = _interval_id(interval, s)
-    out = []
-    for m in sorted(s.neighbors[i]):
-        st = lam.state_of(s.intervals[m])
-        if st is not UNDECIDED:
-            out.append((m, UNLIMITED if st == UNLIMITED else st))
-    return tuple(out)
-
-
 def is_valid_for(lam: CapacityVector, interval: Interval | int, s: IntervalSet, k: int) -> bool:
     """A vector is valid for an interval when the interval's own endpoints
     carry numeric budgets and at most k of its overlapping neighbors are
     committed (numeric).  Undecided neighbors do not count."""
-    i = _interval_id(interval, s)
+    i = s.id_of(interval)
     iv = s.intervals[i]
     st = lam.state_of(iv)
     if st is UNDECIDED or st == UNLIMITED:
@@ -465,7 +437,7 @@ def legal_successors(
     deterministic: neighbor subsets by size then lexicographic ids, budget
     splits ascending.
     """
-    i = _interval_id(interval, s)
+    i = s.id_of(interval)
     iv = s.intervals[i]
     if lam.state_of(iv) == UNLIMITED:
         raise ValueError("cannot commit a rejected interval")
@@ -487,7 +459,7 @@ def transition_weight(
     vectors: fresh joiner weights minus the weights of every overlapping
     pair that becomes fully selected at the step (joiner-with-joiner pairs
     counted once, plus joiner-with-previously-committed pairs)."""
-    i = _interval_id(interval, s)
+    i = s.id_of(interval)
     eng = GeneralSolver(s, 0)  # k is irrelevant for the charging rule
     state = _to_engine_state(lam, s)
     new = []
@@ -509,7 +481,7 @@ def dms_k(
     """Best k-overlap-set weight on the interval's window, the interval
     included, under pre-set capacities.  Rejects vectors not valid for the
     interval.  Passing a solver reuses (and fills) its memo table."""
-    i = _interval_id(interval, s)
+    i = s.id_of(interval)
     if not is_valid_for(lam, i, s, k):
         raise ValueError("capacity vector is not valid for the interval")
     eng = solver if solver is not None else GeneralSolver(s, k)

@@ -60,21 +60,11 @@ class _Engine:
             start_at[iv.left] = i
             end_at[iv.right] = i
 
-        # CSR over forward overlap pairs, partners ascending by id; pair t
+        # The set's forward-overlap CSR, partners ascending by id; pair t
         # joins owner[t] (the left one) with partner[t].
-        fwd: list[list[int]] = [[] for _ in range(n)]
-        for (i, j) in sorted(s.pair_weights):
-            if s.intervals[i].left < s.intervals[j].left:
-                fwd[i].append(j)
-            else:
-                fwd[j].append(i)
-        ptr, partner, owner, pair_w = [0], [], [], []
-        for i in range(n):
-            for j in fwd[i]:
-                partner.append(j)
-                owner.append(i)
-                pair_w.append(s.pair_weight(i, j))
-            ptr.append(len(partner))
+        ptr, partner = s.overlaps.ptr, s.overlaps.partner
+        owner = [i for i in range(n) for _ in range(ptr[i], ptr[i + 1])]
+        pair_w = [s.pair_weight(i, j) for i, j in zip(owner, partner)]
         # The same pairs indexed by their second member.
         back: list[list[int]] = [[] for _ in range(n)]
         for t, j in enumerate(partner):
@@ -196,13 +186,6 @@ def compute_dms1(s: IntervalSet, include_pairs: bool = True, kernel: str = "auto
     return Dms1Table(single, pair)
 
 
-def _interval_id(eng: _Engine, interval: Interval) -> int:
-    i = int(eng.start_at[interval.left]) if 0 < interval.left <= 2 * eng.n else -1
-    if i < 0 or eng.right[i] != interval.right:
-        raise ValueError(f"interval [{interval.left},{interval.right}] is not in the set")
-    return i
-
-
 def _window_value(eng: _Engine, table: Dms1Table, lo: int, hi: int) -> int:
     """Sweep value of the open window (lo, hi) over ``table``.
 
@@ -232,8 +215,8 @@ def dms1_single(interval: Interval, s: IntervalSet, table: Dms1Table) -> int:
     ``table`` must hold the value of every interval and forward pair nested
     in the window; a missing one raises ValueError.
     """
+    s.id_of(interval)
     eng = _Engine(s)
-    _interval_id(eng, interval)
     return _window_value(eng, table, interval.left, interval.right) + interval.weight
 
 
@@ -245,9 +228,9 @@ def dms1_pair(i_interval: Interval, j_interval: Interval, s: IntervalSet, table:
     the pair's left, middle and right regions; a missing one raises
     ValueError.
     """
+    i = s.id_of(i_interval)
+    j = s.id_of(j_interval)
     eng = _Engine(s)
-    i = _interval_id(eng, i_interval)
-    j = _interval_id(eng, j_interval)
     pairs = range(int(eng.ptr[i]), int(eng.ptr[i + 1]))
     t = next((t for t in pairs if eng.partner[t] == j), None)
     if t is None:

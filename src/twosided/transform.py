@@ -1,9 +1,10 @@
-"""Build the weighted circle graph of a layout and project it to intervals.
+"""Project the chords of a layout to a weighted interval set.
 
-The circle graph has one node per edge of the layout graph and a link for
-every crossing chord pair.  Routing an edge outside the circle removes as
-many interior crossings as its node degree, so node weights are set to the
-degree; link weights encode how a crossing that moves outside is accounted
+The layout's circle graph has one node per edge and a link for every
+crossing chord pair; the solvers run on its interval representation and never
+build the graph itself.  Routing an edge outside the circle removes as many
+interior crossings as its node degree, so interval weights are set to the
+degree; pair weights encode how a crossing that moves outside is accounted
 for (see :class:`EdgeWeightMode`).
 
 The interval projection cuts the circle between the last and the first vertex
@@ -12,7 +13,9 @@ ranks 1..2m.  Chords sharing a vertex are first separated into per-edge slots
 so that all endpoints are distinct; the slot order is chosen so that the
 shared-vertex chords nest instead of crossing, which keeps the intersection
 graph unchanged.  The projection is purely combinatorial; no geometry is
-involved.
+involved.  One overlap scan (:class:`~twosided.model.Overlaps`) gives the
+degrees, the pair weights and the interval set's own overlap relation, and
+one independent check ties that relation to chord alternation.
 """
 
 from __future__ import annotations
@@ -20,13 +23,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .model import (
-    Interval,
-    IntervalSet,
-    LayoutInstance,
-    WeightedCircleGraph,
-    _alternate,
-)
+import numpy as np
+
+from .model import Interval, IntervalSet, LayoutInstance, Overlaps, crossings_per_chord
 
 
 class EdgeWeightMode(enum.Enum):
@@ -47,23 +46,6 @@ class EdgeWeightMode(enum.Enum):
     @classmethod
     def from_int(cls, value: int) -> "EdgeWeightMode":
         return cls(value)
-
-
-def build_circle_graph(instance: LayoutInstance, mode: EdgeWeightMode) -> WeightedCircleGraph:
-    """Circle graph of the one-sided layout with solver weights attached."""
-    pos = instance.positions
-    n = instance.n_vertices
-    edges = instance.edges
-    m = len(edges)
-    links: dict[tuple[int, int], int] = {}
-    degree = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if _alternate(pos, n, edges[i], edges[j]):
-                links[(i, j)] = mode.value
-                degree[i] += 1
-                degree[j] += 1
-    return WeightedCircleGraph(tuple(degree), links)
 
 
 @dataclass(frozen=True)
@@ -91,8 +73,9 @@ def project_to_intervals(
     slots, ordered so that the chord reaching farthest (in order direction)
     comes first; chords sharing the vertex then nest rather than cross.
 
-    Two intervals overlap iff the corresponding chords cross; this is
-    re-validated against the alternation test on every call.
+    Two intervals overlap iff the corresponding chords cross; every call
+    checks this against the chords (:func:`_check_alternation`) and raises
+    AssertionError when it fails.
     """
     pos = instance.positions
     n = instance.n_vertices
@@ -124,23 +107,30 @@ def project_to_intervals(
         a, b = slot_of[(u, eid)], slot_of[(v, eid)]
         intervals.append((min(a, b), max(a, b)))
 
-    graph = build_circle_graph(instance, mode)
+    overlaps = Overlaps.scan(intervals)
+    _check_alternation(instance, overlaps)
     ivs = tuple(
-        Interval(l, r, weight=graph.degree(eid), source_node=eid)
+        Interval(l, r, weight=len(overlaps.neighbors[eid]), source_node=eid)
         for eid, (l, r) in enumerate(intervals)
     )
+    pair_weights = dict.fromkeys(overlaps.pairs, mode.value)
+    return ProjectionResult(IntervalSet(ivs, pair_weights, overlaps), tuple(range(m)))
 
-    pair_weights: dict[tuple[int, int], int] = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            a, b = ivs[i], ivs[j]
-            overlaps = a.left < b.left < a.right < b.right or b.left < a.left < b.right < a.right
-            crosses = (i, j) in graph.link_weights
-            if overlaps != crosses:
-                raise AssertionError(
-                    f"projection broke the intersection graph at edges {i},{j}"
-                )
-            if overlaps:
-                pair_weights[(i, j)] = mode.value
 
-    return ProjectionResult(IntervalSet(ivs, pair_weights), tuple(range(m)))
+def _check_alternation(instance: LayoutInstance, overlaps: Overlaps) -> None:
+    """Raise unless the overlapping pairs are exactly the crossing chords:
+    every overlapping pair alternates as chords (checked on all P pairs at
+    once) and the Fenwick count of crossing chord pairs is P."""
+    pos = instance.positions
+    ends = np.array([sorted((pos[u], pos[v])) for u, v in instance.edges], dtype=np.int64)
+    owner = np.repeat(np.arange(len(instance.edges)), np.diff(overlaps.ptr))
+    partner = np.array(overlaps.partner, dtype=np.int64)
+    (a, b), (c, d) = ends.reshape(-1, 2)[owner].T, ends.reshape(-1, 2)[partner].T
+    alternate = ((a < c) & (c < b) & (b < d)) | ((c < a) & (a < d) & (d < b))
+    if not alternate.all():
+        t = int(np.argmin(alternate))
+        i, j = sorted((int(owner[t]), int(partner[t])))
+        raise AssertionError(f"projection broke the intersection graph at edges {i},{j}")
+    crossing = sum(crossings_per_chord(instance, instance.edge_ids())) // 2
+    if crossing != len(partner):
+        raise AssertionError(f"{len(partner)} overlapping pairs for {crossing} crossing chord pairs")

@@ -282,3 +282,17 @@ def test_solve_k_empty_and_bad_k():
     assert solve_k(make_set([]), 3).weight == 0
     with pytest.raises(ValueError):
         solve_k(make_set([]), -1)
+
+
+def test_recovery_mismatch_raises(monkeypatch):
+    walk = GeneralSolver._walk
+
+    def drop_last_chosen(self, owner, idx, lam, out):
+        walk(self, owner, idx, lam, out)
+        if owner == self.dummy:
+            out.pop()
+
+    monkeypatch.setattr(GeneralSolver, "_walk", drop_last_chosen)
+    s = make_set([(1, 2), (3, 4)], [5, 7])
+    with pytest.raises(AssertionError, match="recovered solution weighs 5, the DP value is 12"):
+        GeneralSolver(s, 2).solve()

@@ -1,9 +1,11 @@
 import random
 
+import pytest
+
 from conftest import random_layout
 from twosided.graphio import dump_intervals, parse_intervals
-from twosided.model import LayoutInstance, overlap_kind
-from twosided.transform import EdgeWeightMode, build_circle_graph, project_to_intervals
+from twosided.model import LayoutInstance, Overlaps, chords_cross, overlap_kind
+from twosided.transform import EdgeWeightMode, project_to_intervals
 
 
 def c4_with_diagonals() -> LayoutInstance:
@@ -15,28 +17,28 @@ def c4_with_diagonals() -> LayoutInstance:
 def test_circle_graph_c4_with_diagonals():
     inst = c4_with_diagonals()
     for mode in EdgeWeightMode:
-        g = build_circle_graph(inst, mode)
-        assert g.n_nodes == 6
-        assert set(g.link_weights) == {(4, 5)}  # only the two diagonals cross
-        assert g.link_weights[(4, 5)] == mode.value
-        assert g.node_weights == (0, 0, 0, 0, 1, 1)
-        assert g.max_degree == 1
+        s = project_to_intervals(inst, mode).interval_set
+        assert len(s) == 6
+        assert set(s.pair_weights) == {(4, 5)}  # only the two diagonals cross
+        assert s.pair_weights[(4, 5)] == mode.value
+        assert tuple(iv.weight for iv in s.intervals) == (0, 0, 0, 0, 1, 1)
+        assert s.max_degree == 1
 
 
 def test_circle_graph_star_has_no_links():
     star = LayoutInstance.build(range(1, 5), [(1, 2), (1, 3), (1, 4)])
-    g = build_circle_graph(star, EdgeWeightMode.COUNT_SHIFTED)
-    assert g.n_nodes == 3
-    assert not g.link_weights
-    assert g.node_weights == (0, 0, 0)
+    s = project_to_intervals(star, EdgeWeightMode.COUNT_SHIFTED).interval_set
+    assert len(s) == 3
+    assert not s.pair_weights
+    assert tuple(iv.weight for iv in s.intervals) == (0, 0, 0)
 
 
 def test_circle_graph_single_edge():
     inst = LayoutInstance.build([1, 2], [(1, 2)])
-    g = build_circle_graph(inst, EdgeWeightMode.IGNORE_SHIFTED)
-    assert g.n_nodes == 1
-    assert g.node_weights == (0,)
-    assert not g.link_weights
+    s = project_to_intervals(inst, EdgeWeightMode.IGNORE_SHIFTED).interval_set
+    assert len(s) == 1
+    assert tuple(iv.weight for iv in s.intervals) == (0,)
+    assert not s.pair_weights
 
 
 def test_link_count_equals_all_interior_crossings(rng):
@@ -46,9 +48,9 @@ def test_link_count_equals_all_interior_crossings(rng):
         n = rng.randint(4, 8)
         m = rng.randint(n - 1, min(14, n * (n - 1) // 2))
         inst = random_layout(rng, n, m)
-        g = build_circle_graph(inst, EdgeWeightMode.COUNT_SHIFTED)
+        s = project_to_intervals(inst, EdgeWeightMode.COUNT_SHIFTED).interval_set
         interior, _ = count_crossings(inst, TwoSidedAssignment.from_exterior(inst, ()))
-        assert len(g.link_weights) == interior
+        assert len(s.pair_weights) == interior
 
 
 def test_projection_star_is_overlap_free():
@@ -81,15 +83,21 @@ def test_projection_fidelity_random(rng):
         n = rng.randint(3, 9)
         m = rng.randint(0, min(16, n * (n - 1) // 2))
         inst = random_layout(rng, n, m)
+        links = {
+            (i, j)
+            for i in range(m)
+            for j in range(i + 1, m)
+            if chords_cross(inst.edges[i], inst.edges[j], inst.order)
+        }
+        degree = [sum(1 for link in links if i in link) for i in range(m)]
         for mode in EdgeWeightMode:
-            g = build_circle_graph(inst, mode)
             proj = project_to_intervals(inst, mode)
             s = proj.interval_set
             assert proj.edge_for_interval == tuple(range(m))
-            assert set(s.pair_weights) == set(g.link_weights)
-            assert all(s.pair_weights[k] == g.link_weights[k] for k in s.pair_weights)
+            assert set(s.pair_weights) == links
+            assert all(s.pair_weights[k] == mode.value for k in s.pair_weights)
             for i, iv in enumerate(s.intervals):
-                assert iv.weight == g.node_weights[i]
+                assert iv.weight == degree[i]
             # endpoint completeness is enforced by the IntervalSet invariant;
             # recheck explicitly anyway
             pts = sorted(p for iv in s.intervals for p in (iv.left, iv.right))
@@ -115,3 +123,17 @@ def test_interval_dump_round_trip():
     assert lines[0].split() == ["0"] + [str(x) for x in
                                         (s.intervals[0].left, s.intervals[0].right, s.intervals[0].weight)]
     assert lines[-1].startswith("pair ")
+
+
+@pytest.mark.parametrize(
+    "edges, scanned, message",
+    [
+        ([(1, 2), (3, 4)], [(1, 3), (2, 4)], "broke the intersection graph at edges 0,1"),
+        ([(1, 3), (2, 4)], [(1, 2), (3, 4)], "0 overlapping pairs for 1 crossing chord pairs"),
+    ],
+)
+def test_projection_check_raises_on_a_wrong_overlap_relation(monkeypatch, edges, scanned, message):
+    scan = Overlaps.scan
+    monkeypatch.setattr(Overlaps, "scan", classmethod(lambda cls, spans: scan(scanned)))
+    with pytest.raises(AssertionError, match=message):
+        project_to_intervals(LayoutInstance.build(range(1, 5), edges))
