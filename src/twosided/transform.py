@@ -123,9 +123,10 @@ def _check_alternation(instance: LayoutInstance, overlaps: Overlaps) -> None:
     once) and the Fenwick count of crossing chord pairs is P."""
     pos = instance.positions
     ends = np.array([sorted((pos[u], pos[v])) for u, v in instance.edges], dtype=np.int64)
+    ends = ends.reshape(-1, 2)  # keeps two columns when there are no edges
     owner = np.repeat(np.arange(len(instance.edges)), np.diff(overlaps.ptr))
     partner = np.array(overlaps.partner, dtype=np.int64)
-    (a, b), (c, d) = ends.reshape(-1, 2)[owner].T, ends.reshape(-1, 2)[partner].T
+    (a, b), (c, d) = ends[owner].T, ends[partner].T
     alternate = ((a < c) & (c < b) & (b < d)) | ((c < a) & (a < d) & (d < b))
     if not alternate.all():
         t = int(np.argmin(alternate))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from twosided.model import (
     OVERLAP,
     A_NESTS_B,
+    Interval,
     IntervalSet,
     LayoutInstance,
     TwoSidedAssignment,
@@ -139,4 +140,4 @@ def test_id_of_rejects_an_unknown_interval():
     s = IntervalSet.build([(1, 4), (2, 3)])
     assert s.id_of(1) == 1
     with pytest.raises(ValueError, match="not in the set"):
-        s.id_of(IntervalSet.build([(1, 3), (2, 4)], pair_weights=0).intervals[0])
+        s.id_of(Interval(1, 3))
