@@ -2,7 +2,10 @@
 
 Graph files: first line ``n m``, then m lines ``u v`` with 1-based vertex
 ids, then an optional line ``order: v1 v2 ... vn`` (the cyclic order defaults
-to 1..n).  Whitespace separated, LF line endings.
+to 1..n).  Whitespace separated, LF line endings.  ``n`` may not exceed
+``MAX_VERTICES``: the header is checked before anything is allocated, so a
+huge ``n`` fails fast with a ``GraphParseError`` rather than exhausting
+memory.
 
 Interval dumps (debugging / oracle interchange): one line per interval
 ``id left right weight``, followed by one line per overlapping pair
@@ -12,6 +15,8 @@ Interval dumps (debugging / oracle interchange): one line per interval
 from __future__ import annotations
 
 from .model import Interval, IntervalSet, LayoutInstance
+
+MAX_VERTICES = 10**6
 
 
 class GraphParseError(ValueError):
@@ -32,6 +37,8 @@ def parse_graph(text: str) -> LayoutInstance:
         raise GraphParseError(f"bad header {lines[0]!r}") from exc
     if n < 0 or m < 0:
         raise GraphParseError("n and m must be non-negative")
+    if n > MAX_VERTICES:
+        raise GraphParseError(f"n = {n} exceeds the limit of {MAX_VERTICES} vertices")
     if len(lines) < 1 + m:
         raise GraphParseError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []

@@ -300,11 +300,22 @@ class GeneralSolver:
         assert st is None or st is _EXCL, "window member unexpectedly committed"
         if st is _EXCL:
             return self._window_value(owner, idx + 1, lam)
+        return self._decide(owner, idx, lam)[0]
+
+    def _decide(
+        self, owner: int, idx: int, lam: Mapping[int, object]
+    ) -> tuple[int, tuple[int, dict, tuple[int, ...] | None]]:
+        """Options for the undecided member ``idx`` of owner's window:
+        reject it, or commit it through one of its successors.  Returns the
+        best value and the first option reaching it, as ``(next index, next
+        state, chosen)``; ``chosen`` is None for the reject option."""
+        j = self.members[owner][idx]
         lam_rej = dict(lam)
         lam_rej[j] = _EXCL
         best = self._window_value(owner, idx + 1, lam_rej)
+        action = (idx + 1, lam_rej, None)
         nidx = bisect_right(self.member_lefts[owner], self.right[j], lo=idx)
-        for lam2, delta, _chosen in self._successors(lam, j):
+        for lam2, delta, chosen in self._successors(lam, j):
             v = (
                 delta
                 + self.weight[j]
@@ -313,7 +324,8 @@ class GeneralSolver:
             )
             if v > best:
                 best = v
-        return best
+                action = (nidx, lam2, chosen)
+        return best, action
 
     def _basic(self, lam: Mapping[int, object], j: int) -> dict:
         """Restriction of the state to the overlapping neighbors of ``j``:
@@ -351,35 +363,16 @@ class GeneralSolver:
         members = self.members[owner]
         while idx < len(members):
             j = members[idx]
-            st = lam.get(j)
-            if st is _EXCL:
+            if lam.get(j) is _EXCL:
                 idx += 1
                 continue
-            lam_rej = dict(lam)
-            lam_rej[j] = _EXCL
-            best = self._window_value(owner, idx + 1, lam_rej)
-            action = None
-            nidx = bisect_right(self.member_lefts[owner], self.right[j], lo=idx)
-            for lam2, delta, chosen in self._successors(lam, j):
-                v = (
-                    delta
-                    + self.weight[j]
-                    + self._window_value(j, 0, self._basic(lam2, j))
-                    + self._window_value(owner, nidx, lam2)
-                )
-                if v > best:
-                    best = v
-                    action = (lam2, chosen)
-            if action is None:
-                lam = lam_rej
-                idx += 1
-            else:
-                lam2, chosen = action
+            _best, (nidx, lam2, chosen) = self._decide(owner, idx, lam)
+            if chosen is not None:
                 out.append(j)
                 out.extend(x for x in chosen if lam.get(x) is None)
                 self._walk(j, 0, self._basic(lam2, j), out)
-                lam = lam2
-                idx = nidx
+            lam = lam2
+            idx = nidx
 
 
 # ---------------------------------------------------------------------------

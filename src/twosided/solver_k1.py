@@ -19,9 +19,13 @@ right end, taking the right ends in ascending order (the schedule of
 Valiente's O(l) maximum-weight independent set algorithm for circle graphs,
 ISAAC 2003): each region is a lookup into the sweep of its right end, and
 every entry a sweep consults ends further left and is already final.  A
-final sweep over the whole line assembles the optimum.  Solution recovery
-re-runs the sweeps of the windows along the optimal decomposition and reads
-off the recorded choices; all arithmetic is exact integer arithmetic.
+final sweep over the whole line assembles the optimum.  One kernel,
+``_sweep.sweep``, serves all of these, and it records no choices: solution
+recovery walks the final sweep and the sweeps of the windows along the
+optimal decomposition and reads each decision off the sweep values -- at a
+position whose value differs from its right neighbour's, the first option in
+the sweep's tie order whose value equals it.  All arithmetic is exact
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -48,10 +52,10 @@ _NEG = -(1 << 60)  # sentinel for "not yet computed"
 class _Engine:
     """Flat-sequence form of an IntervalSet plus the DP tables."""
 
-    def __init__(self, s: IntervalSet, kernel: str = "auto"):
+    def __init__(self, s: IntervalSet):
         self.s = s
-        self.kernel = _sweep.get_kernel(kernel)
-        seq = (lambda xs: np.asarray(xs, dtype=np.int64)) if self.kernel.compiled else list
+        # The compiled kernels take int64 arrays; plain Python runs fastest on lists.
+        seq = (lambda xs: np.asarray(xs, dtype=np.int64)) if _sweep.HAVE_NUMBA else list
         n = len(s)
         self.n = n
         start_at = [-1] * (2 * n + 2)
@@ -88,12 +92,10 @@ class _Engine:
         self.dms_single = seq([_NEG] * n)
         self.pair_val = seq([_NEG] * len(partner))
         self.s_buf = seq([0] * (2 * n + 2))
-        self.choice_code = seq([0] * (2 * n + 2))
-        self.choice_aux = seq([0] * (2 * n + 2))
 
     def sweep(self, lo: int, hi: int, use_pairs: bool) -> int:
         return int(
-            self.kernel.sweep(
+            _sweep.sweep(
                 lo,
                 hi,
                 self.start_at,
@@ -104,13 +106,11 @@ class _Engine:
                 self.pair_val,
                 use_pairs,
                 self.s_buf,
-                self.choice_code,
-                self.choice_aux,
             )
         )
 
     def fill_tables(self, use_pairs: bool) -> None:
-        self.kernel.fill(
+        _sweep.fill_tables(
             self.start_at,
             self.end_at,
             self.left,
@@ -135,34 +135,55 @@ class _Engine:
         return best, chosen
 
     def _backtrack(self, use_pairs: bool) -> list[int]:
+        """Ids of an optimal set, read off the sweeps of the windows along
+        the optimal decomposition.  Expects ``s_buf`` to hold the sweep of
+        the whole line, as ``solve`` leaves it."""
+        S, left, right = self.s_buf, self.left, self.right
         chosen: list[int] = []
-        windows = [(0, 2 * self.n + 1)]
-        while windows:
-            lo, hi = windows.pop()
-            self.sweep(lo, hi, use_pairs)
+        windows: list[tuple[int, int]] = []
+        lo, hi = 0, 2 * self.n + 1
+        while True:
             x = lo + 1
             while x < hi:
-                code = int(self.choice_code[x])
-                if code == _sweep.CHOICE_COPY:
+                if S[x] == S[x + 1]:
                     x += 1
-                elif code == _sweep.CHOICE_SINGLE:
-                    i = int(self.choice_aux[x])
-                    chosen.append(i)
-                    windows.append((int(self.left[i]), int(self.right[i])))
-                    x = int(self.right[i]) + 1
+                    continue
+                i, j = self._option_at(x, hi, use_pairs)
+                c, d = int(left[i]), int(right[i])
+                chosen.append(i)
+                if j < 0:
+                    windows.append((c, d))
+                    x = d + 1
                 else:
-                    t = int(self.choice_aux[x])
-                    i = int(self.owner[t])
-                    j = int(self.partner[t])
-                    chosen.append(i)
+                    e, f = int(left[j]), int(right[j])
                     chosen.append(j)
-                    c, d = int(self.left[i]), int(self.right[i])
-                    e, f = int(self.left[j]), int(self.right[j])
                     windows.append((c, e))
                     windows.append((e, d))
                     windows.append((d, f))
                     x = f + 1
-        return chosen
+            if not windows:
+                return chosen
+            lo, hi = windows.pop()
+            self.sweep(lo, hi, use_pairs)
+
+    def _option_at(self, x: int, hi: int, use_pairs: bool) -> tuple[int, int]:
+        """The option the sweep of a window ending at ``hi`` took at ``x``
+        when it did not copy ``S[x + 1]``: ``(i, -1)`` for the single i,
+        ``(i, j)`` for the pair of i and its partner j.  Options are tried in
+        the sweep's tie order -- single, then pairs by ascending partner --
+        and the first whose value equals ``S[x]`` is the one the sweep's
+        strict ``>`` kept."""
+        S = self.s_buf
+        i = int(self.start_at[x])
+        if i >= 0 and self.right[i] < hi:
+            if self.dms_single[i] + S[self.right[i] + 1] == S[x]:
+                return i, -1
+            if use_pairs:
+                for t in range(int(self.ptr[i]), int(self.ptr[i + 1])):
+                    f = self.right[self.partner[t]]
+                    if f < hi and self.pair_val[t] + S[f + 1] == S[x]:
+                        return i, int(self.partner[t])
+        raise AssertionError(f"no option at position {x} reaches the sweep value {S[x]}")
 
 
 @dataclass(frozen=True)
@@ -174,9 +195,9 @@ class Dms1Table:
     pair: dict[tuple[int, int], int]
 
 
-def compute_dms1(s: IntervalSet, include_pairs: bool = True, kernel: str = "auto") -> Dms1Table:
+def compute_dms1(s: IntervalSet, include_pairs: bool = True) -> Dms1Table:
     """Fill both value families bottom-up for the whole instance."""
-    eng = _Engine(s, kernel)
+    eng = _Engine(s)
     eng.fill_tables(include_pairs)
     single = {i: int(v) for i, v in enumerate(eng.dms_single)}
     pair = {}
@@ -245,20 +266,20 @@ def dms1_pair(i_interval: Interval, j_interval: Interval, s: IntervalSet, table:
     return regions + i_interval.weight + j_interval.weight - int(eng.pair_w[t])
 
 
-def _solve(s: IntervalSet, k: int, kernel: str) -> Solution:
-    weight, chosen = _Engine(s, kernel).solve(use_pairs=k == 1)
+def _solve(s: IntervalSet, k: int) -> Solution:
+    weight, chosen = _Engine(s).solve(use_pairs=k == 1)
     sol = Solution.from_chosen(chosen, s, k=k)
     if sol.weight != weight:
         raise AssertionError(f"recovered solution weighs {sol.weight}, the DP value is {weight}")
     return sol
 
 
-def solve_k1(s: IntervalSet, kernel: str = "auto") -> Solution:
+def solve_k1(s: IntervalSet) -> Solution:
     """Exact max-weight 1-overlap set with solution recovery."""
-    return _solve(s, 1, kernel)
+    return _solve(s, 1)
 
 
-def solve_k0(s: IntervalSet, kernel: str = "auto") -> Solution:
+def solve_k0(s: IntervalSet) -> Solution:
     """Exact max-weight independent (0-overlap) set: the same dynamic
     program with every pair option disabled."""
-    return _solve(s, 0, kernel)
+    return _solve(s, 0)

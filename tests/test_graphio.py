@@ -39,6 +39,7 @@ def test_parse_graph_round_trip():
         "3 1\n1 2\norder: 1 2\n",
         "2 1\n1 2\norder: 1 3\n",
         "2 1\n1 2\ntrailing junk\n",
+        "1000000000 0\n",
     ],
 )
 def test_parse_graph_rejects(text):

@@ -1,8 +1,14 @@
+import importlib.util
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import twosided
 from conftest import make_set
 from twosided import _sweep
 from twosided.bench import random_interval_set
@@ -100,9 +106,26 @@ def test_dms1_rejects_table_missing_a_nested_entry():
 # -- the shared-sweep table fill ---------------------------------------------
 
 
+def reference_sweep(s, eng, lo, hi, use_pairs):
+    """S[lo + 1] of the open window (lo, hi) on the engine's finished
+    tables, by the sweep recurrence written over the interval set."""
+    start = {iv.left: i for i, iv in enumerate(s.intervals)}
+    pairs = list(zip(eng.owner, eng.partner, eng.pair_val))
+    S = {hi: 0}
+    for x in range(hi - 1, lo, -1):
+        S[x] = S[x + 1]
+        i = start.get(x)
+        if i is not None and s.intervals[i].right < hi:
+            S[x] = max(S[x], eng.dms_single[i] + S[s.intervals[i].right + 1])
+            for a, b, v in pairs if use_pairs else ():
+                if a == i and s.intervals[b].right < hi:
+                    S[x] = max(S[x], v + S[s.intervals[b].right + 1])
+    return S[lo + 1]
+
+
 def test_fill_matches_window_by_window_sweeps():
     """Every entry of the one-sweep-per-right-end fill equals its own
-    window's sweep (``run_sweep_py``) evaluated on the finished table: a
+    window's sweep (``reference_sweep``) evaluated on the finished table: a
     single is its window's sweep plus its weight, a pair the three-region
     formula."""
     checked = 0
@@ -110,15 +133,11 @@ def test_fill_matches_window_by_window_sweeps():
         rng = random.Random(5000 + trial)
         s = random_interval_set(rng.randint(1, 16), rng)
         for use_pairs in (False, True):
-            eng = _Engine(s, kernel="python")
+            eng = _Engine(s)
             eng.fill_tables(use_pairs)
 
             def sweep(lo, hi):
-                return _sweep.run_sweep_py(
-                    lo, hi, eng.start_at, eng.right, eng.dms_single, eng.ptr,
-                    eng.partner, eng.pair_val, use_pairs, [0] * len(eng.s_buf),
-                    [0] * len(eng.s_buf), [0] * len(eng.s_buf),
-                )
+                return reference_sweep(s, eng, lo, hi, use_pairs)
 
             for i, iv in enumerate(s.intervals):
                 assert eng.dms_single[i] == sweep(iv.left, iv.right) + iv.weight, (trial, i)
@@ -144,6 +163,84 @@ def test_recovery_mismatch_raises(monkeypatch):
     for solver in (solve_k0, solve_k1):
         with pytest.raises(AssertionError, match="recovered solution weighs 4"):
             solver(s)
+
+
+def test_recovery_tie_order():
+    """Recovery keeps the sweep's tie order: copy, then the single, then
+    pairs by ascending partner id."""
+    # a zero-weight interval, alone or nested, adds nothing: copy wins
+    for s in (make_set([(1, 2)], [0]), make_set([(1, 4), (2, 3)], [0, 5])):
+        for solver in (solve_k0, solve_k1):
+            assert 0 not in solver(s).chosen
+    # [1,3] alone and the pair ([1,3], [2,4]) are both worth 3: the single wins
+    s = make_set([(1, 3), (2, 4)], [3, 1], 1)
+    sol = solve_k1(s)
+    assert (sol.weight, sol.chosen) == (3, frozenset({0}))
+    # [1,4] pairs with [3,6] (id 1) and with [2,5] (id 2), both worth 4: the
+    # lower partner id wins, though [2,5] starts further left
+    s = make_set([(1, 4), (3, 6), (2, 5)], [3, 2, 2], 1)
+    assert compute_dms1(s).pair == {(0, 1): 4, (0, 2): 4, (2, 1): 3}
+    sol = solve_k1(s)
+    assert (sol.weight, sol.chosen) == (4, frozenset({0, 1}))
+
+
+PYTHON_O_CHECKS = """
+import sys
+from twosided.model import IntervalSet
+from twosided.solver_general import GeneralSolver
+from twosided.solver_k1 import _Engine, solve_k1
+
+
+def raises(match, fn):
+    try:
+        fn()
+    except AssertionError as exc:
+        if match not in str(exc):
+            sys.exit(f"wrong message: {exc}")
+    else:
+        sys.exit(f"no AssertionError matching {match!r}")
+
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+s = IntervalSet.build([(1, 3), (2, 4), (5, 6)], [2, 2, 4], 1)
+
+backtrack = _Engine._backtrack
+_Engine._backtrack = lambda self, use_pairs: [2]
+raises("recovered solution weighs 4, the DP value is 7", lambda: solve_k1(s))
+_Engine._backtrack = backtrack
+
+eng = _Engine(s)
+eng.fill_tables(True)
+eng.sweep(0, 2 * len(s) + 1, True)
+eng.s_buf[1] += 1
+raises("no option at position 1", lambda: eng._backtrack(True))
+
+walk = GeneralSolver._walk
+
+
+def drop_last_chosen(self, owner, idx, lam, out):
+    walk(self, owner, idx, lam, out)
+    if owner == self.dummy:
+        out.pop()
+
+
+GeneralSolver._walk = drop_last_chosen
+raises("the DP value is 7", lambda: GeneralSolver(s, 2).solve())
+print("checks raised")
+"""
+
+
+def test_result_checks_survive_python_O():
+    """The k<=1 recovered-weight check, recovery's no-matching-option check
+    and GeneralSolver.solve's check raise under ``python -O`` too."""
+    src = str(Path(twosided.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", PYTHON_O_CHECKS],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "checks raised\n"), proc.stderr
 
 
 # -- solve_k1 ----------------------------------------------------------------
@@ -196,21 +293,38 @@ def test_oracle_equivalence_small(rng):
 
 
 def test_python_kernel_parity(rng):
-    """numba kernels against their pure-Python twins.  Without numba there is
-    nothing to compare ("auto" is the Python kernel), so only the fallback
-    is checked and parity stays unverified."""
-    if not _sweep.HAVE_NUMBA:
-        assert _sweep.get_kernel("auto") is _sweep.get_kernel("python")
-        with pytest.raises(RuntimeError):
-            _sweep.get_kernel("numba")
+    """Compiled kernels against their pure-Python bodies (``.py_func``).
+    Without numba the kernels are those bodies, so only that is checked and
+    parity stays unverified."""
+    if importlib.util.find_spec("numba") is None:
+        assert _sweep.HAVE_NUMBA is False
+        assert not hasattr(_sweep.sweep, "py_func")
+        assert not hasattr(_sweep.fill_tables, "py_func")
         return
+    assert _sweep.HAVE_NUMBA
     for trial in range(25):
         s = random_interval_set(rng.randint(1, 10), random.Random(1000 + trial))
-        fast = solve_k1(s)
-        slow = solve_k1(s, kernel="python")
-        assert fast.weight == slow.weight
-        assert fast.chosen == slow.chosen
-        assert compute_dms1(s) == compute_dms1(s, kernel="python")
+        for use_pairs in (False, True):
+            engines = []
+            for fill, sweep in (
+                (_sweep.fill_tables, _sweep.sweep),
+                (_sweep.fill_tables.py_func, _sweep.sweep.py_func),
+            ):
+                eng = _Engine(s)
+                fill(
+                    eng.start_at, eng.end_at, eng.left, eng.right, eng.weight, eng.ptr,
+                    eng.partner, eng.pair_w, eng.bptr, eng.bpair, eng.owner, use_pairs,
+                    eng.s_buf, eng.dms_single, eng.pair_val,
+                )
+                sweep(
+                    0, 2 * len(s) + 1, eng.start_at, eng.right, eng.dms_single, eng.ptr,
+                    eng.partner, eng.pair_val, use_pairs, eng.s_buf,
+                )
+                engines.append(eng)
+            fast, slow = engines
+            assert list(fast.dms_single) == list(slow.dms_single)
+            assert list(fast.pair_val) == list(slow.pair_val)
+            assert list(fast.s_buf) == list(slow.s_buf)
 
 
 def test_k_monotonicity(rng):
