@@ -10,8 +10,9 @@ Subcommands:
                      circle graph.
 * ``bench``       -- experiment harness producing a CSV.
 
-Exit codes: 0 on success, 1 on parse errors, 2 on brute-force guard
-violations.  Diagnostics go to stderr.
+Exit codes: 0 on success, 1 on parse errors, 2 on size guards: the
+brute-force oracle's instance limits and the general-k solver's memo-state
+limit (``solver_general.MAX_MEMO_STATES``).  Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .hardness import extract_dominating_set, reduce_mds_to_bdmwis
 from .oracle import OracleSizeError, brute_force_two_sided
 from .pipeline import solve_layout, verify_accounting
 from .render import layout_stats, render_layout
-from .solver_general import solve_k
+from .solver_general import SolverBudgetError, solve_k
 from .transform import EdgeWeightMode, project_to_intervals
 
 EXIT_OK = 0
@@ -207,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "bench":
             return _cmd_bench(args)
         raise AssertionError(f"unhandled command {args.command!r}")
-    except OracleSizeError as exc:
+    except (OracleSizeError, SolverBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (GraphParseError, OSError, ValueError) as exc:

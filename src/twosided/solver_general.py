@@ -26,10 +26,44 @@ any previously committed interval.  Each selected pair is charged exactly
 once, at the moment its later member joins.
 
 Values dms^k(I, lambda) -- the best completion of I's window under basic
-capacities lambda -- are memoized on (interval, vector restricted to the
-overlapping neighbors of I); only those positions can influence the window.
-Solution recovery replays the maximizing decisions.  The top-level call wraps
-the instance in a zero-weight dummy interval covering everything.
+capacities lambda -- are computed member by member in left-endpoint order.
+The value from member index idx on depends on lambda only through the states
+that its remaining members R = members[idx:] can read or write, so the memo
+key is (owner, idx, states at those positions), in a fixed order built once
+per (owner, idx):
+
+* every interval of R and of N(R), its overlapping neighbors;
+* for each interval y of N(R) - R that is still undecided, every neighbor
+  of y.
+
+One decision step for a member j reads and writes nothing else: j's own
+state, the forced or fresh state of each neighbor in N(j) and the budgets of
+the committed ones, and, for each fresh joiner x, the committed neighbors of
+x (x's budget, the stab counts and the pair charges).  A fresh joiner is an
+undecided interval of N(R); if it lies in R its neighbors are already in
+N(R), otherwise the second item holds them.  Later steps stay inside the
+same positions (a later member's neighbors are in N(R), and an interval
+undecided then is undecided now), and j's own window starts from the states
+of N(j).  The value is therefore a function of the keyed states, and the key
+is exact for every vector.
+
+On the vectors a solve reaches, the second item is always empty, because no
+undecided interval straddles the left endpoint pos of member idx.  Every
+member left of pos was decided, or is nested in a committed member and ends
+before pos (the members crossing that member were decided with it), and
+every neighbor of the owner was decided when the owner was committed.  So
+every undecided interval of N(R) lies in R, and committed intervals ending
+before pos are never read.  ``dms_k`` takes the caller's vector, which may
+leave neighbors of the interval undecided.  Such a neighbor straddles
+members of the window, may join when one of them commits, and then charges
+its own neighbors, some of which end before pos.  The second item keys
+exactly those states, so values memoized for one caller vector are exact
+for every other vector given to the same solver.
+
+The memo is bounded: a solve that would store more than ``MAX_MEMO_STATES``
+values raises ``SolverBudgetError``.  Solution recovery replays the
+maximizing decisions.  The top-level call wraps the instance in a
+zero-weight dummy interval covering everything.
 """
 
 from __future__ import annotations
@@ -45,6 +79,8 @@ from .model import Interval, IntervalSet, Solution
 from .solver_k1 import solve_k0, solve_k1
 
 __all__ = [
+    "MAX_MEMO_STATES",
+    "SolverBudgetError",
     "CapacityVector",
     "LegalSuccessor",
     "GeneralSolver",
@@ -59,6 +95,16 @@ UNDECIDED = None  # the undecided capacity (no decision made about the interval)
 UNLIMITED = math.inf  # the unlimited capacity (interval rejected)
 
 _EXCL = "excluded"  # engine-internal rejection marker
+
+# Largest number of memoized values one solve may store.  A stored state
+# was measured at 390-460 bytes of resident memory (CPython 3.11, 30 to 52
+# intervals), so a solve that reaches the limit holds about half a gigabyte
+# of memo.
+MAX_MEMO_STATES = 1_000_000
+
+
+class SolverBudgetError(RuntimeError):
+    """Raised when a general-k solve would exceed ``MAX_MEMO_STATES``."""
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +201,8 @@ class GeneralSolver:
         self.member_lefts = [[self.left[j] for j in lst] for lst in self.members]
 
         self.f_memo: dict = {}
+        # (owner, idx) -> memo key positions, see _key_positions.
+        self.key_positions: dict = {}
         self.value: int | None = None
         self.chosen: frozenset[int] | None = None
 
@@ -163,9 +211,16 @@ class GeneralSolver:
     def _pair_w(self, a: int, b: int) -> int:
         return self.pw[(a, b) if a < b else (b, a)]
 
-    def _project(self, lam: Mapping[int, object], pos: int) -> tuple:
-        """Memo key part: states that can still influence positions >= pos."""
-        return tuple(sorted((i, st) for i, st in lam.items() if self.right[i] >= pos))
+    def _key_positions(self, owner: int, idx: int) -> tuple:
+        """The positions keying the window value of (owner, idx): the ids
+        of R and N(R) in ascending order, with R = members[idx:], and for each
+        y of N(R) - R its index in that tuple and its neighbors, read only
+        while y is undecided (see the module docstring)."""
+        rest = self.members[owner][idx:]
+        inside = set(rest)
+        ids = tuple(sorted(inside.union(*(self.nb[r] for r in rest))))
+        outer = tuple((at, self.nb[y]) for at, y in enumerate(ids) if y not in inside)
+        return ids, outer
 
     def _charging_delta(self, lam: Mapping[int, object], owner: int, extras: Sequence[int]) -> int:
         """Weight contributed by committing ``owner`` with fresh joiners
@@ -284,12 +339,26 @@ class GeneralSolver:
         members = self.members[owner]
         if idx >= len(members):
             return 0
-        pos = self.left[members[idx]]
-        key = (owner, idx, self._project(lam, pos))
+        where = (owner, idx)
+        positions = self.key_positions.get(where)
+        if positions is None:
+            positions = self.key_positions[where] = self._key_positions(owner, idx)
+        ids, outer = positions
+        get = lam.get
+        states = tuple(map(get, ids))
+        for at, around in outer:
+            if states[at] is None:
+                states += tuple(map(get, around))
+        key = (owner, idx, states)
         hit = self.f_memo.get(key)
         if hit is not None:
             return hit
         value = self._options_best(owner, idx, lam)
+        if len(self.f_memo) >= MAX_MEMO_STATES:
+            raise SolverBudgetError(
+                f"the general-k solve (k={self.k}, {self.n} intervals) exceeds "
+                f"the limit of {MAX_MEMO_STATES} memo states"
+            )
         self.f_memo[key] = value
         return value
 

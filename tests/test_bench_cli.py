@@ -169,6 +169,25 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_memo_budget_is_exit_2(tmp_path, capsys, monkeypatch):
+    """A general-k solve past the memo-state limit exits with code 2 and a
+    one-line diagnostic, like the oracle's size guard."""
+    from twosided import solver_general
+
+    path = tmp_path / "g.txt"
+    path.write_text(format_graph(generate_random_biconnected(8, 16, seed=3)))
+    monkeypatch.setattr(solver_general, "MAX_MEMO_STATES", 20)
+    assert main(["solve", str(path), "--k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the general-k solve (k=3, 16 intervals) exceeds the limit of 20 memo states\n"
+    )
+    monkeypatch.setattr(solver_general, "MAX_MEMO_STATES", 10**6)
+    assert main(["solve", str(path), "--k", "3"]) == 0
+    capsys.readouterr()
+
+
 def test_cli_argparse_error_is_exit_1(capsys):
     with pytest.raises(SystemExit) as err:
         main(["solve"])  # missing the graph argument

@@ -1,9 +1,11 @@
 import random
+import sys
 
 import pytest
 
 from conftest import make_set
-from twosided.bench import random_interval_set
+from twosided import solver_general
+from twosided.bench import generate_random_biconnected, random_interval_set
 from twosided.model import solution_weight
 from twosided.oracle import brute_force_k_overlap
 from twosided.solver_general import (
@@ -11,6 +13,7 @@ from twosided.solver_general import (
     UNLIMITED,
     CapacityVector,
     GeneralSolver,
+    SolverBudgetError,
     dms_k,
     is_valid_for,
     legal_successors,
@@ -18,6 +21,7 @@ from twosided.solver_general import (
     transition_weight,
 )
 from twosided.solver_k1 import solve_k0, solve_k1
+from twosided.transform import EdgeWeightMode, project_to_intervals
 
 
 # -- capacity vectors ---------------------------------------------------------
@@ -258,6 +262,18 @@ def test_oracle_equivalence_general(rng):
             assert got.max_overlap_degree() <= k
 
 
+def test_oracle_equivalence_general_past_ten_intervals():
+    for size in range(11, 17):
+        for rep in range(2):
+            s = random_interval_set(size, random.Random(6500 + 10 * size + rep))
+            for k in (2, 3):
+                got = solve_k(s, k, force_general=True)
+                want = brute_force_k_overlap(s, k)
+                assert got.weight == want.weight, (size, rep, k)
+                assert got.weight == solution_weight(got.chosen, s)
+                assert got.max_overlap_degree() <= k
+
+
 def test_specialization_matches_k1_solvers(rng):
     for trial in range(60):
         s = random_interval_set(rng.randint(1, 10), random.Random(7000 + trial))
@@ -296,3 +312,171 @@ def test_recovery_mismatch_raises(monkeypatch):
     s = make_set([(1, 2), (3, 4)], [5, 7])
     with pytest.raises(AssertionError, match="recovered solution weighs 5, the DP value is 12"):
         GeneralSolver(s, 2).solve()
+
+
+# -- memo key and memo budget --------------------------------------------------
+
+
+class _ReadLog(dict):
+    """A state that logs every id passed to ``get``, ``[]`` or ``in``.
+    ``dict(log)`` copies it without reading ids one by one (a dict subclass
+    that keeps dict's own iteration is copied as a dict)."""
+
+    def __init__(self, state):
+        super().__init__(state)
+        self.read: set[int] = set()
+
+    def get(self, i, default=None):
+        self.read.add(i)
+        return super().get(i, default)
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return super().__getitem__(i)
+
+    def __contains__(self, i):
+        self.read.add(i)
+        return super().__contains__(i)
+
+
+class _StateLog(GeneralSolver):
+    """Records every (owner, idx, state) the value recursion is asked for."""
+
+    def __init__(self, s, k):
+        super().__init__(s, k)
+        self.seen: dict = {}
+
+    def _window_value(self, owner, idx, lam):
+        if idx < len(self.members[owner]):
+            self.seen.setdefault((owner, idx, frozenset(lam.items())), (owner, idx, dict(lam)))
+        return super()._window_value(owner, idx, lam)
+
+
+class _FullKey(GeneralSolver):
+    """Reference: the same recursion, memoized on the whole state."""
+
+    def _window_value(self, owner, idx, lam):
+        if idx >= len(self.members[owner]):
+            return 0
+        key = (owner, idx, frozenset(lam.items()))
+        if key not in self.f_memo:
+            self.f_memo[key] = self._options_best(owner, idx, lam)
+        return self.f_memo[key]
+
+
+def _caller_vectors(s, k, i, rng, count):
+    """Vectors valid for interval i that leave some of its neighbors
+    undecided and commit or reject the others (at most k committed)."""
+    out = []
+    for _ in range(count):
+        lam = CapacityVector.initial(s).replace(
+            s.intervals[i], (rng.randint(0, k), rng.randint(0, k))
+        )
+        committed = 0
+        for m in s.neighbors[i]:
+            r = rng.random()
+            if r < 0.4:
+                continue
+            if r < 0.6 or committed == k:
+                lam = lam.replace(s.intervals[m], UNLIMITED)
+            else:
+                lam = lam.replace(s.intervals[m], (rng.randint(0, k), rng.randint(0, k)))
+                committed += 1
+        out.append(lam)
+    return out
+
+
+def _keyed(solver, owner, idx, lam):
+    ids, outer = solver._key_positions(owner, idx)
+    keyed = set(ids)
+    for at, around in outer:
+        if lam.get(ids[at]) is None:
+            keyed.update(around)
+    return keyed
+
+
+def test_memo_key_covers_every_read_and_write():
+    """One decision step at a reachable (owner, idx, state) reads and writes
+    only the positions its memo key holds: at the states a solve reaches
+    (where no undecided interval outside the window's remaining members
+    neighbors them) and at the states ``dms_k`` reaches from vectors that
+    leave neighbors of the interval undecided."""
+    checked = two_hop = 0
+    for trial in range(40):
+        rng = random.Random(4100 + trial)
+        s = random_interval_set(rng.randint(4, 11), random.Random(4200 + trial))
+        for k in (2, 3):
+            log = _StateLog(s, k)
+            log.solve()
+            solved = set(log.seen)
+            for i in range(len(s)):
+                if log.members[i] and s.neighbors[i]:
+                    for vec in _caller_vectors(s, k, i, rng, 3):
+                        log.dms(i, solver_general._to_engine_state(vec, s))
+            checker = GeneralSolver(s, k)
+            for seen_key, (owner, idx, lam) in log.seen.items():
+                ids, outer = checker._key_positions(owner, idx)
+                undecided_outer = [ids[at] for at, _ in outer if lam.get(ids[at]) is None]
+                if seen_key in solved:
+                    assert not undecided_outer, (trial, k, owner, idx)
+                keyed = _keyed(checker, owner, idx, lam)
+                j = checker.members[owner][idx]
+                rec = _ReadLog(lam)
+                checker._options_best(owner, idx, rec)
+                assert j in rec.read
+                assert rec.read <= keyed, (trial, k, owner, idx, rec.read - keyed)
+                for lam2, _, _ in checker._successors(lam, j):
+                    written = {x for x in lam2.keys() | lam.keys() if lam2.get(x) != lam.get(x)}
+                    assert written <= keyed, (trial, k, owner, idx)
+                checked += 1
+                two_hop += bool(rec.read - set(ids))
+    assert checked > 2000 and two_hop > 0, (checked, two_hop)
+
+
+def test_dms_k_caller_vectors_match_full_state_memo():
+    """dms_k on vectors that leave neighbors undecided equals the same
+    recursion memoized on the whole state, with a fresh solver per call and
+    with one solver shared by every call on the instance."""
+    for trial in range(60):
+        rng = random.Random(5100 + trial)
+        s = random_interval_set(rng.randint(5, 11), random.Random(5200 + trial))
+        for k in (2, 3):
+            shared = GeneralSolver(s, k)
+            for i in range(len(s)):
+                if not (shared.members[i] and s.neighbors[i]):
+                    continue
+                for vec in _caller_vectors(s, k, i, rng, 4):
+                    want = _FullKey(s, k).dms(i, solver_general._to_engine_state(vec, s))
+                    assert dms_k(i, vec, s, k) == want, (trial, k, i)
+                    assert dms_k(i, vec, s, k, solver=shared) == want, (trial, k, i)
+
+
+def _twelve_vertex_set():
+    layout = generate_random_biconnected(12, 30, seed=424242)
+    return project_to_intervals(layout, EdgeWeightMode.IGNORE_SHIFTED).interval_set
+
+
+def test_memo_states_regression():
+    """The memo keyed on the window's remaining members and their
+    neighbors holds less than half the states of the key on every decided
+    interval ending at or after the window position (20,250 at k=2 and
+    309,478 at k=3 on this instance)."""
+    s = _twelve_vertex_set()
+    for k, before in ((2, 20_250), (3, 309_478)):
+        solver = GeneralSolver(s, k)
+        solver.solve()
+        assert len(solver.f_memo) < before / 2, (k, len(solver.f_memo))
+
+
+def test_memo_budget_raises(monkeypatch):
+    s = random_interval_set(10, random.Random(11))
+    full = GeneralSolver(s, 3)
+    full.solve()
+    need = len(full.f_memo)
+    limit = sys.getrecursionlimit()
+    monkeypatch.setattr(solver_general, "MAX_MEMO_STATES", need - 1)
+    with pytest.raises(SolverBudgetError, match=f"exceeds the limit of {need - 1} memo states"):
+        solve_k(s, 3)
+    assert sys.getrecursionlimit() == limit
+    monkeypatch.setattr(solver_general, "MAX_MEMO_STATES", need)
+    assert solve_k(s, 3).chosen == full.chosen
