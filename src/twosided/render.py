@@ -115,14 +115,12 @@ def render_layout(
         f'fill="none" stroke="#d0d0d0" stroke-width="1"/>',
     ]
     if n > 0:
+        xy = {v: tuple(map(_fmt, _vertex_xy(i, n))) for i, v in enumerate(instance.order)}
         lines.append('<g stroke="#555555" stroke-width="1.5" fill="none">')
         for eid in sorted(assignment.interior):
             u, v = instance.edges[eid]
-            x1, y1 = _vertex_xy(pos[u], n)
-            x2, y2 = _vertex_xy(pos[v], n)
-            lines.append(
-                f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>'
-            )
+            (x1, y1), (x2, y2) = xy[u], xy[v]
+            lines.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"/>')
         lines.append("</g>")
         lines.append('<g stroke="#c0392b" stroke-width="1.5" fill="none">')
         for eid in sorted(assignment.exterior):
@@ -130,11 +128,10 @@ def render_layout(
             lines.append(f'<path d="{_arc_path(pos[u], pos[v], n)}"/>')
         lines.append("</g>")
         lines.append('<g fill="#1f2937">')
+        r = _fmt(vertex_radius)
         for v in instance.order:
-            x, y = _vertex_xy(pos[v], n)
-            lines.append(
-                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(vertex_radius)}"/>'
-            )
+            x, y = xy[v]
+            lines.append(f'<circle cx="{x}" cy="{y}" r="{r}"/>')
         lines.append("</g>")
         if labels:
             lines.append('<g font-family="sans-serif" font-size="18" fill="#1f2937">')

@@ -30,7 +30,7 @@ integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,7 +68,8 @@ class _Engine:
         # joins owner[t] (the left one) with partner[t].
         ptr, partner = s.overlaps.ptr, s.overlaps.partner
         owner = [i for i in range(n) for _ in range(ptr[i], ptr[i + 1])]
-        pair_w = [s.pair_weight(i, j) for i, j in zip(owner, partner)]
+        pw = s.pair_weights
+        pair_w = [pw[(i, j) if i < j else (j, i)] for i, j in zip(owner, partner)]
         # The same pairs indexed by their second member.
         back: list[list[int]] = [[] for _ in range(n)]
         for t, j in enumerate(partner):
@@ -189,10 +190,12 @@ class _Engine:
 @dataclass(frozen=True)
 class Dms1Table:
     """Finished subproblem values: ``single[i]`` per interval id, ``pair[(i,
-    j)]`` per forward overlapping pair."""
+    j)]`` per forward overlapping pair.  ``engine`` is the engine that
+    filled them, which window lookups on the same interval set reuse."""
 
     single: dict[int, int]
     pair: dict[tuple[int, int], int]
+    engine: _Engine | None = field(default=None, repr=False, compare=False)
 
 
 def compute_dms1(s: IntervalSet, include_pairs: bool = True) -> Dms1Table:
@@ -204,7 +207,13 @@ def compute_dms1(s: IntervalSet, include_pairs: bool = True) -> Dms1Table:
     if include_pairs:
         for t in range(len(eng.partner)):
             pair[(int(eng.owner[t]), int(eng.partner[t]))] = int(eng.pair_val[t])
-    return Dms1Table(single, pair)
+    return Dms1Table(single, pair, eng)
+
+
+def _engine_for(s: IntervalSet, table: Dms1Table) -> _Engine:
+    """The table's own engine when it was filled on ``s``, else a new one."""
+    eng = table.engine
+    return eng if eng is not None and eng.s is s else _Engine(s)
 
 
 def _window_value(eng: _Engine, table: Dms1Table, lo: int, hi: int) -> int:
@@ -237,7 +246,7 @@ def dms1_single(interval: Interval, s: IntervalSet, table: Dms1Table) -> int:
     in the window; a missing one raises ValueError.
     """
     s.id_of(interval)
-    eng = _Engine(s)
+    eng = _engine_for(s, table)
     return _window_value(eng, table, interval.left, interval.right) + interval.weight
 
 
@@ -251,7 +260,7 @@ def dms1_pair(i_interval: Interval, j_interval: Interval, s: IntervalSet, table:
     """
     i = s.id_of(i_interval)
     j = s.id_of(j_interval)
-    eng = _Engine(s)
+    eng = _engine_for(s, table)
     pairs = range(int(eng.ptr[i]), int(eng.ptr[i + 1]))
     t = next((t for t in pairs if eng.partner[t] == j), None)
     if t is None:

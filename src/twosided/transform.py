@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Interval, IntervalSet, LayoutInstance, Overlaps, crossings_per_chord
+from .model import Interval, IntervalSet, LayoutInstance, Overlaps
 
 
 class EdgeWeightMode(enum.Enum):
@@ -120,7 +120,9 @@ def project_to_intervals(
 def _check_alternation(instance: LayoutInstance, overlaps: Overlaps) -> None:
     """Raise unless the overlapping pairs are exactly the crossing chords:
     every overlapping pair alternates as chords (checked on all P pairs at
-    once) and the Fenwick count of crossing chord pairs is P."""
+    once) and the Fenwick count of crossing chord pairs is P.  That count is
+    the layout's cached :attr:`~twosided.model.LayoutInstance.crossings_per_edge`,
+    so the check and the one-sided crossing count are one pass."""
     pos = instance.positions
     ends = np.array([sorted((pos[u], pos[v])) for u, v in instance.edges], dtype=np.int64)
     ends = ends.reshape(-1, 2)  # keeps two columns when there are no edges
@@ -132,6 +134,6 @@ def _check_alternation(instance: LayoutInstance, overlaps: Overlaps) -> None:
         t = int(np.argmin(alternate))
         i, j = sorted((int(owner[t]), int(partner[t])))
         raise AssertionError(f"projection broke the intersection graph at edges {i},{j}")
-    crossing = sum(crossings_per_chord(instance, instance.edge_ids())) // 2
+    crossing = sum(instance.crossings_per_edge) // 2
     if crossing != len(partner):
         raise AssertionError(f"{len(partner)} overlapping pairs for {crossing} crossing chord pairs")

@@ -96,6 +96,48 @@ def test_count_crossings_rotation_and_reflection_invariance(rng):
         assert count_crossings(reflected, all_interior(reflected)) == base
 
 
+def test_count_crossings_matches_pair_loop_on_random_sides(rng):
+    """Both side counts equal a chords_cross pair loop, on shuffled orders
+    and exterior sets from empty to all edges."""
+    for _ in range(150):
+        n = rng.randint(2, 9)
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        edges = rng.sample(pairs, rng.randint(0, min(14, len(pairs))))
+        inst = LayoutInstance.build(range(1, n + 1), edges, order)
+        ext = frozenset(rng.sample(range(len(edges)), rng.randint(0, len(edges))))
+        expected = [0, 0]
+        for a in range(len(edges)):
+            for b in range(a + 1, len(edges)):
+                if (a in ext) == (b in ext) and chords_cross(edges[a], edges[b], order):
+                    expected[a in ext] += 1
+        assignment = TwoSidedAssignment.from_exterior(inst, ext)
+        assert count_crossings(inst, assignment) == tuple(expected)
+
+
+def test_count_crossings_all_interior_makes_no_pass(monkeypatch):
+    """With the layout's per-edge counts cached, an all-interior count runs
+    no Fenwick pass; an exterior count runs one over the exterior only."""
+    from twosided import model
+
+    calls = []
+    real = model._starts_inside_ends_beyond
+
+    def recorded(spans, n):
+        calls.append(len(spans))
+        return real(spans, n)
+
+    monkeypatch.setattr(model, "_starts_inside_ends_beyond", recorded)
+    k5 = complete_graph(5)
+    assert len(k5.crossings_per_edge) == 10
+    assert calls == [10, 10]
+    assert count_crossings(k5, all_interior(k5)) == (5, 0)
+    assert calls == [10, 10]
+    assert count_crossings(k5, TwoSidedAssignment.from_exterior(k5, {1, 5})) == (2, 1)
+    assert calls == [10, 10, 2, 2]
+
+
 # -- instance validation ----------------------------------------------------
 
 

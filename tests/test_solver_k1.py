@@ -103,6 +103,45 @@ def test_dms1_rejects_table_missing_a_nested_entry():
             dms1_pair(t.intervals[0], t.intervals[1], t, partial)
 
 
+def test_dms1_lookups_reuse_the_filling_engine(monkeypatch):
+    """Window lookups on a table from compute_dms1 build no further engine
+    and return the table's own values; a hand-built table gets a new engine,
+    and a missing entry still raises ValueError."""
+    from twosided.bench import generate_random_biconnected
+    from twosided.transform import project_to_intervals
+
+    s = project_to_intervals(generate_random_biconnected(60, 156, seed=424242)).interval_set
+    built = []
+    init = _Engine.__init__
+
+    def counted(self, s):
+        built.append(s)
+        init(self, s)
+
+    monkeypatch.setattr(_Engine, "__init__", counted)
+    table = compute_dms1(s)
+    assert len(built) == 1
+    assert [dms1_single(iv, s, table) for iv in s.intervals] == [
+        table.single[i] for i in range(len(s))
+    ]
+    some_pairs = sorted(table.pair)[::97]
+    assert [dms1_pair(s.intervals[i], s.intervals[j], s, table) for i, j in some_pairs] == [
+        table.pair[p] for p in some_pairs
+    ]
+    assert len(built) == 1
+    i, j = some_pairs[0]
+    assert dms1_pair(s.intervals[i], s.intervals[j], s, Dms1Table(table.single, table.pair)) == (
+        table.pair[(i, j)]
+    )
+    assert len(built) == 2
+    nested = s.overlaps.nested(i)
+    assert nested
+    single = {a: v for a, v in table.single.items() if a != nested[0]}
+    partial = Dms1Table(single, table.pair, table.engine)
+    with pytest.raises(ValueError, match=f"interval {nested[0]}"):
+        dms1_single(s.intervals[i], s, partial)
+
+
 # -- the shared-sweep table fill ---------------------------------------------
 
 
