@@ -102,7 +102,7 @@ def _parse_sizes(text: str) -> list[int]:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = parse_graph_file(args.graph)
-    mode = EdgeWeightMode.from_int(args.weight_mode)
+    mode = EdgeWeightMode(args.weight_mode)
     result = solve_layout(instance, args.k, mode, force_general=args.force_general)
     verify_accounting(result)
     stats = layout_stats(instance, result.assignment)
@@ -132,7 +132,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     instance = parse_graph_file(args.graph)
-    mode = EdgeWeightMode.from_int(args.weight_mode)
+    mode = EdgeWeightMode(args.weight_mode)
     assignment, interior, total = brute_force_two_sided(instance, args.k, mode)
     print(f"optimal interior crossings: {interior}")
     print(f"optimal total crossings: {total}")

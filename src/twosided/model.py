@@ -17,8 +17,9 @@ This module holds the vocabulary shared by everything else in the package:
   computed once by a left-endpoint scan and owned by the set
 * :class:`Solution`            -- a selected subset and its objective value
 
-plus the small interval-set operators (overlap, nesting, span, fit, window
-restriction) the solvers are built from.  All types are immutable after
+plus the paper's definitions of the interval-set operators (overlap,
+nesting, span, fit, window restriction), kept for callers and tests; the
+solvers read :class:`Overlaps` instead.  All types are immutable after
 construction and every operation is a pure function.
 
 The crossing accounting (:func:`count_crossings`, :func:`crossings_per_chord`)
@@ -498,6 +499,8 @@ class IntervalSet:
     def id_of(self, interval: Interval | int) -> int:
         """Id of an interval given by its id or by its endpoints."""
         if isinstance(interval, int):
+            if not 0 <= interval < len(self.intervals):
+                raise ValueError(f"interval id {interval} is not in the set")
             return interval
         i = self._ids.get((interval.left, interval.right))
         if i is None:

@@ -34,6 +34,8 @@ def brute_force_k_overlap(s: IntervalSet, k: int) -> Solution:
 
     Ties are broken toward the lexicographically smallest sorted id tuple.
     """
+    if k < 0:
+        raise ValueError("k must be non-negative")
     n = len(s)
     if n > MAX_ORACLE_INTERVALS:
         raise OracleSizeError(f"{n} intervals exceed the oracle guard of {MAX_ORACLE_INTERVALS}")
@@ -73,6 +75,8 @@ def brute_force_two_sided(
     IGNORE_SHIFTED.  Returns (assignment, interior crossings, total
     crossings); ties go to the lexicographically smallest exterior id set.
     """
+    if k < 0:
+        raise ValueError("k must be non-negative")
     m = instance.n_edges
     if m > MAX_ORACLE_EDGES:
         raise OracleSizeError(f"{m} edges exceed the oracle guard of {MAX_ORACLE_EDGES}")

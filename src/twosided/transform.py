@@ -43,10 +43,6 @@ class EdgeWeightMode(enum.Enum):
     COUNT_SHIFTED = 1
     IGNORE_SHIFTED = 2
 
-    @classmethod
-    def from_int(cls, value: int) -> "EdgeWeightMode":
-        return cls(value)
-
 
 @dataclass(frozen=True)
 class ProjectionResult:

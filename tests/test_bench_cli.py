@@ -194,6 +194,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_negative_k_is_exit_1(c4_file, capsys):
+    for command in ("solve", "oracle"):
+        assert main([command, c4_file, "--k", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: k must be non-negative\n")
+
+
 def test_cli_memo_budget_is_exit_2(tmp_path, capsys, monkeypatch):
     """A general-k solve past the memo-state limit exits with code 2 and a
     one-line diagnostic, like the oracle's size guard."""

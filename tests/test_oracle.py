@@ -35,6 +35,14 @@ def test_k_overlap_guard():
         brute_force_k_overlap(s, 1)
 
 
+def test_negative_k_is_rejected():
+    with pytest.raises(ValueError, match="k must be non-negative"):
+        brute_force_k_overlap(make_set([(1, 2)], [7]), -1)
+    c4 = LayoutInstance.build(range(1, 5), [(1, 2), (2, 3), (3, 4), (1, 4)])
+    with pytest.raises(ValueError, match="k must be non-negative"):
+        brute_force_two_sided(c4, -1, EdgeWeightMode.IGNORE_SHIFTED)
+
+
 def test_two_sided_planar_instance_keeps_everything_inside():
     c4 = LayoutInstance.build(range(1, 5), [(1, 2), (2, 3), (3, 4), (1, 4)])
     assignment, interior, total = brute_force_two_sided(

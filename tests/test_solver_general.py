@@ -128,6 +128,23 @@ def test_dms_k_rejects_invalid_vector():
         dms_k(s.intervals[0], CapacityVector.initial(s), s, k=2)
 
 
+def test_interval_ids_outside_the_set_are_rejected():
+    """An int id must name an interval of the set: -1 would otherwise read
+    the solver's dummy (the whole line) and len(s) would index past the end."""
+    s = random_interval_set(6, 3)
+    lam = CapacityVector.initial(s)
+    for bad in (-1, len(s)):
+        with pytest.raises(ValueError, match=f"interval id {bad} is not in the set"):
+            dms_k(bad, lam, s, 2)
+        with pytest.raises(ValueError, match="not in the set"):
+            is_valid_for(lam, bad, s, 2)
+        with pytest.raises(ValueError, match="not in the set"):
+            legal_successors(lam, bad, s, 2)
+        with pytest.raises(ValueError, match="not in the set"):
+            transition_weight(lam, lam, bad, s)
+    assert dms_k(5, lam.replace(s.intervals[5], (2, 2)), s, 2) == 10
+
+
 def test_dms_k_memo_purity():
     s = make_set([(1, 6), (2, 4), (3, 5)], [1, 2, 2], 1)
     lam = CapacityVector.initial(s).replace(s.intervals[0], (2, 2))

@@ -1,4 +1,3 @@
-import importlib.util
 import os
 import random
 import subprocess
@@ -331,39 +330,10 @@ def test_oracle_equivalence_small(rng):
             assert got.max_overlap_degree() <= k
 
 
-def test_python_kernel_parity(rng):
-    """Compiled kernels against their pure-Python bodies (``.py_func``).
-    Without numba the kernels are those bodies, so only that is checked and
-    parity stays unverified."""
-    if importlib.util.find_spec("numba") is None:
-        assert _sweep.HAVE_NUMBA is False
-        assert not hasattr(_sweep.sweep, "py_func")
-        assert not hasattr(_sweep.fill_tables, "py_func")
-        return
-    assert _sweep.HAVE_NUMBA
-    for trial in range(25):
-        s = random_interval_set(rng.randint(1, 10), random.Random(1000 + trial))
-        for use_pairs in (False, True):
-            engines = []
-            for fill, sweep in (
-                (_sweep.fill_tables, _sweep.sweep),
-                (_sweep.fill_tables.py_func, _sweep.sweep.py_func),
-            ):
-                eng = _Engine(s)
-                fill(
-                    eng.start_at, eng.end_at, eng.left, eng.right, eng.weight, eng.ptr,
-                    eng.partner, eng.pair_w, eng.bptr, eng.bpair, eng.owner, use_pairs,
-                    eng.s_buf, eng.dms_single, eng.pair_val,
-                )
-                sweep(
-                    0, 2 * len(s) + 1, eng.start_at, eng.right, eng.dms_single, eng.ptr,
-                    eng.partner, eng.pair_val, use_pairs, eng.s_buf,
-                )
-                engines.append(eng)
-            fast, slow = engines
-            assert list(fast.dms_single) == list(slow.dms_single)
-            assert list(fast.pair_val) == list(slow.pair_val)
-            assert list(fast.s_buf) == list(slow.s_buf)
+def test_python_kernel_parity():
+    """The k<=1 kernel is plain Python, as ``solvebench/run.py`` reports it
+    from ``_sweep.HAVE_NUMBA``."""
+    assert _sweep.HAVE_NUMBA is False
 
 
 def test_k_monotonicity(rng):
