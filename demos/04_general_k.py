@@ -1,7 +1,8 @@
 """The general fixed-k solver and its capacity-vector machinery.
 
 For k >= 2 a solution can contain long connected runs, so the dynamic
-program carries per-endpoint residual-overlap budgets through the sweep.
+program carries a per-interval (left, right) residual-overlap budget
+through the sweep.
 This script sweeps k on a small instance, shows the monotone weights against
 the brute-force oracle, and inspects the legal commit steps of one interval.
 """

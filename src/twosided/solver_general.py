@@ -3,17 +3,17 @@
 For k >= 2 a solution may contain arbitrarily long connected runs, so the
 instance can no longer be split into independently solvable windows along the
 chosen intervals.  Instead the dynamic program threads a *capacity vector*
-through the sweep: one entry per interval endpoint recording how many further
-overlaps that side of the interval may still accept.  An entry is undecided
-(the interval has not been looked at), unlimited (the interval was rejected),
-or a residual budget in {0..k}.
+through the sweep: one state per interval.  A state is undecided (the
+interval has not been looked at), unlimited (the interval was rejected), or a
+committed interval's residual budget, a pair (left, right) in {0..k} that
+records how many further overlaps each side of the interval may still accept.
 
 Committing an interval I fixes its whole neighborhood at once: a subset J of
 its overlapping neighbors (at most k of them, and necessarily including every
 neighbor that is already committed) joins the solution and every other
 neighbor is rejected.  Freshly joining neighbors receive a budget of
 k minus their already-materialized overlap count, split in all possible ways
-between their two endpoints; the left share is consumable inside the window
+between their two sides; the left share is consumable inside the window
 being solved, the right share by the sweep continuation, which is what makes
 the two regions independent.  Every already-committed interval stabbed by a
 fresh joiner pays one unit of the stabbed side's budget, and a commit step is
@@ -73,6 +73,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, product
+from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .model import Interval, IntervalSet, Solution
@@ -92,9 +93,7 @@ __all__ = [
 ]
 
 UNDECIDED = None  # the undecided capacity (no decision made about the interval)
-UNLIMITED = math.inf  # the unlimited capacity (interval rejected)
-
-_EXCL = "excluded"  # engine-internal rejection marker
+UNLIMITED = math.inf  # the unlimited capacity (interval rejected); tested with ``is``
 
 # Largest number of memoized values one solve may store.  A stored state
 # was measured at 390-460 bytes of resident memory (CPython 3.11, 30 to 52
@@ -114,48 +113,41 @@ class SolverBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class CapacityVector:
-    """Residual-overlap budgets per endpoint position 0 .. 2n+1.
-
-    Positions 0 and 2n+1 belong to the implicit dummy interval wrapped around
-    the instance.  Paired endpoints of one interval always carry the same
-    state class: both undecided, both unlimited, or both numeric (the two
-    numeric values may differ -- the budget is split between the sides).
+    """The capacity state of every interval of ``s``, in the solver's own
+    encoding: ``states`` maps an interval id to UNLIMITED (rejected) or to
+    a committed interval's (left, right) budget; an absent id is undecided.
     """
 
-    entries: tuple
+    s: IntervalSet
+    states: Mapping[int, object]
 
     @classmethod
     def initial(cls, s: IntervalSet) -> "CapacityVector":
-        """The solve-entry vector: dummy endpoints at 0, everything else
-        undecided."""
-        n = len(s)
-        ent = [UNDECIDED] * (2 * n + 2)
-        ent[0] = 0
-        ent[2 * n + 1] = 0
-        return cls(tuple(ent))
+        """The solve-entry vector: every interval undecided."""
+        return cls(s, MappingProxyType({}))
 
-    def state_of(self, interval: Interval):
+    def __hash__(self) -> int:
+        return hash(frozenset(self.states.items()))
+
+    def state_of(self, interval: Interval | int):
         """State for one interval: UNDECIDED, UNLIMITED, or (left, right)."""
-        a, b = self.entries[interval.left], self.entries[interval.right]
-        if a is UNDECIDED and b is UNDECIDED:
-            return UNDECIDED
-        if a == UNLIMITED and b == UNLIMITED:
-            return UNLIMITED
-        if isinstance(a, int) and isinstance(b, int):
-            return (a, b)
-        raise ValueError(
-            f"inconsistent endpoint states for [{interval.left},{interval.right}]: {a!r}/{b!r}"
-        )
+        return self.states.get(self.s.id_of(interval))
 
-    def replace(self, interval: Interval, state) -> "CapacityVector":
-        ent = list(self.entries)
+    def replace(self, interval: Interval | int, state) -> "CapacityVector":
+        """A copy with one interval's state set; a state equal to UNLIMITED
+        is stored as UNLIMITED itself."""
+        states = dict(self.states)
+        i = self.s.id_of(interval)
         if state is UNDECIDED:
-            ent[interval.left] = ent[interval.right] = UNDECIDED
+            states.pop(i, None)
         elif state == UNLIMITED:
-            ent[interval.left] = ent[interval.right] = UNLIMITED
+            states[i] = UNLIMITED
         else:
-            ent[interval.left], ent[interval.right] = state
-        return CapacityVector(tuple(ent))
+            left, right = state
+            if not (isinstance(left, int) and isinstance(right, int)):
+                raise ValueError(f"a budget is a pair of ints, got {state!r}")
+            states[i] = (left, right)
+        return CapacityVector(self.s, MappingProxyType(states))
 
 
 @dataclass(frozen=True)
@@ -238,7 +230,7 @@ class GeneralSolver:
         for x in joiners:
             for m in self.nb[x]:
                 st = lam.get(m)
-                if st is not None and st is not _EXCL:
+                if st is not None and st is not UNLIMITED:
                     delta -= self._pair_w(x, m)
         for a in range(len(joiners)):
             for b in range(a + 1, len(joiners)):
@@ -264,7 +256,7 @@ class GeneralSolver:
             st = lam.get(m)
             if st is None:
                 fresh_avail.append(m)
-            elif st is not _EXCL:
+            elif st is not UNLIMITED:
                 forced.append(m)
         if len(forced) > k:
             return
@@ -290,7 +282,7 @@ class GeneralSolver:
         for x in extra:
             t = 1
             for m in self.nb[x]:
-                if m != j and (m in extra or (lam.get(m) not in (None, _EXCL))):
+                if m != j and (m in extra or (lam.get(m) not in (None, UNLIMITED))):
                     t += 1
             b = k - t
             if b < 0:
@@ -303,7 +295,7 @@ class GeneralSolver:
         for f in fresh_joiners:
             for m in self.nb[f]:
                 st = lam.get(m)
-                if st is not None and st is not _EXCL:
+                if st is not None and st is not UNLIMITED:
                     side = 0 if self.left[f] < self.left[m] else 1
                     decs.setdefault(m, [0, 0])[side] += 1
         new_numeric: dict[int, tuple[int, int]] = {}
@@ -319,7 +311,7 @@ class GeneralSolver:
         base[j] = (0, 0)
         for m in self.nb[j]:
             if lam.get(m) is None and m not in extra:
-                base[m] = _EXCL
+                base[m] = UNLIMITED
         base.update(new_numeric)
         chosen = tuple(sorted(forced) + sorted(extra))
 
@@ -366,8 +358,8 @@ class GeneralSolver:
         members = self.members[owner]
         j = members[idx]
         st = lam.get(j)
-        assert st is None or st is _EXCL, "window member unexpectedly committed"
-        if st is _EXCL:
+        assert st is None or st is UNLIMITED, "window member unexpectedly committed"
+        if st is UNLIMITED:
             return self._window_value(owner, idx + 1, lam)
         return self._decide(owner, idx, lam)[0]
 
@@ -380,7 +372,7 @@ class GeneralSolver:
         state, chosen)``; ``chosen`` is None for the reject option."""
         j = self.members[owner][idx]
         lam_rej = dict(lam)
-        lam_rej[j] = _EXCL
+        lam_rej[j] = UNLIMITED
         best = self._window_value(owner, idx + 1, lam_rej)
         action = (idx + 1, lam_rej, None)
         nidx = bisect_right(self.member_lefts[owner], self.right[j], lo=idx)
@@ -404,8 +396,9 @@ class GeneralSolver:
     # -- public entry points ------------------------------------------------
 
     def dms(self, interval_id: int, lam: Mapping[int, object]) -> int:
-        """dms^k of one interval under basic capacities ``lam`` (engine
-        form): its weight plus the best selection among its nested set."""
+        """dms^k of one interval under basic capacities ``lam`` (the
+        ``CapacityVector.states`` encoding): its weight plus the best
+        selection among its nested set."""
         return self.weight[interval_id] + self._window_value(
             interval_id, 0, self._basic(lam, interval_id)
         )
@@ -432,7 +425,7 @@ class GeneralSolver:
         members = self.members[owner]
         while idx < len(members):
             j = members[idx]
-            if lam.get(j) is _EXCL:
+            if lam.get(j) is UNLIMITED:
                 idx += 1
                 continue
             _best, (nidx, lam2, chosen) = self._decide(owner, idx, lam)
@@ -449,45 +442,21 @@ class GeneralSolver:
 # ---------------------------------------------------------------------------
 
 
-def _to_engine_state(lam: CapacityVector, s: IntervalSet) -> dict:
-    out: dict = {}
-    for i, iv in enumerate(s.intervals):
-        st = lam.state_of(iv)
-        if st is UNDECIDED:
-            continue
-        out[i] = _EXCL if st == UNLIMITED else st
-    return out
-
-
-def _to_vector(state: Mapping[int, object], s: IntervalSet) -> CapacityVector:
-    n = len(s)
-    ent: list = [UNDECIDED] * (2 * n + 2)
-    ent[0] = 0
-    ent[2 * n + 1] = 0
-    for i, st in state.items():
-        iv = s.intervals[i]
-        if st is _EXCL:
-            ent[iv.left] = ent[iv.right] = UNLIMITED
-        else:
-            ent[iv.left], ent[iv.right] = st  # type: ignore[misc]
-    return CapacityVector(tuple(ent))
+def _check_set(lam: CapacityVector, s: IntervalSet) -> None:
+    if lam.s is not s:
+        raise ValueError("the capacity vector belongs to another interval set")
 
 
 def is_valid_for(lam: CapacityVector, interval: Interval | int, s: IntervalSet, k: int) -> bool:
-    """A vector is valid for an interval when the interval's own endpoints
-    carry numeric budgets and at most k of its overlapping neighbors are
-    committed (numeric).  Undecided neighbors do not count."""
+    """A vector is valid for an interval when the interval carries a numeric
+    budget and at most k of its overlapping neighbors are committed
+    (numeric).  Undecided neighbors do not count."""
+    _check_set(lam, s)
     i = s.id_of(interval)
-    iv = s.intervals[i]
-    st = lam.state_of(iv)
-    if st is UNDECIDED or st == UNLIMITED:
+    get = lam.states.get
+    if get(i) in (UNDECIDED, UNLIMITED):
         return False
-    committed = 0
-    for m in s.neighbors[i]:
-        mst = lam.state_of(s.intervals[m])
-        if mst is not UNDECIDED and mst != UNLIMITED:
-            committed += 1
-    return committed <= k
+    return sum(get(m) not in (UNDECIDED, UNLIMITED) for m in s.neighbors[i]) <= k
 
 
 def legal_successors(
@@ -499,16 +468,14 @@ def legal_successors(
     deterministic: neighbor subsets by size then lexicographic ids, budget
     splits ascending.
     """
+    _check_set(lam, s)
     i = s.id_of(interval)
-    iv = s.intervals[i]
-    if lam.state_of(iv) == UNLIMITED:
+    if lam.states.get(i) is UNLIMITED:
         raise ValueError("cannot commit a rejected interval")
-    eng = GeneralSolver(s, k)
-    state = _to_engine_state(lam, s)
-    out = []
-    for lam2, delta, chosen in eng._successors(state, i):
-        out.append(LegalSuccessor(_to_vector(lam2, s), frozenset(chosen), delta))
-    return out
+    return [
+        LegalSuccessor(CapacityVector(s, MappingProxyType(state)), frozenset(chosen), delta)
+        for state, delta, chosen in GeneralSolver(s, k)._successors(lam.states, i)
+    ]
 
 
 def transition_weight(
@@ -521,16 +488,13 @@ def transition_weight(
     vectors: fresh joiner weights minus the weights of every overlapping
     pair that becomes fully selected at the step (joiner-with-joiner pairs
     counted once, plus joiner-with-previously-committed pairs)."""
+    _check_set(lam_prime, s)
+    _check_set(lam, s)
     i = s.id_of(interval)
-    eng = GeneralSolver(s, 0)  # k is irrelevant for the charging rule
-    state = _to_engine_state(lam, s)
-    new = []
-    for m in s.neighbors[i]:
-        before = lam.state_of(s.intervals[m])
-        after = lam_prime.state_of(s.intervals[m])
-        if before is UNDECIDED and isinstance(after, tuple):
-            new.append(m)
-    return eng._charging_delta(state, i, sorted(new))
+    before, after = lam.states, lam_prime.states
+    new = [m for m in s.neighbors[i] if m not in before and isinstance(after.get(m), tuple)]
+    # k is irrelevant for the charging rule
+    return GeneralSolver(s, 0)._charging_delta(before, i, new)
 
 
 def dms_k(
@@ -547,7 +511,7 @@ def dms_k(
     if not is_valid_for(lam, i, s, k):
         raise ValueError("capacity vector is not valid for the interval")
     eng = solver if solver is not None else GeneralSolver(s, k)
-    return eng.dms(i, _to_engine_state(lam, s))
+    return eng.dms(i, lam.states)
 
 
 def solve_k(s: IntervalSet, k: int, force_general: bool = False) -> Solution:

@@ -276,18 +276,20 @@ def _window_value(eng: _Engine, table: Dms1Table, lo: int, hi: int) -> int:
     return eng.sweep(lo, hi, use_pairs=True)
 
 
-def dms1_single(interval: Interval, s: IntervalSet, table: Dms1Table) -> int:
+def dms1_single(interval: Interval | int, s: IntervalSet, table: Dms1Table) -> int:
     """Best 1-overlap set on the window of ``interval`` forced to contain it.
 
     ``table`` must hold the value of every interval and forward pair nested
     in the window; a missing one raises ValueError.
     """
-    s.id_of(interval)
+    iv = s.intervals[s.id_of(interval)]
     eng = _engine_for(s, table)
-    return _window_value(eng, table, interval.left, interval.right) + interval.weight
+    return _window_value(eng, table, iv.left, iv.right) + iv.weight
 
 
-def dms1_pair(i_interval: Interval, j_interval: Interval, s: IntervalSet, table: Dms1Table) -> int:
+def dms1_pair(
+    i_interval: Interval | int, j_interval: Interval | int, s: IntervalSet, table: Dms1Table
+) -> int:
     """Best 1-overlap set on the pair's window forced to contain both.
 
     ``j_interval`` must lie in the forward overlap set of ``i_interval``, and
@@ -302,14 +304,15 @@ def dms1_pair(i_interval: Interval, j_interval: Interval, s: IntervalSet, table:
     t = next((t for t in pairs if eng.partner[t] == j), None)
     if t is None:
         raise ValueError("second interval must overlap the first on its right side")
-    c, d = i_interval.left, i_interval.right
-    e, f = j_interval.left, j_interval.right
+    iv, jv = s.intervals[i], s.intervals[j]
+    c, d = iv.left, iv.right
+    e, f = jv.left, jv.right
     regions = (
         _window_value(eng, table, c, e)
         + _window_value(eng, table, e, d)
         + _window_value(eng, table, d, f)
     )
-    return regions + i_interval.weight + j_interval.weight - eng.pair_w[t]
+    return regions + iv.weight + jv.weight - eng.pair_w[t]
 
 
 def _solve(s: IntervalSet, k: int) -> Solution:

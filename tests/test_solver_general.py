@@ -30,9 +30,8 @@ from twosided.transform import EdgeWeightMode, project_to_intervals
 def test_initial_vector_shape():
     s = make_set([(1, 3), (2, 4)], [1, 1], 1)
     lam = CapacityVector.initial(s)
-    assert len(lam.entries) == 6
-    assert lam.entries[0] == 0 and lam.entries[5] == 0
-    assert all(e is UNDECIDED for e in lam.entries[1:5])
+    assert all(lam.state_of(iv) is UNDECIDED for iv in s.intervals)
+    assert all(lam.state_of(i) is UNDECIDED for i in range(len(s)))
 
 
 def test_is_valid_for():
@@ -143,6 +142,26 @@ def test_interval_ids_outside_the_set_are_rejected():
         with pytest.raises(ValueError, match="not in the set"):
             transition_weight(lam, lam, bad, s)
     assert dms_k(5, lam.replace(s.intervals[5], (2, 2)), s, 2) == 10
+
+
+def test_vectors_of_another_interval_set_are_rejected():
+    """A vector is read against the set it was built on: used with any
+    other set, even one with the same spans, it raises ValueError."""
+    s = random_interval_set(6, 3)
+    lam = CapacityVector.initial(s).replace(0, (2, 2))
+    for other in (random_interval_set(9, 4), random_interval_set(4, 5), random_interval_set(6, 3)):
+        with pytest.raises(ValueError, match="another interval set"):
+            dms_k(0, lam, other, 2)
+        with pytest.raises(ValueError, match="another interval set"):
+            is_valid_for(lam, 0, other, 2)
+        with pytest.raises(ValueError, match="another interval set"):
+            legal_successors(lam, 0, other, 2)
+        own = CapacityVector.initial(other)
+        with pytest.raises(ValueError, match="another interval set"):
+            transition_weight(lam, own, 0, other)
+        with pytest.raises(ValueError, match="another interval set"):
+            transition_weight(own, lam, 0, other)
+    assert dms_k(0, lam, s, 2) == dms_k(s.intervals[0], lam, s, 2)
 
 
 def test_dms_k_memo_purity():
@@ -403,6 +422,44 @@ def _caller_vectors(s, k, i, rng, count):
     return out
 
 
+def test_transition_weight_matches_every_successor_delta():
+    """Reconstructing a commit step's weight from the two vectors gives the
+    step's own delta, for every legal successor of every interval, from the
+    initial vector and from vectors that commit, reject or leave undecided
+    the interval's neighbors."""
+    checked = 0
+    for trial in range(12):
+        rng = random.Random(3100 + trial)
+        s = random_interval_set(rng.randint(3, 9), random.Random(3200 + trial))
+        for k in (1, 2, 3):
+            for i in range(len(s)):
+                vectors = [CapacityVector.initial(s)] + _caller_vectors(s, k, i, rng, 3)
+                for lam in vectors:
+                    for target in (i, *s.neighbors[i]):
+                        if lam.state_of(target) is UNLIMITED:
+                            continue
+                        for x in legal_successors(lam, target, s, k):
+                            assert transition_weight(x.vector, lam, target, s) == x.weight_delta
+                            checked += 1
+    assert checked > 1000, checked
+
+
+def test_replace_with_float_infinity_is_unlimited():
+    """Any value equal to UNLIMITED rejects the interval, as UNLIMITED does."""
+    s = make_set([(1, 4), (2, 5), (3, 6)], [3, 2, 2], 1)
+    start = CapacityVector.initial(s).replace(0, (2, 2))
+    marker = start.replace(s.intervals[1], UNLIMITED)
+    inf = start.replace(s.intervals[1], float("inf"))
+    assert inf == marker and inf.state_of(1) is UNLIMITED
+    for k in (1, 2):
+        for i in range(3):
+            assert is_valid_for(inf, i, s, k) == is_valid_for(marker, i, s, k)
+        assert legal_successors(inf, 2, s, k) == legal_successors(marker, 2, s, k)
+        with pytest.raises(ValueError, match="rejected"):
+            legal_successors(inf, 1, s, k)
+        assert dms_k(0, inf, s, k) == dms_k(0, marker, s, k)
+
+
 def _keyed(solver, owner, idx, lam):
     ids, outer = solver._key_positions(owner, idx)
     keyed = set(ids)
@@ -429,7 +486,7 @@ def test_memo_key_covers_every_read_and_write():
             for i in range(len(s)):
                 if log.members[i] and s.neighbors[i]:
                     for vec in _caller_vectors(s, k, i, rng, 3):
-                        log.dms(i, solver_general._to_engine_state(vec, s))
+                        log.dms(i, vec.states)
             checker = GeneralSolver(s, k)
             for seen_key, (owner, idx, lam) in log.seen.items():
                 ids, outer = checker._key_positions(owner, idx)
@@ -463,7 +520,7 @@ def test_dms_k_caller_vectors_match_full_state_memo():
                 if not (shared.members[i] and s.neighbors[i]):
                     continue
                 for vec in _caller_vectors(s, k, i, rng, 4):
-                    want = _FullKey(s, k).dms(i, solver_general._to_engine_state(vec, s))
+                    want = _FullKey(s, k).dms(i, vec.states)
                     assert dms_k(i, vec, s, k) == want, (trial, k, i)
                     assert dms_k(i, vec, s, k, solver=shared) == want, (trial, k, i)
 

@@ -102,6 +102,20 @@ def test_dms1_rejects_table_missing_a_nested_entry():
             dms1_pair(t.intervals[0], t.intervals[1], t, partial)
 
 
+def test_dms1_lookups_take_int_ids():
+    """An interval may be named by its id as well as by the Interval itself;
+    both give the same value for every single and every forward pair."""
+    for seed in range(4):
+        s = random_interval_set(6 + seed, seed)
+        table = compute_dms1(s)
+        for i, iv in enumerate(s.intervals):
+            assert dms1_single(i, s, table) == dms1_single(iv, s, table) == table.single[i]
+            for j in s.overlaps.forward(i):
+                jv = s.intervals[j]
+                assert dms1_pair(i, j, s, table) == dms1_pair(iv, jv, s, table)
+                assert dms1_pair(i, jv, s, table) == dms1_pair(iv, j, s, table)
+
+
 def test_dms1_lookups_reuse_the_filling_engine(monkeypatch):
     """Window lookups on a table from compute_dms1 build no further engine
     and return the table's own values; a hand-built table gets a new engine,
