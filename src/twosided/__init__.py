@@ -19,14 +19,8 @@ from .model import (
     chords_cross,
     count_crossings,
     crossings_per_chord,
-    fit,
-    forward_overlap_set,
-    nested_set,
     overlap_kind,
-    overlap_set,
-    restrict,
     solution_weight,
-    span,
 )
 from .transform import EdgeWeightMode, ProjectionResult, project_to_intervals
 from .solver_k1 import Dms1Table, compute_dms1, dms1_pair, dms1_single, solve_k0, solve_k1

@@ -109,7 +109,7 @@ def parse_intervals(text: str) -> IntervalSet:
             if len(parts) != 4:
                 raise GraphParseError(f"bad interval line {ln!r}")
             ident, left, right, w = (int(x) for x in parts)
-            intervals[ident] = Interval(left, right, w, source_node=ident)
+            intervals[ident] = Interval(left, right, w)
     if sorted(intervals) != list(range(len(intervals))):
         raise GraphParseError("interval ids must be 0..n-1")
     ordered = tuple(intervals[i] for i in range(len(intervals)))

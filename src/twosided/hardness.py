@@ -91,9 +91,7 @@ def reduce_mds_to_bdmwis(g: IntervalSet) -> ReducedInstance:
 
     total = next_id
     spans = [(position[(i, 0)], position[(i, 1)]) for i in range(total)]
-    intervals = tuple(
-        Interval(l, r, weight=1, source_node=i) for i, (l, r) in enumerate(spans)
-    )
+    intervals = tuple(Interval(l, r, weight=1) for l, r in spans)
     pair_weights: dict[tuple[int, int], int] = {(a, b): 0 for (a, b) in g.pair_weights}
     for u, p in leaf_parent.items():
         pair_weights[(min(u, p), max(u, p))] = 0

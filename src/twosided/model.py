@@ -17,10 +17,9 @@ This module holds the vocabulary shared by everything else in the package:
   computed once by a left-endpoint scan and owned by the set
 * :class:`Solution`            -- a selected subset and its objective value
 
-plus the paper's definitions of the interval-set operators (overlap,
-nesting, span, fit, window restriction), kept for callers and tests; the
-solvers read :class:`Overlaps` instead.  All types are immutable after
-construction and every operation is a pure function.
+plus :func:`overlap_kind`, the pairwise classification of two intervals,
+kept as the reference that :class:`Overlaps` is tested against.  All types
+are immutable after construction and every operation is a pure function.
 
 The crossing accounting (:func:`count_crossings`, :func:`crossings_per_chord`)
 counts alternating chords with a Fenwick tree and shares no code with
@@ -242,16 +241,11 @@ def _fenwick_below(tree: list[int], x: int) -> int:
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval with integer endpoints; represents one chord.
-
-    ``source_node`` is the id of the circle-graph node (equivalently the edge
-    of the layout graph) the interval stands for.
-    """
+    """Closed interval with integer endpoints; represents one chord."""
 
     left: int
     right: int
     weight: int = 0
-    source_node: int = -1
 
     def __post_init__(self) -> None:
         if self.left >= self.right:
@@ -279,87 +273,6 @@ def overlap_kind(a: Interval, b: Interval) -> str:
     if b.left < a.left and a.right < b.right:
         return B_NESTS_A
     return OVERLAP
-
-
-def _same_span(a: Interval, b: Interval) -> bool:
-    return a.left == b.left and a.right == b.right
-
-
-def overlap_set(interval: Interval, subset: Iterable[Interval]) -> list[Interval]:
-    """All intervals of ``subset`` that properly overlap ``interval``.
-
-    The interval itself may appear in ``subset``; it never overlaps itself.
-    """
-    return [
-        j
-        for j in subset
-        if not _same_span(interval, j) and overlap_kind(interval, j) == OVERLAP
-    ]
-
-
-def forward_overlap_set(interval: Interval, subset: Iterable[Interval]) -> list[Interval]:
-    """The overlapping intervals that stick out to the right of ``interval``:
-    those [c,d] with c < interval.right < d."""
-    return [
-        j
-        for j in overlap_set(interval, subset)
-        if j.left < interval.right < j.right
-    ]
-
-
-def nested_set(interval: Interval, subset: Iterable[Interval]) -> list[Interval]:
-    """All intervals of ``subset`` strictly nested inside ``interval``."""
-    return [
-        j
-        for j in subset
-        if not _same_span(interval, j) and overlap_kind(interval, j) == A_NESTS_B
-    ]
-
-
-def _endpoints(subset: Sequence[Interval]) -> list[int]:
-    pts: list[int] = []
-    for i in subset:
-        pts.append(i.left)
-        pts.append(i.right)
-    return sorted(pts)
-
-
-def _is_connected(subset: Sequence[Interval]) -> bool:
-    # Connectivity of the overlap graph induced by the subset.
-    n = len(subset)
-    if n <= 1:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(n):
-            if j not in seen and overlap_kind(subset[i], subset[j]) == OVERLAP:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == n
-
-
-def span(subset: Sequence[Interval]) -> int:
-    """Distance between the extreme endpoints of a connected interval set."""
-    subset = list(subset)
-    if not subset:
-        raise ValueError("span is undefined for the empty set")
-    if not _is_connected(subset):
-        raise ValueError("span is only defined for connected interval sets")
-    pts = _endpoints(subset)
-    return pts[-1] - pts[0]
-
-
-def fit(subset: Sequence[Interval]) -> int:
-    """Largest gap between consecutive sorted endpoints of a connected set."""
-    subset = list(subset)
-    if not subset:
-        raise ValueError("fit is undefined for the empty set")
-    if not _is_connected(subset):
-        raise ValueError("fit is only defined for connected interval sets")
-    pts = _endpoints(subset)
-    return max(pts[i + 1] - pts[i] for i in range(len(pts) - 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -479,9 +392,7 @@ class IntervalSet:
         every overlapping pair.
         """
         ws = list(weights) if weights is not None else [0] * len(spans)
-        ivs = tuple(
-            Interval(l, r, w, source_node=i) for i, ((l, r), w) in enumerate(zip(spans, ws))
-        )
+        ivs = tuple(Interval(l, r, w) for (l, r), w in zip(spans, ws))
         if isinstance(pair_weights, int):
             overlaps = Overlaps.scan((iv.left, iv.right) for iv in ivs)
             return cls(ivs, dict.fromkeys(overlaps.pairs, pair_weights), overlaps)
@@ -525,15 +436,6 @@ class IntervalSet:
         return sum(i.length for i in self.intervals)
 
 
-def restrict(s: IntervalSet | Sequence[Interval], x: float, y: float) -> list[Interval]:
-    """The window restriction: all intervals contained in [x, y].
-
-    Accepts +/- infinity sentinels; restrict(S, -inf, inf) is S itself.
-    """
-    source = s.intervals if isinstance(s, IntervalSet) else s
-    return [i for i in source if x <= i.left and i.right <= y]
-
-
 def overlap_pairs_within(chosen: Iterable[int], s: IntervalSet) -> frozenset[Pair]:
     """The overlapping pairs inside a chosen id set; O(sum of their degrees)."""
     ids = set(chosen)
@@ -567,6 +469,18 @@ class Solution:
     def from_chosen(cls, chosen: Iterable[int], s: IntervalSet, k: int) -> "Solution":
         ids = frozenset(chosen)
         return cls(ids, solution_weight(ids, s), overlap_pairs_within(ids, s), k)
+
+    @classmethod
+    def recovered(cls, chosen: Iterable[int], s: IntervalSet, k: int, value: int) -> "Solution":
+        """The solution a dynamic program recovered for optimum ``value``,
+        checked to weigh ``value`` and to be k-overlap.  The checks raise
+        explicitly so that they also run under ``python -O``."""
+        sol = cls.from_chosen(chosen, s, k)
+        if sol.weight != value:
+            raise AssertionError(f"recovered solution weighs {sol.weight}, the DP value is {value}")
+        if sol.max_overlap_degree() > k:
+            raise AssertionError(f"recovered solution is not {k}-overlap")
+        return sol
 
     def max_overlap_degree(self) -> int:
         if not self.chosen:

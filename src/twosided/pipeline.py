@@ -42,10 +42,7 @@ def solve_layout(
     """Compute an optimal outer k-plane exterior edge set for the layout."""
     projection = project_to_intervals(instance, mode)
     solution = solve_k(projection.interval_set, k, force_general=force_general)
-    exterior_edges = frozenset(
-        projection.edge_for_interval[i] for i in solution.chosen
-    )
-    assignment = TwoSidedAssignment.from_exterior(instance, exterior_edges)
+    assignment = TwoSidedAssignment.from_exterior(instance, solution.chosen)
     interior, exterior = count_crossings(instance, assignment)
     one_sided = count_crossings(
         instance, TwoSidedAssignment.from_exterior(instance, ())

@@ -53,8 +53,9 @@ member left of pos was decided, or is nested in a committed member and ends
 before pos (the members crossing that member were decided with it), and
 every neighbor of the owner was decided when the owner was committed.  So
 every undecided interval of N(R) lies in R, and committed intervals ending
-before pos are never read.  ``dms_k`` takes the caller's vector, which may
-leave neighbors of the interval undecided.  Such a neighbor straddles
+before pos are never read.  ``GeneralSolver.dms`` (and ``dms_k``, which
+calls it on a fresh solver) takes the caller's vector, which may leave
+neighbors of the interval undecided.  Such a neighbor straddles
 members of the window, may join when one of them commits, and then charges
 its own neighbors, some of which end before pos.  The second item keys
 exactly those states, so values memoized for one caller vector are exact
@@ -195,8 +196,6 @@ class GeneralSolver:
         self.f_memo: dict = {}
         # (owner, idx) -> memo key positions, see _key_positions.
         self.key_positions: dict = {}
-        self.value: int | None = None
-        self.chosen: frozenset[int] | None = None
 
     # -- state helpers ------------------------------------------------------
 
@@ -412,13 +411,7 @@ class GeneralSolver:
             self._walk(self.dummy, 0, {}, chosen)
         finally:
             sys.setrecursionlimit(old_limit)
-        sol = Solution.from_chosen(chosen, self.s, self.k)
-        if sol.weight != value:
-            raise AssertionError(f"recovered solution weighs {sol.weight}, the DP value is {value}")
-        if sol.max_overlap_degree() > self.k:
-            raise AssertionError(f"recovered solution is not {self.k}-overlap")
-        self.value, self.chosen = value, sol.chosen
-        return sol
+        return Solution.recovered(chosen, self.s, self.k, value)
 
     def _walk(self, owner: int, idx: int, lam: dict, out: list[int]) -> None:
         """Replay the maximizing decisions, collecting chosen intervals."""
@@ -497,21 +490,15 @@ def transition_weight(
     return GeneralSolver(s, 0)._charging_delta(before, i, new)
 
 
-def dms_k(
-    interval: Interval | int,
-    lam: CapacityVector,
-    s: IntervalSet,
-    k: int,
-    solver: GeneralSolver | None = None,
-) -> int:
+def dms_k(interval: Interval | int, lam: CapacityVector, s: IntervalSet, k: int) -> int:
     """Best k-overlap-set weight on the interval's window, the interval
     included, under pre-set capacities.  Rejects vectors not valid for the
-    interval.  Passing a solver reuses (and fills) its memo table."""
+    interval.  Calls on one solver's :meth:`GeneralSolver.dms` share its
+    memo table instead."""
     i = s.id_of(interval)
     if not is_valid_for(lam, i, s, k):
         raise ValueError("capacity vector is not valid for the interval")
-    eng = solver if solver is not None else GeneralSolver(s, k)
-    return eng.dms(i, lam.states)
+    return GeneralSolver(s, k).dms(i, lam.states)
 
 
 def solve_k(s: IntervalSet, k: int, force_general: bool = False) -> Solution:

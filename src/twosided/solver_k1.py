@@ -317,10 +317,7 @@ def dms1_pair(
 
 def _solve(s: IntervalSet, k: int) -> Solution:
     weight, chosen = _Engine(s).solve(use_pairs=k == 1)
-    sol = Solution.from_chosen(chosen, s, k=k)
-    if sol.weight != weight:
-        raise AssertionError(f"recovered solution weighs {sol.weight}, the DP value is {weight}")
-    return sol
+    return Solution.recovered(chosen, s, k, weight)
 
 
 def solve_k1(s: IntervalSet) -> Solution:

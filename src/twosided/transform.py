@@ -23,8 +23,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import Interval, IntervalSet, LayoutInstance, Overlaps
 
 
@@ -46,15 +44,14 @@ class EdgeWeightMode(enum.Enum):
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """Interval representation plus the node <-> interval correspondence.
+    """The interval representation of a layout's circle graph.
 
-    Interval ids coincide with circle-graph node ids (and therefore with the
-    layout's edge ids); ``edge_for_interval[i]`` makes the mapping explicit so
-    solutions can be translated back to edges exactly.
+    Interval ids coincide with circle-graph node ids and therefore with the
+    layout's edge ids, so a selection of interval ids is the selection of
+    exterior edges.
     """
 
     interval_set: IntervalSet
-    edge_for_interval: tuple[int, ...]
 
 
 def project_to_intervals(
@@ -76,7 +73,6 @@ def project_to_intervals(
     pos = instance.positions
     n = instance.n_vertices
     edges = instance.edges
-    m = len(edges)
 
     incident: dict[int, list[int]] = {v: [] for v in instance.vertices}
     for eid, (u, v) in enumerate(edges):
@@ -106,30 +102,28 @@ def project_to_intervals(
     overlaps = Overlaps.scan(intervals)
     _check_alternation(instance, overlaps)
     ivs = tuple(
-        Interval(l, r, weight=len(overlaps.neighbors[eid]), source_node=eid)
-        for eid, (l, r) in enumerate(intervals)
+        Interval(l, r, weight=len(overlaps.neighbors[eid])) for eid, (l, r) in enumerate(intervals)
     )
     pair_weights = dict.fromkeys(overlaps.pairs, mode.value)
-    return ProjectionResult(IntervalSet(ivs, pair_weights, overlaps), tuple(range(m)))
+    return ProjectionResult(IntervalSet(ivs, pair_weights, overlaps))
 
 
 def _check_alternation(instance: LayoutInstance, overlaps: Overlaps) -> None:
     """Raise unless the overlapping pairs are exactly the crossing chords:
-    every overlapping pair alternates as chords (checked on all P pairs at
-    once) and the Fenwick count of crossing chord pairs is P.  That count is
-    the layout's cached :attr:`~twosided.model.LayoutInstance.crossings_per_edge`,
-    so the check and the one-sided crossing count are one pass."""
+    every overlapping pair alternates as chords (the first pair that does
+    not, by owner and then row order of the forward rows, is named) and the
+    Fenwick count of crossing chord pairs is P.  That count is the layout's
+    cached :attr:`~twosided.model.LayoutInstance.crossings_per_edge`, so the
+    check and the one-sided crossing count are one pass."""
     pos = instance.positions
-    ends = np.array([sorted((pos[u], pos[v])) for u, v in instance.edges], dtype=np.int64)
-    ends = ends.reshape(-1, 2)  # keeps two columns when there are no edges
-    owner = np.repeat(np.arange(len(instance.edges)), np.diff(overlaps.ptr))
-    partner = np.array(overlaps.partner, dtype=np.int64)
-    (a, b), (c, d) = ends[owner].T, ends[partner].T
-    alternate = ((a < c) & (c < b) & (b < d)) | ((c < a) & (a < d) & (d < b))
-    if not alternate.all():
-        t = int(np.argmin(alternate))
-        i, j = sorted((int(owner[t]), int(partner[t])))
-        raise AssertionError(f"projection broke the intersection graph at edges {i},{j}")
+    ends = [sorted((pos[u], pos[v])) for u, v in instance.edges]
+    ptr, partner = overlaps.ptr, overlaps.partner
+    for i, (a, b) in enumerate(ends):
+        for j in partner[ptr[i] : ptr[i + 1]]:
+            c, d = ends[j]
+            if not (a < c < b < d or c < a < d < b):
+                x, y = sorted((i, j))
+                raise AssertionError(f"projection broke the intersection graph at edges {x},{y}")
     crossing = sum(instance.crossings_per_edge) // 2
     if crossing != len(partner):
         raise AssertionError(f"{len(partner)} overlapping pairs for {crossing} crossing chord pairs")

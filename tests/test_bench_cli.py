@@ -1,8 +1,13 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import twosided
 from twosided.bench import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -173,6 +178,34 @@ def test_cli_solve_empty_graph(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "W = 0" in out
     assert "exterior edges (0):" in out
+
+
+NO_NUMPY = """
+import sys
+from twosided import cli, format_graph, generate_random_biconnected, solve_layout
+
+inst = generate_random_biconnected(12, 30, seed=5)
+solve_layout(inst, 1)
+d = sys.argv[1]
+with open(f"{d}/g.txt", "w") as fh:
+    fh.write(format_graph(inst))
+code = cli.main(["solve", f"{d}/g.txt", "--k", "1", "--json", f"{d}/g.json", "--svg", f"{d}/g.svg"])
+if code or "numpy" in sys.modules:
+    sys.exit(f"exit code {code}, numpy loaded: {'numpy' in sys.modules}")
+"""
+
+
+def test_solve_and_cli_load_no_numpy(tmp_path):
+    """The package has no third-party dependency: importing it, one
+    solve_layout and one ``twosided solve`` leave numpy unloaded."""
+    src = str(Path(twosided.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "g.svg").exists()
 
 
 def test_cli_oracle(c4_file, capsys):

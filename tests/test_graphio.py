@@ -49,7 +49,7 @@ def test_parse_graph_rejects(text):
 
 def test_interval_dump_round_trip():
     s = IntervalSet(
-        (Interval(1, 3, 2, 0), Interval(2, 4, 5, 1)),
+        (Interval(1, 3, 2), Interval(2, 4, 5)),
         {(0, 1): 2},
     )
     text = dump_intervals(s)

@@ -13,14 +13,8 @@ from twosided.model import (
     TwoSidedAssignment,
     chords_cross,
     count_crossings,
-    fit,
-    forward_overlap_set,
-    nested_set,
     overlap_kind,
-    overlap_set,
-    restrict,
     solution_weight,
-    span,
 )
 
 
@@ -164,42 +158,6 @@ def test_overlap_kind_rejects_shared_endpoints():
         overlap_kind(Interval(1, 3), Interval(3, 5))
 
 
-def test_overlap_and_forward_sets():
-    i = Interval(2, 5)
-    s = [Interval(1, 3), Interval(4, 7)]
-    assert overlap_set(i, s) == s
-    assert forward_overlap_set(i, s) == [Interval(4, 7)]
-    big = Interval(1, 8)
-    assert nested_set(big, [Interval(2, 3)]) == [Interval(2, 3)]
-    assert overlap_set(big, [Interval(2, 3)]) == []
-    assert overlap_set(Interval(1, 4), []) == []
-    assert forward_overlap_set(Interval(1, 4), []) == []
-    assert nested_set(Interval(1, 4), []) == []
-
-
-def test_overlap_set_symmetry_and_forward_partition(rng):
-    from twosided.bench import random_interval_set
-
-    for seed in range(30):
-        s = random_interval_set(rng.randint(2, 10), random.Random(seed))
-        ivs = s.intervals
-        for a in range(len(ivs)):
-            for b in range(len(ivs)):
-                if a == b:
-                    continue
-                in_ab = ivs[b] in overlap_set(ivs[a], ivs)
-                in_ba = ivs[a] in overlap_set(ivs[b], ivs)
-                assert in_ab == in_ba
-                if in_ab:
-                    fwd_ab = ivs[b] in forward_overlap_set(ivs[a], ivs)
-                    fwd_ba = ivs[a] in forward_overlap_set(ivs[b], ivs)
-                    assert fwd_ab != fwd_ba
-        for a in range(len(ivs)):
-            fwd = forward_overlap_set(ivs[a], ivs)
-            ovl = overlap_set(ivs[a], ivs)
-            assert all(x in ovl for x in fwd)
-
-
 def test_length_sum_bound(rng):
     from twosided.bench import random_interval_set
 
@@ -213,33 +171,7 @@ def test_length_sum_bound(rng):
         assert double_sum <= 2 * s.max_degree * ell
 
 
-# -- span / fit -------------------------------------------------------------
-
-
-def test_span_fit_single_interval():
-    assert span([Interval(1, 4)]) == 3
-    assert fit([Interval(1, 4)]) == 3
-
-
-def test_span_fit_overlapping_pair():
-    pair = [Interval(1, 3), Interval(2, 5)]
-    assert span(pair) == 4
-    assert fit(pair) == 2
-
-
-def test_span_fit_rejects_empty_and_disconnected():
-    with pytest.raises(ValueError):
-        span([])
-    with pytest.raises(ValueError):
-        fit([])
-    disconnected = [Interval(1, 2), Interval(3, 4)]
-    with pytest.raises(ValueError):
-        span(disconnected)
-    with pytest.raises(ValueError):
-        fit(disconnected)
-
-
-# -- IntervalSet / restrict / solution_weight --------------------------------
+# -- IntervalSet / solution_weight -----------------------------------------
 
 
 def test_interval_set_validates_endpoints_and_pairs():
@@ -249,13 +181,6 @@ def test_interval_set_validates_endpoints_and_pairs():
         IntervalSet((Interval(1, 3), Interval(2, 4)), {})  # missing pair entry
     with pytest.raises(ValueError):
         IntervalSet((Interval(1, 2), Interval(3, 4)), {(0, 1): 1})  # spurious pair
-
-
-def test_restrict_windows():
-    s = make_set([(1, 4), (2, 3), (5, 6)])
-    assert restrict(s, float("-inf"), float("inf")) == list(s.intervals)
-    assert restrict(s, 1, 4) == [s.intervals[0], s.intervals[1]]
-    assert restrict(s, 2, 3) == [s.intervals[1]]
 
 
 def test_solution_weight():

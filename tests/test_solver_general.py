@@ -168,8 +168,8 @@ def test_dms_k_memo_purity():
     s = make_set([(1, 6), (2, 4), (3, 5)], [1, 2, 2], 1)
     lam = CapacityVector.initial(s).replace(s.intervals[0], (2, 2))
     solver = GeneralSolver(s, 2)
-    a = dms_k(s.intervals[0], lam, s, 2, solver=solver)
-    b = dms_k(s.intervals[0], lam, s, 2, solver=solver)
+    a = solver.dms(0, lam.states)
+    b = solver.dms(0, lam.states)
     fresh = dms_k(s.intervals[0], lam, s, 2)
     assert a == b == fresh
 
@@ -522,7 +522,7 @@ def test_dms_k_caller_vectors_match_full_state_memo():
                 for vec in _caller_vectors(s, k, i, rng, 4):
                     want = _FullKey(s, k).dms(i, vec.states)
                     assert dms_k(i, vec, s, k) == want, (trial, k, i)
-                    assert dms_k(i, vec, s, k, solver=shared) == want, (trial, k, i)
+                    assert shared.dms(i, vec.states) == want, (trial, k, i)
 
 
 def _twelve_vertex_set():
@@ -545,7 +545,7 @@ def test_memo_states_regression():
 def test_memo_budget_raises(monkeypatch):
     s = random_interval_set(10, random.Random(11))
     full = GeneralSolver(s, 3)
-    full.solve()
+    chosen = full.solve().chosen
     need = len(full.f_memo)
     limit = sys.getrecursionlimit()
     monkeypatch.setattr(solver_general, "MAX_MEMO_STATES", need - 1)
@@ -553,4 +553,4 @@ def test_memo_budget_raises(monkeypatch):
         solve_k(s, 3)
     assert sys.getrecursionlimit() == limit
     monkeypatch.setattr(solver_general, "MAX_MEMO_STATES", need)
-    assert solve_k(s, 3).chosen == full.chosen
+    assert solve_k(s, 3).chosen == chosen

@@ -11,7 +11,7 @@ import twosided
 from conftest import make_set
 from twosided import _sweep
 from twosided.bench import random_interval_set
-from twosided.model import restrict, solution_weight
+from twosided.model import solution_weight
 from twosided.oracle import brute_force_k_overlap
 from twosided.solver_k1 import (
     Dms1Table,
@@ -260,6 +260,9 @@ s = IntervalSet.build([(1, 3), (2, 4), (5, 6)], [2, 2, 4], 1)
 backtrack = _Engine._backtrack
 _Engine._backtrack = lambda self, use_pairs: [2]
 raises("recovered solution weighs 4, the DP value is 7", lambda: solve_k1(s))
+triangle = IntervalSet.build([(1, 4), (2, 5), (3, 6)], [1, 0, 0], 0)
+_Engine._backtrack = lambda self, use_pairs: [0, 1, 2]
+raises("recovered solution is not 1-overlap", lambda: solve_k1(triangle))
 _Engine._backtrack = backtrack
 
 eng = _Engine(s)
@@ -284,8 +287,9 @@ print("checks raised")
 
 
 def test_result_checks_survive_python_O():
-    """The k<=1 recovered-weight check, recovery's no-matching-option check
-    and GeneralSolver.solve's check raise under ``python -O`` too."""
+    """The recovered-solution checks both solvers share (weight and
+    k-overlap), recovery's no-matching-option check and GeneralSolver.solve's
+    weight check raise under ``python -O`` too."""
     src = str(Path(twosided.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
@@ -418,9 +422,6 @@ def test_window_optimality_of_dms_single(rng):
                 j for j, w in enumerate(s.intervals)
                 if iv.left <= w.left and w.right <= iv.right
             ]
-            assert set(window_ids) == {
-                j for j, w in enumerate(s.intervals) if w in restrict(s, iv.left, iv.right)
-            }
             best = None
             others = [j for j in window_ids if j != i]
             for size in range(len(others) + 1):

@@ -93,7 +93,6 @@ def test_projection_fidelity_random(rng):
         for mode in EdgeWeightMode:
             proj = project_to_intervals(inst, mode)
             s = proj.interval_set
-            assert proj.edge_for_interval == tuple(range(m))
             assert set(s.pair_weights) == links
             assert all(s.pair_weights[k] == mode.value for k in s.pair_weights)
             for i, iv in enumerate(s.intervals):
@@ -130,6 +129,7 @@ def test_interval_dump_round_trip():
     [
         ([(1, 2), (3, 4)], [(1, 3), (2, 4)], "broke the intersection graph at edges 0,1"),
         ([(1, 3), (2, 4)], [(1, 2), (3, 4)], "0 overlapping pairs for 1 crossing chord pairs"),
+        ([(1, 2), (2, 3), (3, 4)], [(2, 5), (4, 6), (1, 3)], "broke the intersection graph at edges 0,1"),
     ],
 )
 def test_projection_check_raises_on_a_wrong_overlap_relation(monkeypatch, edges, scanned, message):
