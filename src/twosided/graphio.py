@@ -100,15 +100,24 @@ def parse_intervals(text: str) -> IntervalSet:
         if not ln or ln.startswith("#"):
             continue
         parts = ln.split()
-        if parts[0] == "pair":
-            if len(parts) != 4:
-                raise GraphParseError(f"bad pair line {ln!r}")
-            i, j, w = int(parts[1]), int(parts[2]), int(parts[3])
-            pairs[(min(i, j), max(i, j))] = w
+        kind = "pair" if parts[0] == "pair" else "interval"
+        fields = parts[1:] if kind == "pair" else parts
+        if len(fields) != (3 if kind == "pair" else 4):
+            raise GraphParseError(f"bad {kind} line {ln!r}")
+        try:
+            values = [int(x) for x in fields]
+        except ValueError as exc:
+            raise GraphParseError(f"bad {kind} line {ln!r}") from exc
+        if kind == "pair":
+            i, j, w = values
+            key = (min(i, j), max(i, j))
+            if key in pairs:
+                raise GraphParseError(f"duplicate pair on line {ln!r}")
+            pairs[key] = w
         else:
-            if len(parts) != 4:
-                raise GraphParseError(f"bad interval line {ln!r}")
-            ident, left, right, w = (int(x) for x in parts)
+            ident, left, right, w = values
+            if ident in intervals:
+                raise GraphParseError(f"duplicate interval id on line {ln!r}")
             intervals[ident] = Interval(left, right, w)
     if sorted(intervals) != list(range(len(intervals))):
         raise GraphParseError("interval ids must be 0..n-1")

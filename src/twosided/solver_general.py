@@ -11,18 +11,22 @@ records how many further overlaps each side of the interval may still accept.
 Committing an interval I fixes its whole neighborhood at once: a subset J of
 its overlapping neighbors (at most k of them, and necessarily including every
 neighbor that is already committed) joins the solution and every other
-neighbor is rejected.  Freshly joining neighbors receive a budget of
-k minus their already-materialized overlap count, split in all possible ways
-between their two sides; the left share is consumable inside the window
-being solved, the right share by the sweep continuation, which is what makes
-the two regions independent.  Every already-committed interval stabbed by a
-fresh joiner pays one unit of the stabbed side's budget, and a commit step is
-legal only if no budget goes negative.
+neighbor is rejected.  The joiners are I itself, when it was undecided, and
+the fresh (undecided) members of J.  For each choice of J one pass over each
+joiner's neighbors settles the whole step:
 
-The weight of a commit step adds the weights of the fresh joiners and
-subtracts the weight of every overlapping pair that becomes fully selected at
-the step: pairs among the joiners themselves, and pairs between a joiner and
-any previously committed interval.  Each selected pair is charged exactly
+* a fresh joiner's budget is k minus the number of its neighbors that are
+  joiners or committed, split in all possible ways between its two sides;
+  the left share is consumable inside the window being solved, the right
+  share by the sweep continuation, which is what makes the two regions
+  independent;
+* each committed neighbor of a joiner pays one unit of the stabbed side's
+  budget and is charged its pair weight;
+* each pair of overlapping joiners is charged once, by the smaller id.
+
+The step is legal only if no budget goes negative.  Its weight adds the
+weights of the fresh joiners and subtracts the charged pairs: every
+overlapping pair that becomes fully selected at the step, charged exactly
 once, at the moment its later member joins.
 
 Values dms^k(I, lambda) -- the best completion of I's window under basic
@@ -72,12 +76,13 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations, product
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
-from .model import Interval, IntervalSet, Solution
+from .model import Interval, IntervalSet, Solution, solution_weight
 from .solver_k1 import solve_k0, solve_k1
 
 __all__ = [
@@ -186,7 +191,6 @@ class GeneralSolver:
         self.right = [iv.right for iv in s.intervals] + [2 * n + 1]
         self.weight = [iv.weight for iv in s.intervals] + [0]
         self.nb: list[tuple[int, ...]] = [s.neighbors[i] for i in range(n)] + [()]
-        self.pw = dict(s.pair_weights)
 
         # Strictly nested members per owner, sorted by left endpoint.
         ov = s.overlaps
@@ -199,9 +203,6 @@ class GeneralSolver:
 
     # -- state helpers ------------------------------------------------------
 
-    def _pair_w(self, a: int, b: int) -> int:
-        return self.pw[(a, b) if a < b else (b, a)]
-
     def _key_positions(self, owner: int, idx: int) -> tuple:
         """The positions keying the window value of (owner, idx): the ids
         of R and N(R) in ascending order, with R = members[idx:], and for each
@@ -213,32 +214,6 @@ class GeneralSolver:
         outer = tuple((at, self.nb[y]) for at, y in enumerate(ids) if y not in inside)
         return ids, outer
 
-    def _charging_delta(self, lam: Mapping[int, object], owner: int, extras: Sequence[int]) -> int:
-        """Weight contributed by committing ``owner`` with fresh joiners
-        ``extras`` (the owner's own weight is added by the window value).
-
-        Adds the fresh joiners' weights; subtracts every pair weight between
-        a joiner and an already-committed interval, and every pair among the
-        joiners themselves.  Each selected pair is charged exactly once, when
-        its later member joins; an owner that joined earlier (already
-        numeric) therefore charges no pairs of its own here.
-        """
-        owner_joins = lam.get(owner) is None
-        joiners = (owner, *extras) if owner_joins else tuple(extras)
-        delta = sum(self.weight[x] for x in extras)
-        for x in joiners:
-            for m in self.nb[x]:
-                st = lam.get(m)
-                if st is not None and st is not UNLIMITED:
-                    delta -= self._pair_w(x, m)
-        for a in range(len(joiners)):
-            for b in range(a + 1, len(joiners)):
-                x, y = joiners[a], joiners[b]
-                key = (x, y) if x < y else (y, x)
-                if key in self.pw:
-                    delta -= self.pw[key]
-        return delta
-
     def _successors(
         self, lam: Mapping[int, object], j: int
     ) -> Iterator[tuple[dict, int, tuple[int, ...]]]:
@@ -246,82 +221,67 @@ class GeneralSolver:
 
         Yields (updated state dict, weight delta, chosen neighbor ids) in
         deterministic order: chosen sets by size then lexicographic ids,
-        budget splits ascending.
+        budget splits ascending.  The delta adds the fresh joiners' weights
+        (the window value adds j's own) and subtracts the weight of every
+        pair that becomes fully selected.
         """
-        k = self.k
+        k, nb, left, pw = self.k, self.nb, self.left, self.s.pair_weights
         forced: list[int] = []
-        fresh_avail: list[int] = []
-        for m in self.nb[j]:
+        fresh: list[int] = []
+        for m in nb[j]:
             st = lam.get(m)
             if st is None:
-                fresh_avail.append(m)
+                fresh.append(m)
             elif st is not UNLIMITED:
                 forced.append(m)
         if len(forced) > k:
             return
-        room = k - len(forced)
-        for size in range(0, min(room, len(fresh_avail)) + 1):
-            for extra in combinations(fresh_avail, size):
-                yield from self._build_successors(lam, j, forced, extra)
-
-    def _build_successors(
-        self,
-        lam: Mapping[int, object],
-        j: int,
-        forced: Sequence[int],
-        extra: tuple[int, ...],
-    ) -> Iterator[tuple[dict, int, tuple[int, ...]]]:
-        k = self.k
-        fresh_joiners = (j, *extra) if lam.get(j) is None else tuple(extra)
-
-        # Budgets for the fresh joiners: k minus their overlap count after
-        # this step (the committing interval, co-joining neighbors, and every
-        # already-committed neighbor).
-        budgets = []
-        for x in extra:
-            t = 1
-            for m in self.nb[x]:
-                if m != j and (m in extra or (lam.get(m) not in (None, UNLIMITED))):
-                    t += 1
-            b = k - t
-            if b < 0:
-                return
-            budgets.append(b)
-
-        # One budget unit per side of every committed interval stabbed by a
-        # fresh joiner; a step that would drive a side negative is illegal.
-        decs: dict[int, list[int]] = {}
-        for f in fresh_joiners:
-            for m in self.nb[f]:
-                st = lam.get(m)
-                if st is not None and st is not UNLIMITED:
-                    side = 0 if self.left[f] < self.left[m] else 1
-                    decs.setdefault(m, [0, 0])[side] += 1
-        new_numeric: dict[int, tuple[int, int]] = {}
-        for m, (dl, dr) in decs.items():
-            lv, rv = lam[m]  # type: ignore[misc]
-            if lv - dl < 0 or rv - dr < 0:
-                return
-            new_numeric[m] = (lv - dl, rv - dr)
-
-        delta = self._charging_delta(lam, j, extra)
-
-        base = dict(lam)
-        base[j] = (0, 0)
-        for m in self.nb[j]:
-            if lam.get(m) is None and m not in extra:
-                base[m] = UNLIMITED
-        base.update(new_numeric)
-        chosen = tuple(sorted(forced) + sorted(extra))
-
-        if not extra:
-            yield base, delta, chosen
-            return
-        for alphas in product(*(range(b + 1) for b in budgets)):
-            lam2 = dict(base)
-            for x, b, a in zip(extra, budgets, alphas):
-                lam2[x] = (a, b - a)
-            yield lam2, delta, chosen
+        owner = (j,) if lam.get(j) is None else ()
+        for size in range(min(k - len(forced), len(fresh)) + 1):
+            for extra in combinations(fresh, size):
+                state = dict(lam)
+                # An already-committed j keeps its residual budget only when
+                # fresh joiners stab it.
+                if owner or not extra:
+                    state[j] = (0, 0)
+                for m in fresh:
+                    if m not in extra:
+                        state[m] = UNLIMITED
+                delta = sum(self.weight[x] for x in extra)
+                budgets = []
+                legal = True
+                # One pass over each joiner's neighbors: count the ones that
+                # are committed or join with it, stab and charge every
+                # committed one, and charge each joiner pair at its smaller id.
+                for x in (*owner, *extra):
+                    used = 0
+                    for m in nb[x]:
+                        st = lam.get(m)
+                        if st is None:
+                            if m == j or m in extra:
+                                used += 1
+                                if x < m:
+                                    delta -= pw[x, m]
+                        elif st is not UNLIMITED:
+                            used += 1
+                            delta -= pw[(x, m) if x < m else (m, x)]
+                            ml, mr = state[m]
+                            if left[x] < left[m]:
+                                ml -= 1
+                            else:
+                                mr -= 1
+                            state[m] = (ml, mr)
+                            legal = legal and ml >= 0 and mr >= 0
+                    if x != j:
+                        budgets.append(k - used)
+                if not legal or min(budgets, default=0) < 0:
+                    continue
+                chosen = (*forced, *extra)
+                for alphas in product(*(range(b + 1) for b in budgets)):
+                    lam2 = dict(state) if extra else state  # one split: no copy
+                    for x, b, a in zip(extra, budgets, alphas):
+                        lam2[x] = (a, b - a)
+                    yield lam2, delta, chosen
 
     # -- value recursion ----------------------------------------------------
 
@@ -394,23 +354,30 @@ class GeneralSolver:
 
     # -- public entry points ------------------------------------------------
 
+    @contextmanager
+    def _deep_recursion(self) -> Iterator[None]:
+        """Raise the recursion limit to what a window of every interval
+        needs (a few frames per member), and restore it afterwards."""
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(old_limit, 4 * self.n + 1000))
+        try:
+            yield
+        finally:
+            sys.setrecursionlimit(old_limit)
+
     def dms(self, interval_id: int, lam: Mapping[int, object]) -> int:
         """dms^k of one interval under basic capacities ``lam`` (the
         ``CapacityVector.states`` encoding): its weight plus the best
         selection among its nested set."""
-        return self.weight[interval_id] + self._window_value(
-            interval_id, 0, self._basic(lam, interval_id)
-        )
+        with self._deep_recursion():
+            value = self._window_value(interval_id, 0, self._basic(lam, interval_id))
+        return self.weight[interval_id] + value
 
     def solve(self) -> Solution:
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, 4 * self.n + 1000))
-        try:
+        chosen: list[int] = []
+        with self._deep_recursion():
             value = self._window_value(self.dummy, 0, {})
-            chosen: list[int] = []
             self._walk(self.dummy, 0, {}, chosen)
-        finally:
-            sys.setrecursionlimit(old_limit)
         return Solution.recovered(chosen, self.s, self.k, value)
 
     def _walk(self, owner: int, idx: int, lam: dict, out: list[int]) -> None:
@@ -477,17 +444,19 @@ def transition_weight(
     interval: Interval | int,
     s: IntervalSet,
 ) -> int:
-    """Weight contributed by one commit step, reconstructed from the two
-    vectors: fresh joiner weights minus the weights of every overlapping
-    pair that becomes fully selected at the step (joiner-with-joiner pairs
-    counted once, plus joiner-with-previously-committed pairs)."""
+    """Weight contributed by one commit step, from its definition: the
+    objective (``solution_weight``) of the selected (committed) intervals
+    of ``lam_prime``, minus that of ``lam``, minus the interval's own weight
+    when it joins at this step (the window value adds that weight)."""
     _check_set(lam_prime, s)
     _check_set(lam, s)
     i = s.id_of(interval)
-    before, after = lam.states, lam_prime.states
-    new = [m for m in s.neighbors[i] if m not in before and isinstance(after.get(m), tuple)]
-    # k is irrelevant for the charging rule
-    return GeneralSolver(s, 0)._charging_delta(before, i, new)
+
+    def selected(vector: CapacityVector) -> list[int]:
+        return [x for x, st in vector.states.items() if st is not UNLIMITED]
+
+    owner = 0 if i in lam.states else s.intervals[i].weight
+    return solution_weight(selected(lam_prime), s) - solution_weight(selected(lam), s) - owner
 
 
 def dms_k(interval: Interval | int, lam: CapacityVector, s: IntervalSet, k: int) -> int:

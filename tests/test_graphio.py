@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from twosided.graphio import (
@@ -62,3 +64,18 @@ def test_interval_dump_round_trip():
 def test_parse_intervals_rejects_bad_ids():
     with pytest.raises(GraphParseError):
         parse_intervals("1 1 2 0\n")
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("0 9 10 5\n0 1 2 5\n1 3 4 1\n", "0 1 2 5"),
+        ("0 1 3 1\n1 2 4 1\npair 0 1 2\npair 1 0 3\n", "pair 1 0 3"),
+        ("0 1 3 1\n1 2 4 x\npair 0 1 2\n", "1 2 4 x"),
+        ("0 1 3 1\n1 2 4 1\npair 0 1 2.5\n", "pair 0 1 2.5"),
+    ],
+    ids=["duplicate-interval-id", "duplicate-pair", "non-integer-interval", "non-integer-pair"],
+)
+def test_parse_intervals_rejects_naming_the_line(text, line):
+    with pytest.raises(GraphParseError, match=re.escape(repr(line))):
+        parse_intervals(text)

@@ -164,6 +164,18 @@ def test_vectors_of_another_interval_set_are_rejected():
     assert dms_k(0, lam, s, 2) == dms_k(s.intervals[0], lam, s, 2)
 
 
+def test_dms_k_on_a_wide_window_raises_and_restores_the_recursion_limit():
+    """One interval enclosing 500 disjoint unit intervals: its window is
+    500 members deep, past the default recursion limit."""
+    s = make_set([(1, 1002)] + [(2 * i, 2 * i + 1) for i in range(1, 501)], [1] * 501)
+    lam = CapacityVector.initial(s).replace(0, (2, 2))
+    limit = sys.getrecursionlimit()
+    assert dms_k(0, lam, s, 2) == 501
+    assert sys.getrecursionlimit() == limit
+    assert GeneralSolver(s, 2).dms(0, lam.states) == 501
+    assert sys.getrecursionlimit() == limit
+
+
 def test_dms_k_memo_purity():
     s = make_set([(1, 6), (2, 4), (3, 5)], [1, 2, 2], 1)
     lam = CapacityVector.initial(s).replace(s.intervals[0], (2, 2))
@@ -228,6 +240,47 @@ def test_exhausted_capacity_blocks_commit_until_k_grows():
     assert solve_k(s, 2, force_general=True).weight == 29  # middle stays out
     sol3 = solve_k(s, 3, force_general=True)
     assert sol3.weight == 36 and sol3.chosen == frozenset({0, 1, 2, 3})
+
+
+def test_general_k_tie_order_is_pinned():
+    """The enumeration order of commit steps and the optimum the DP keeps
+    among tied ones: chosen sets by size then ids, budget splits ascending,
+    and the first option reaching the best value wins."""
+    # 0 commits with two fresh neighbors 1 and 2; 2 also stabs the committed
+    # 3 from its left side, so its budget is k - 2 and 3 pays one left unit.
+    s = make_set([(2, 5), (1, 3), (4, 7), (6, 8)], [3, 2, 4, 1], {(0, 1): 1, (0, 2): 2, (2, 3): 3})
+    lam = CapacityVector.initial(s).replace(3, (2, 1))
+    got = [
+        (dict(x.vector.states), sorted(x.chosen_neighbors), x.weight_delta)
+        for x in legal_successors(lam, 0, s, 3)
+    ]
+    inf = UNLIMITED
+    assert got == [
+        ({3: (2, 1), 0: (0, 0), 1: inf, 2: inf}, [], 0),
+        ({3: (2, 1), 0: (0, 0), 2: inf, 1: (0, 2)}, [1], 1),
+        ({3: (2, 1), 0: (0, 0), 2: inf, 1: (1, 1)}, [1], 1),
+        ({3: (2, 1), 0: (0, 0), 2: inf, 1: (2, 0)}, [1], 1),
+        ({3: (1, 1), 0: (0, 0), 1: inf, 2: (0, 1)}, [2], -1),
+        ({3: (1, 1), 0: (0, 0), 1: inf, 2: (1, 0)}, [2], -1),
+        ({3: (1, 1), 0: (0, 0), 1: (0, 2), 2: (0, 1)}, [1, 2], 0),
+        ({3: (1, 1), 0: (0, 0), 1: (0, 2), 2: (1, 0)}, [1, 2], 0),
+        ({3: (1, 1), 0: (0, 0), 1: (1, 1), 2: (0, 1)}, [1, 2], 0),
+        ({3: (1, 1), 0: (0, 0), 1: (1, 1), 2: (1, 0)}, [1, 2], 0),
+        ({3: (1, 1), 0: (0, 0), 1: (2, 0), 2: (0, 1)}, [1, 2], 0),
+        ({3: (1, 1), 0: (0, 0), 1: (2, 0), 2: (1, 0)}, [1, 2], 0),
+    ]
+    # Each of these has between 4 and 50 optimal sets at k=2 and at k=3.
+    picked = {
+        0: [0, 3, 4, 7, 8, 10],
+        2: [0, 4, 7],
+        4: [4, 5, 8],
+        5: [0, 1, 3, 7],
+        6: [1, 4, 5, 6, 7],
+    }
+    for seed, chosen in picked.items():
+        tied = random_interval_set(11, seed, max_weight=1, max_pair_weight=1)
+        for k in (2, 3):
+            assert sorted(GeneralSolver(tied, k).solve().chosen) == chosen, (seed, k)
 
 
 def _renumber(spans, jitter):
@@ -423,7 +476,8 @@ def _caller_vectors(s, k, i, rng, count):
 
 
 def test_transition_weight_matches_every_successor_delta():
-    """Reconstructing a commit step's weight from the two vectors gives the
+    """A commit step's weight computed from its definition on the two
+    vectors (``solution_weight`` after minus before) gives the
     step's own delta, for every legal successor of every interval, from the
     initial vector and from vectors that commit, reject or leave undecided
     the interval's neighbors."""
