@@ -19,6 +19,7 @@ __all__ = ["LayoutStats", "layout_stats", "render_layout"]
 CANVAS = 1000.0
 CENTER = CANVAS / 2.0
 RADIUS = 400.0
+VERTEX_RADIUS = 6.0
 ARC_CLEARANCE = 0.15  # exterior control radius factor per span fraction
 
 
@@ -99,7 +100,6 @@ def render_layout(
     instance: LayoutInstance,
     assignment: TwoSidedAssignment,
     labels: bool = False,
-    vertex_radius: float = 6.0,
 ) -> str:
     """SVG document for the two-sided drawing; byte-deterministic."""
     assignment.validate_for(instance)
@@ -128,7 +128,7 @@ def render_layout(
             lines.append(f'<path d="{_arc_path(pos[u], pos[v], n)}"/>')
         lines.append("</g>")
         lines.append('<g fill="#1f2937">')
-        r = _fmt(vertex_radius)
+        r = _fmt(VERTEX_RADIUS)
         for v in instance.order:
             x, y = xy[v]
             lines.append(f'<circle cx="{x}" cy="{y}" r="{r}"/>')

@@ -8,12 +8,12 @@ interval has not been looked at), unlimited (the interval was rejected), or a
 committed interval's residual budget, a pair (left, right) in {0..k} that
 records how many further overlaps each side of the interval may still accept.
 
-Committing an interval I fixes its whole neighborhood at once: a subset J of
-its overlapping neighbors (at most k of them, and necessarily including every
-neighbor that is already committed) joins the solution and every other
-neighbor is rejected.  The joiners are I itself, when it was undecided, and
-the fresh (undecided) members of J.  For each choice of J one pass over each
-joiner's neighbors settles the whole step:
+Committing an undecided interval I fixes its whole neighborhood at once: a
+subset J of its overlapping neighbors (at most k of them, and necessarily
+including every neighbor that is already committed) joins the solution and
+every other neighbor is rejected.  The joiners are I itself and the fresh
+(undecided) members of J.  For each choice of J one pass over each joiner's
+neighbors settles the whole step:
 
 * a fresh joiner's budget is k minus the number of its neighbors that are
   joiners or committed, split in all possible ways between its two sides;
@@ -47,9 +47,14 @@ x (x's budget, the stab counts and the pair charges).  A fresh joiner is an
 undecided interval of N(R); if it lies in R its neighbors are already in
 N(R), otherwise the second item holds them.  Later steps stay inside the
 same positions (a later member's neighbors are in N(R), and an interval
-undecided then is undecided now), and j's own window starts from the states
-of N(j).  The value is therefore a function of the keyed states, and the key
-is exact for every vector.
+undecided then is undecided now).  j's own window takes the successor state
+as it is: it reads and writes only positions nested in j or in N(j), as every
+member of the window and every neighbor of one lies there, and every fresh
+joiner is nested in j (all of N(j) is decided once j commits).  On those
+positions the successor state equals its restriction to N(j), because no
+interval nested in j is decided yet (an earlier member crossing one would
+cross j).  The value is therefore a function of the keyed states, and the
+key is exact for every vector.
 
 On the vectors a solve reaches, the second item is always empty, because no
 undecided interval straddles the left endpoint pos of member idx.  Every
@@ -217,7 +222,8 @@ class GeneralSolver:
     def _successors(
         self, lam: Mapping[int, object], j: int
     ) -> Iterator[tuple[dict, int, tuple[int, ...]]]:
-        """All legal ways of committing interval ``j`` under ``lam``.
+        """All legal ways of committing the undecided interval ``j`` under
+        ``lam``.
 
         Yields (updated state dict, weight delta, chosen neighbor ids) in
         deterministic order: chosen sets by size then lexicographic ids,
@@ -236,14 +242,9 @@ class GeneralSolver:
                 forced.append(m)
         if len(forced) > k:
             return
-        owner = (j,) if lam.get(j) is None else ()
         for size in range(min(k - len(forced), len(fresh)) + 1):
             for extra in combinations(fresh, size):
-                state = dict(lam)
-                # An already-committed j keeps its residual budget only when
-                # fresh joiners stab it.
-                if owner or not extra:
-                    state[j] = (0, 0)
+                state = {**lam, j: (0, 0)}
                 for m in fresh:
                     if m not in extra:
                         state[m] = UNLIMITED
@@ -253,7 +254,7 @@ class GeneralSolver:
                 # One pass over each joiner's neighbors: count the ones that
                 # are committed or join with it, stab and charge every
                 # committed one, and charge each joiner pair at its smaller id.
-                for x in (*owner, *extra):
+                for x in (j, *extra):
                     used = 0
                     for m in nb[x]:
                         st = lam.get(m)
@@ -304,7 +305,7 @@ class GeneralSolver:
         hit = self.f_memo.get(key)
         if hit is not None:
             return hit
-        value = self._options_best(owner, idx, lam)
+        value = self._decide(owner, idx, lam)[0]
         if len(self.f_memo) >= MAX_MEMO_STATES:
             raise SolverBudgetError(
                 f"the general-k solve (k={self.k}, {self.n} intervals) exceeds "
@@ -313,23 +314,18 @@ class GeneralSolver:
         self.f_memo[key] = value
         return value
 
-    def _options_best(self, owner: int, idx: int, lam: Mapping[int, object]) -> int:
-        members = self.members[owner]
-        j = members[idx]
+    def _decide(
+        self, owner: int, idx: int, lam: Mapping[int, object]
+    ) -> tuple[int, tuple[int, Mapping[int, object], tuple[int, ...] | None]]:
+        """Options for member ``idx`` of owner's window: skip it if it is
+        rejected, else reject it or commit it through one of its successors.
+        Returns the best value and the first option reaching it, as ``(next
+        index, next state, chosen)``; ``chosen`` is None unless committed."""
+        j = self.members[owner][idx]
         st = lam.get(j)
         assert st is None or st is UNLIMITED, "window member unexpectedly committed"
         if st is UNLIMITED:
-            return self._window_value(owner, idx + 1, lam)
-        return self._decide(owner, idx, lam)[0]
-
-    def _decide(
-        self, owner: int, idx: int, lam: Mapping[int, object]
-    ) -> tuple[int, tuple[int, dict, tuple[int, ...] | None]]:
-        """Options for the undecided member ``idx`` of owner's window:
-        reject it, or commit it through one of its successors.  Returns the
-        best value and the first option reaching it, as ``(next index, next
-        state, chosen)``; ``chosen`` is None for the reject option."""
-        j = self.members[owner][idx]
+            return self._window_value(owner, idx + 1, lam), (idx + 1, lam, None)
         lam_rej = dict(lam)
         lam_rej[j] = UNLIMITED
         best = self._window_value(owner, idx + 1, lam_rej)
@@ -339,18 +335,13 @@ class GeneralSolver:
             v = (
                 delta
                 + self.weight[j]
-                + self._window_value(j, 0, self._basic(lam2, j))
+                + self._window_value(j, 0, lam2)
                 + self._window_value(owner, nidx, lam2)
             )
             if v > best:
                 best = v
                 action = (nidx, lam2, chosen)
         return best, action
-
-    def _basic(self, lam: Mapping[int, object], j: int) -> dict:
-        """Restriction of the state to the overlapping neighbors of ``j``:
-        the only positions that can influence its window."""
-        return {m: lam[m] for m in self.nb[j] if m in lam}
 
     # -- public entry points ------------------------------------------------
 
@@ -367,10 +358,12 @@ class GeneralSolver:
 
     def dms(self, interval_id: int, lam: Mapping[int, object]) -> int:
         """dms^k of one interval under basic capacities ``lam`` (the
-        ``CapacityVector.states`` encoding): its weight plus the best
-        selection among its nested set."""
+        ``CapacityVector.states`` encoding, read on the interval's
+        overlapping neighbors only): its weight plus the best selection
+        among its nested set."""
+        basic = {m: lam[m] for m in self.nb[interval_id] if m in lam}
         with self._deep_recursion():
-            value = self._window_value(interval_id, 0, self._basic(lam, interval_id))
+            value = self._window_value(interval_id, 0, basic)
         return self.weight[interval_id] + value
 
     def solve(self) -> Solution:
@@ -385,14 +378,11 @@ class GeneralSolver:
         members = self.members[owner]
         while idx < len(members):
             j = members[idx]
-            if lam.get(j) is UNLIMITED:
-                idx += 1
-                continue
             _best, (nidx, lam2, chosen) = self._decide(owner, idx, lam)
             if chosen is not None:
                 out.append(j)
                 out.extend(x for x in chosen if lam.get(x) is None)
-                self._walk(j, 0, self._basic(lam2, j), out)
+                self._walk(j, 0, lam2, out)
             lam = lam2
             idx = nidx
 
@@ -410,13 +400,16 @@ def _check_set(lam: CapacityVector, s: IntervalSet) -> None:
 def is_valid_for(lam: CapacityVector, interval: Interval | int, s: IntervalSet, k: int) -> bool:
     """A vector is valid for an interval when the interval carries a numeric
     budget and at most k of its overlapping neighbors are committed
-    (numeric).  Undecided neighbors do not count."""
+    (numeric), each with a budget in {0..k} on both sides.  Undecided and
+    rejected neighbors do not count, and the interval's own budget is
+    never read (``dms`` starts from its neighbors' states only)."""
     _check_set(lam, s)
     i = s.id_of(interval)
     get = lam.states.get
     if get(i) in (UNDECIDED, UNLIMITED):
         return False
-    return sum(get(m) not in (UNDECIDED, UNLIMITED) for m in s.neighbors[i]) <= k
+    committed = [get(m) for m in s.neighbors[i] if get(m) not in (UNDECIDED, UNLIMITED)]
+    return len(committed) <= k and all(0 <= side <= k for st in committed for side in st)
 
 
 def legal_successors(
@@ -424,14 +417,16 @@ def legal_successors(
 ) -> list[LegalSuccessor]:
     """All legal commit steps for ``interval`` under ``lam``.
 
-    The interval must not be rejected already.  Enumeration order is
-    deterministic: neighbor subsets by size then lexicographic ids, budget
-    splits ascending.
+    The interval must be undecided, not rejected or committed already.
+    Enumeration order is deterministic: neighbor subsets by size then
+    lexicographic ids, budget splits ascending.
     """
     _check_set(lam, s)
     i = s.id_of(interval)
-    if lam.states.get(i) is UNLIMITED:
-        raise ValueError("cannot commit a rejected interval")
+    st = lam.states.get(i)
+    if st is not UNDECIDED:
+        state = "a rejected" if st is UNLIMITED else "an already committed"
+        raise ValueError(f"cannot commit {state} interval")
     return [
         LegalSuccessor(CapacityVector(s, MappingProxyType(state)), frozenset(chosen), delta)
         for state, delta, chosen in GeneralSolver(s, k)._successors(lam.states, i)

@@ -83,6 +83,20 @@ def test_legal_successor_rejected_interval_raises():
         legal_successors(lam, s.intervals[0], s, k=1)
 
 
+def test_legal_successor_committed_interval_raises():
+    """An interval already committed in the vector cannot be committed
+    again, with or without fresh neighbors left to join it."""
+    s = make_set([(1, 3), (2, 4)], [1, 1], 1)
+    lam = CapacityVector.initial(s).replace(0, (2, 2))
+    for vector in (lam, lam.replace(1, UNLIMITED)):
+        for k in (1, 2):
+            with pytest.raises(ValueError, match="already committed"):
+                legal_successors(vector, 0, s, k)
+    # the undecided neighbor still commits, stabbing 0 from the right
+    [step] = legal_successors(lam, 1, s, 2)
+    assert step.chosen_neighbors == {0} and step.vector.state_of(0) == (2, 1)
+
+
 def test_transition_weight_examples():
     s = make_set([(1, 3), (2, 4)], [5, 4], 1)
     lam = CapacityVector.initial(s)
@@ -125,6 +139,23 @@ def test_dms_k_rejects_invalid_vector():
     s = make_set([(1, 2), (3, 4)], [7, 3])
     with pytest.raises(ValueError):
         dms_k(s.intervals[0], CapacityVector.initial(s), s, k=2)
+
+
+def test_dms_k_rejects_a_neighbor_budget_outside_0_to_k():
+    """A committed neighbor's budget is a pair in {0..k}.  Interval 3
+    crosses 0 and both intervals nested in 0; with its budget at (5, 5)
+    and k=1 the window would select 1 and 2 next to it, and ``dms_k``
+    would report 21 for a set in which 3 overlaps three selected
+    intervals."""
+    s = make_set([(1, 7), (2, 6), (3, 5), (4, 8)], [1, 10, 10, 1], 0)
+    lam = CapacityVector.initial(s).replace(0, (0, 0))
+    for bad in ((5, 5), (2, 0), (0, -1)):
+        over = lam.replace(3, bad)
+        assert not is_valid_for(over, 0, s, 1)
+        with pytest.raises(ValueError, match="not valid"):
+            dms_k(0, over, s, 1)
+    assert dms_k(0, lam.replace(3, (1, 1)), s, 1) == 11  # one of 1, 2 stabs 3's left side
+    assert dms_k(0, lam.replace(3, (0, 1)), s, 1) == 1
 
 
 def test_interval_ids_outside_the_set_are_rejected():
@@ -449,7 +480,7 @@ class _FullKey(GeneralSolver):
             return 0
         key = (owner, idx, frozenset(lam.items()))
         if key not in self.f_memo:
-            self.f_memo[key] = self._options_best(owner, idx, lam)
+            self.f_memo[key] = self._decide(owner, idx, lam)[0]
         return self.f_memo[key]
 
 
@@ -490,7 +521,7 @@ def test_transition_weight_matches_every_successor_delta():
                 vectors = [CapacityVector.initial(s)] + _caller_vectors(s, k, i, rng, 3)
                 for lam in vectors:
                     for target in (i, *s.neighbors[i]):
-                        if lam.state_of(target) is UNLIMITED:
+                        if lam.state_of(target) is not UNDECIDED:
                             continue
                         for x in legal_successors(lam, target, s, k):
                             assert transition_weight(x.vector, lam, target, s) == x.weight_delta
@@ -550,7 +581,7 @@ def test_memo_key_covers_every_read_and_write():
                 keyed = _keyed(checker, owner, idx, lam)
                 j = checker.members[owner][idx]
                 rec = _ReadLog(lam)
-                checker._options_best(owner, idx, rec)
+                checker._decide(owner, idx, rec)[0]
                 assert j in rec.read
                 assert rec.read <= keyed, (trial, k, owner, idx, rec.read - keyed)
                 for lam2, _, _ in checker._successors(lam, j):
