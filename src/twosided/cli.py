@@ -25,7 +25,7 @@ from .bench import ExperimentConfig, mean_saved_pct, rows_to_csv, run_experiment
 from .graphio import GraphParseError, dump_intervals, parse_graph_file
 from .hardness import extract_dominating_set, reduce_mds_to_bdmwis
 from .oracle import OracleSizeError, brute_force_two_sided
-from .pipeline import solve_layout, verify_accounting
+from .pipeline import solve_layout
 from .render import layout_stats, render_layout
 from .solver_general import SolverBudgetError, solve_k
 from .transform import EdgeWeightMode, project_to_intervals
@@ -104,7 +104,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     instance = parse_graph_file(args.graph)
     mode = EdgeWeightMode(args.weight_mode)
     result = solve_layout(instance, args.k, mode, force_general=args.force_general)
-    verify_accounting(result)
     stats = layout_stats(instance, result.assignment)
     exterior = sorted(result.assignment.exterior)
     print(f"W = {result.solution.weight}")
@@ -174,12 +173,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         sizes, density=args.density, repetitions=args.reps, seed_base=args.seed_base
     )
     clock = (lambda: 0.0) if args.stable_times else None
-    failures: list[tuple[int, Exception]] = []
-    rows = run_experiment(
-        config, clock=clock, on_error=lambda seed, exc: failures.append((seed, exc))
-    )
-    for seed, exc in failures:
-        print(f"instance seed={seed} failed: {exc}", file=sys.stderr)
+    rows = run_experiment(config, clock=clock)
     csv_text = rows_to_csv(rows)
     if args.out:
         with open(args.out, "w", encoding="ascii", newline="\n") as fh:

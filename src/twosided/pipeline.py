@@ -5,7 +5,7 @@ accounting of the resulting two-sided drawing.  With pair weights 1
 (COUNT_SHIFTED) the selection weight equals the number of crossings removed
 from the interior; with pair weights 2 (IGNORE_SHIFTED) it equals the
 reduction in total crossings.  ``verify_accounting`` asserts those identities
-exactly and is run for every experiment row.
+exactly, and ``solve_layout`` runs it on every result before returning it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,11 @@ def solve_layout(
     mode: EdgeWeightMode = EdgeWeightMode.IGNORE_SHIFTED,
     force_general: bool = False,
 ) -> PipelineResult:
-    """Compute an optimal outer k-plane exterior edge set for the layout."""
+    """Compute an optimal outer k-plane exterior edge set for the layout.
+
+    Raises AssertionError when the result breaks the crossing accounting of
+    its weight mode (``verify_accounting``).
+    """
     projection = project_to_intervals(instance, mode)
     solution = solve_k(projection.interval_set, k, force_general=force_general)
     assignment = TwoSidedAssignment.from_exterior(instance, solution.chosen)
@@ -47,9 +51,11 @@ def solve_layout(
     one_sided = count_crossings(
         instance, TwoSidedAssignment.from_exterior(instance, ())
     )[0]
-    return PipelineResult(
+    result = PipelineResult(
         instance, mode, k, solution, assignment, one_sided, interior, exterior
     )
+    verify_accounting(result)
+    return result
 
 
 def verify_accounting(result: PipelineResult) -> None:

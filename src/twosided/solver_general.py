@@ -417,9 +417,11 @@ def legal_successors(
 ) -> list[LegalSuccessor]:
     """All legal commit steps for ``interval`` under ``lam``.
 
-    The interval must be undecided, not rejected or committed already.
-    Enumeration order is deterministic: neighbor subsets by size then
-    lexicographic ids, budget splits ascending.
+    The interval must be undecided, not rejected or committed already.  A
+    step is legal only if its vector is still k-overlap: every committed
+    interval overlaps at most k committed intervals (a caller's budgets may
+    allow more).  Enumeration order is deterministic: neighbor subsets by
+    size then lexicographic ids, budget splits ascending.
     """
     _check_set(lam, s)
     i = s.id_of(interval)
@@ -427,9 +429,15 @@ def legal_successors(
     if st is not UNDECIDED:
         state = "a rejected" if st is UNLIMITED else "an already committed"
         raise ValueError(f"cannot commit {state} interval")
+
+    def k_overlap(state: Mapping[int, object]) -> bool:
+        selected = {x for x, v in state.items() if v is not UNLIMITED}
+        return all(sum(m in selected for m in s.neighbors[x]) <= k for x in selected)
+
     return [
         LegalSuccessor(CapacityVector(s, MappingProxyType(state)), frozenset(chosen), delta)
         for state, delta, chosen in GeneralSolver(s, k)._successors(lam.states, i)
+        if k_overlap(state)
     ]
 
 

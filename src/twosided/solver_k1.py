@@ -21,22 +21,28 @@ ISAAC 2003): each region is a lookup into the sweep of its right end, and
 every entry a sweep consults ends further left and is already final.  A
 final sweep over the whole line assembles the optimum.
 
+Each interval owns one row of options, the choices a sweep can make at its
+start point: the interval alone first, then at k = 1 the interval with each
+of its forward partners, ascending by partner id; at k = 0 the row holds the
+single only.  Every option carries its own right end and its own value, a
+single's or a pair's, so one loop serves both k.
+
 A sweep walks the integer positions of a window (lo, hi) from right to left;
 at the start point of a window-contained interval it maximizes over skipping
-the interval, taking it alone, or taking it together with one partner from
-its forward overlap set.  Its value at position x, ``S_hi[x]``, depends on
-the right end ``hi`` only, never on ``lo``.  One method, ``_Engine.sweep``,
-is the only copy of that recurrence, and it records no choices: solution
-recovery walks the final sweep and the sweeps of the windows along the
-optimal decomposition and reads each decision off the sweep values -- at a
-position whose value differs from its right neighbour's, the first option in
-the sweep's tie order whose value equals it.  All arithmetic is exact
+the interval and taking one option of its row that ends inside the window.
+Its value at position x, ``S_hi[x]``, depends on the right end ``hi`` only,
+never on ``lo``.  One method, ``_Engine.sweep``, is the only copy of that
+recurrence, and it records no choices: solution recovery walks the final
+sweep and the sweeps of the windows along the optimal decomposition and reads
+each decision off the sweep values -- at a position whose value differs from
+its right neighbour's, the first option of the row whose value equals it,
+which is the option the sweep's strict ``>`` kept.  All arithmetic is exact
 integer arithmetic on plain lists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import Interval, IntervalSet, Solution
 
@@ -53,129 +59,122 @@ _NEG = -(1 << 60)  # sentinel for "not yet computed"
 
 
 class _Engine:
-    """Flat-list form of an IntervalSet plus the DP tables."""
+    """Flat-list form of an IntervalSet for one k <= 1, plus its option rows.
 
-    def __init__(self, s: IntervalSet):
-        self.s = s
+    Interval i's options are ``optr[i]:optr[i + 1]``: the single first
+    (``mate[o] = -1``), then at k = 1 one pair per forward partner
+    (``mate[o]`` = the partner), ascending by id.  ``end[o]`` is the right
+    end of the option's last interval, ``gain[o]`` the weight of its
+    intervals less its pair weight, and ``val[o]`` its dms1 value.
+    """
+
+    def __init__(self, s: IntervalSet, k: int):
         self.n = n = len(s)
         self.start_at = [-1] * (2 * n + 2)
         self.end_at = [-1] * (2 * n + 2)
         for i, iv in enumerate(s.intervals):
             self.start_at[iv.left] = i
             self.end_at[iv.right] = i
-        self.left = [iv.left for iv in s.intervals]
-        self.right = [iv.right for iv in s.intervals]
-        self.weight = [iv.weight for iv in s.intervals]
+        self.left = left = [iv.left for iv in s.intervals]
+        self.right = right = [iv.right for iv in s.intervals]
+        weight = [iv.weight for iv in s.intervals]
 
-        # The set's forward-overlap CSR, partners ascending by id; pair t
-        # joins owner[t] (the left one) with partner[t].
-        self.ptr = ptr = s.overlaps.ptr
-        self.partner = partner = s.overlaps.partner
-        self.owner = owner = [i for i in range(n) for _ in range(ptr[i], ptr[i + 1])]
-        pw = s.pair_weights
-        self.pair_w = [pw[(i, j) if i < j else (j, i)] for i, j in zip(owner, partner)]
-        # The same pairs indexed by their second member.
-        back: list[list[int]] = [[] for _ in range(n)]
-        for t, j in enumerate(partner):
-            back[j].append(t)
-        self.bptr, self.bpair = [0], []
-        for j in range(n):
-            self.bpair.extend(back[j])
-            self.bptr.append(len(self.bpair))
-
-        self.dms_single = [_NEG] * n
-        self.pair_val = [_NEG] * len(partner)
+        ptr, partner, pw = s.overlaps.ptr, s.overlaps.partner, s.pair_weights
+        self.optr = optr = [0]
+        self.mate, self.end, self.gain = mate, end, gain = [], [], []
+        # back[j]: (option, row owner) of every pair whose partner is j.
+        self.back = back = [[] for _ in range(n)]
+        for i in range(n):
+            mate.append(-1)
+            end.append(right[i])
+            gain.append(weight[i])
+            for j in (partner[ptr[i] : ptr[i + 1]] if k else ()):
+                back[j].append((len(mate), i))
+                mate.append(j)
+                end.append(right[j])
+                gain.append(weight[i] + weight[j] - pw[(i, j) if i < j else (j, i)])
+            optr.append(len(mate))
+        self.val = [_NEG] * len(mate)
         self.s_buf = [0] * (2 * n + 2)
 
-    def sweep(self, lo: int, hi: int, use_pairs: bool) -> int:
+    def sweep(self, lo: int, hi: int) -> int:
         """Evaluate one sweep over the open window (lo, hi); returns S[lo + 1].
 
         ``start_at[x]`` is the interval starting at position x (or -1).
         Fills ``s_buf[lo + 1 : hi + 1]``; values for positions outside the
         window are stale leftovers from earlier calls and are never read.
-        ``S[x]`` is the best of three options: copying ``S[x + 1]``, taking
-        the single starting at x, and taking it with one of its forward
-        partners.
+        ``S[x]`` is the best of copying ``S[x + 1]`` and taking one option of
+        the interval starting at x that ends inside the window; the strict
+        ``>`` keeps the first best in that order, copy then row order.  No
+        option of a row ends before its single, hence the gate on it.
         """
-        start_at, right, dms_single = self.start_at, self.right, self.dms_single
-        ptr, partner, pair_val, s_buf = self.ptr, self.partner, self.pair_val, self.s_buf
+        start_at, right, optr, end, val, s_buf = (
+            self.start_at, self.right, self.optr, self.end, self.val, self.s_buf
+        )
         s_buf[hi] = 0
         for x in range(hi - 1, lo, -1):
             best = s_buf[x + 1]
             a = start_at[x]
             if a >= 0 and right[a] < hi:
-                v = dms_single[a] + s_buf[right[a] + 1]
-                if v > best:
-                    best = v
-                if use_pairs:
-                    for t in range(ptr[a], ptr[a + 1]):
-                        f = right[partner[t]]
-                        if f < hi:
-                            v = pair_val[t] + s_buf[f + 1]
-                            if v > best:
-                                best = v
+                for o in range(optr[a], optr[a + 1]):
+                    f = end[o]
+                    if f < hi:
+                        v = val[o] + s_buf[f + 1]
+                        if v > best:
+                            best = v
             s_buf[x] = best
         return s_buf[lo + 1]
 
-    def fill_tables(self, use_pairs: bool) -> None:
-        """Fill ``dms_single`` (and ``pair_val`` when ``use_pairs``) in place.
+    def fill_tables(self) -> None:
+        """Fill ``val`` in place.
 
-        ``end_at[x]`` is the interval ending at position x (or -1).  Forward
-        pair t joins ``owner[t]`` = [c, d] with ``partner[t]`` = [e, f],
-        c < e < d < f; ``bpair[bptr[j]:bptr[j + 1]]`` lists the pairs whose
-        second member is j.
-
-        For each right end ``hi``, ascending, one sweep runs from ``hi`` down
-        to the smallest left end needed there, and every entry reads its
-        regions off it:
+        ``end_at[x]`` is the interval ending at position x (or -1).  A pair
+        option of interval [c, d] with its partner [e, f] has
+        c < e < d < f.  For each right end ``hi``, ascending, one sweep runs
+        from ``hi`` down to the smallest left end needed there, and every
+        entry reads its regions off it:
 
         * a single i with r_i = hi is ``S_hi[l_i + 1] + w_i``;
         * a pair stores ``S_e[c + 1]`` at hi = e and adds ``S_d[e + 1]`` at
-          hi = d, then finishes with ``S_f[d + 1]`` and the weights at hi = f.
+          hi = d, then finishes with ``S_f[d + 1]`` and its gain at hi = f.
 
-        A sweep at hi reads only entries that end before hi, which are final;
-        ``pair_val[t]`` holds a partial sum only while hi <= f, when no sweep
+        A sweep at hi reads only options that end before hi, which are final;
+        a pair's ``val`` holds a partial sum only while hi <= f, when no sweep
         reads it.
         """
         start_at, end_at, left, right = self.start_at, self.end_at, self.left, self.right
-        weight, ptr, partner, pair_w = self.weight, self.ptr, self.partner, self.pair_w
-        bptr, bpair, owner, sweep = self.bptr, self.bpair, self.owner, self.sweep
-        s_buf, dms_single, pair_val = self.s_buf, self.dms_single, self.pair_val
+        optr, mate, gain, back = self.optr, self.mate, self.gain, self.back
+        s_buf, val, sweep = self.s_buf, self.val, self.sweep
         for hi in range(1, len(start_at) - 1):
             i = end_at[hi]
-            j = start_at[hi]
             if i >= 0:
                 lo = left[i]
-            elif use_pairs and bptr[j] < bptr[j + 1]:
-                lo = hi
-                for u in range(bptr[j], bptr[j + 1]):
-                    c = left[owner[bpair[u]]]
-                    if c < lo:
-                        lo = c
             else:
-                continue
-            inner = sweep(lo, hi, use_pairs)
+                pairs = back[start_at[hi]]
+                if not pairs:
+                    continue
+                lo = hi
+                for _, a in pairs:
+                    if left[a] < lo:
+                        lo = left[a]
+            inner = sweep(lo, hi)
             if i < 0:
-                for u in range(bptr[j], bptr[j + 1]):
-                    t = bpair[u]
-                    pair_val[t] = s_buf[left[owner[t]] + 1]
+                for o, a in pairs:
+                    val[o] = s_buf[left[a] + 1]
                 continue
-            dms_single[i] = inner + weight[i]
-            if use_pairs:
-                for t in range(ptr[i], ptr[i + 1]):
-                    pair_val[t] += s_buf[left[partner[t]] + 1]
-                for u in range(bptr[i], bptr[i + 1]):
-                    t = bpair[u]
-                    a = owner[t]
-                    pair_val[t] += s_buf[right[a] + 1] + weight[a] + weight[i] - pair_w[t]
+            o = optr[i]
+            val[o] = inner + gain[o]
+            for o in range(o + 1, optr[i + 1]):
+                val[o] += s_buf[left[mate[o]] + 1]
+            for o, a in back[i]:
+                val[o] += s_buf[right[a] + 1] + gain[o]
 
-    def solve(self, use_pairs: bool) -> tuple[int, list[int]]:
-        self.fill_tables(use_pairs)
-        best = self.sweep(0, 2 * self.n + 1, use_pairs)
-        chosen = self._backtrack(use_pairs)
-        return best, chosen
+    def solve(self) -> tuple[int, list[int]]:
+        self.fill_tables()
+        best = self.sweep(0, 2 * self.n + 1)
+        return best, self._backtrack()
 
-    def _backtrack(self, use_pairs: bool) -> list[int]:
+    def _backtrack(self) -> list[int]:
         """Ids of an optimal set, read off the sweeps of the windows along
         the optimal decomposition.  Expects ``s_buf`` to hold the sweep of
         the whole line, as ``solve`` leaves it."""
@@ -189,7 +188,7 @@ class _Engine:
                 if S[x] == S[x + 1]:
                     x += 1
                     continue
-                i, j = self._option_at(x, hi, use_pairs)
+                i, j = self._option_at(x, hi)
                 c, d = left[i], right[i]
                 chosen.append(i)
                 if j < 0:
@@ -205,52 +204,43 @@ class _Engine:
             if not windows:
                 return chosen
             lo, hi = windows.pop()
-            self.sweep(lo, hi, use_pairs)
+            self.sweep(lo, hi)
 
-    def _option_at(self, x: int, hi: int, use_pairs: bool) -> tuple[int, int]:
+    def _option_at(self, x: int, hi: int) -> tuple[int, int]:
         """The option the sweep of a window ending at ``hi`` took at ``x``
-        when it did not copy ``S[x + 1]``: ``(i, -1)`` for the single i,
-        ``(i, j)`` for the pair of i and its partner j.  Options are tried in
-        the sweep's tie order -- single, then pairs by ascending partner --
-        and the first whose value equals ``S[x]`` is the one the sweep's
-        strict ``>`` kept."""
+        when it did not copy ``S[x + 1]``, as ``(i, mate)``: ``(i, -1)`` for
+        the single i, ``(i, j)`` for the pair of i and its partner j.  The
+        row is scanned in the sweep's tie order, and the first option whose
+        value equals ``S[x]`` is the one the sweep's strict ``>`` kept."""
         S = self.s_buf
         i = self.start_at[x]
-        if i >= 0 and self.right[i] < hi:
-            if self.dms_single[i] + S[self.right[i] + 1] == S[x]:
-                return i, -1
-            if use_pairs:
-                for t in range(self.ptr[i], self.ptr[i + 1]):
-                    f = self.right[self.partner[t]]
-                    if f < hi and self.pair_val[t] + S[f + 1] == S[x]:
-                        return i, self.partner[t]
+        if i >= 0:
+            for o in range(self.optr[i], self.optr[i + 1]):
+                f = self.end[o]
+                if f < hi and self.val[o] + S[f + 1] == S[x]:
+                    return i, self.mate[o]
         raise AssertionError(f"no option at position {x} reaches the sweep value {S[x]}")
 
 
 @dataclass(frozen=True)
 class Dms1Table:
     """Finished subproblem values: ``single[i]`` per interval id, ``pair[(i,
-    j)]`` per forward overlapping pair.  ``engine`` is the engine that
-    filled them, which window lookups on the same interval set reuse."""
+    j)]`` per forward overlapping pair."""
 
     single: dict[int, int]
     pair: dict[tuple[int, int], int]
-    engine: _Engine | None = field(default=None, repr=False, compare=False)
 
 
 def compute_dms1(s: IntervalSet, include_pairs: bool = True) -> Dms1Table:
     """Fill both value families bottom-up for the whole instance."""
-    eng = _Engine(s)
-    eng.fill_tables(include_pairs)
-    single = dict(enumerate(eng.dms_single))
-    pair = dict(zip(zip(eng.owner, eng.partner), eng.pair_val)) if include_pairs else {}
-    return Dms1Table(single, pair, eng)
-
-
-def _engine_for(s: IntervalSet, table: Dms1Table) -> _Engine:
-    """The table's own engine when it was filled on ``s``, else a new one."""
-    eng = table.engine
-    return eng if eng is not None and eng.s is s else _Engine(s)
+    eng = _Engine(s, int(include_pairs))
+    eng.fill_tables()
+    single, pair = {}, {}
+    for i in range(eng.n):
+        single[i] = eng.val[eng.optr[i]]
+        for o in range(eng.optr[i] + 1, eng.optr[i + 1]):
+            pair[i, eng.mate[o]] = eng.val[o]
+    return Dms1Table(single, pair)
 
 
 def _window_value(eng: _Engine, table: Dms1Table, lo: int, hi: int) -> int:
@@ -266,14 +256,14 @@ def _window_value(eng: _Engine, table: Dms1Table, lo: int, hi: int) -> int:
             continue
         if a not in table.single:
             raise ValueError(f"table lacks the dms1 value of interval {a}")
-        eng.dms_single[a] = table.single[a]
-        for t in range(eng.ptr[a], eng.ptr[a + 1]):
-            b = eng.partner[t]
-            if eng.right[b] < hi:
+        eng.val[eng.optr[a]] = table.single[a]
+        for o in range(eng.optr[a] + 1, eng.optr[a + 1]):
+            b = eng.mate[o]
+            if eng.end[o] < hi:
                 if (a, b) not in table.pair:
                     raise ValueError(f"table lacks the dms1 value of pair {(a, b)}")
-                eng.pair_val[t] = table.pair[(a, b)]
-    return eng.sweep(lo, hi, use_pairs=True)
+                eng.val[o] = table.pair[(a, b)]
+    return eng.sweep(lo, hi)
 
 
 def dms1_single(interval: Interval | int, s: IntervalSet, table: Dms1Table) -> int:
@@ -283,8 +273,7 @@ def dms1_single(interval: Interval | int, s: IntervalSet, table: Dms1Table) -> i
     in the window; a missing one raises ValueError.
     """
     iv = s.intervals[s.id_of(interval)]
-    eng = _engine_for(s, table)
-    return _window_value(eng, table, iv.left, iv.right) + iv.weight
+    return _window_value(_Engine(s, 1), table, iv.left, iv.right) + iv.weight
 
 
 def dms1_pair(
@@ -299,10 +288,10 @@ def dms1_pair(
     """
     i = s.id_of(i_interval)
     j = s.id_of(j_interval)
-    eng = _engine_for(s, table)
-    pairs = range(eng.ptr[i], eng.ptr[i + 1])
-    t = next((t for t in pairs if eng.partner[t] == j), None)
-    if t is None:
+    eng = _Engine(s, 1)
+    pairs = range(eng.optr[i] + 1, eng.optr[i + 1])
+    o = next((o for o in pairs if eng.mate[o] == j), None)
+    if o is None:
         raise ValueError("second interval must overlap the first on its right side")
     iv, jv = s.intervals[i], s.intervals[j]
     c, d = iv.left, iv.right
@@ -312,11 +301,11 @@ def dms1_pair(
         + _window_value(eng, table, e, d)
         + _window_value(eng, table, d, f)
     )
-    return regions + iv.weight + jv.weight - eng.pair_w[t]
+    return regions + eng.gain[o]
 
 
 def _solve(s: IntervalSet, k: int) -> Solution:
-    weight, chosen = _Engine(s).solve(use_pairs=k == 1)
+    weight, chosen = _Engine(s, k).solve()
     return Solution.recovered(chosen, s, k, weight)
 
 

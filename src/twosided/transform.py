@@ -74,30 +74,19 @@ def project_to_intervals(
     n = instance.n_vertices
     edges = instance.edges
 
-    incident: dict[int, list[int]] = {v: [] for v in instance.vertices}
-    for eid, (u, v) in enumerate(edges):
-        incident[u].append(eid)
-        incident[v].append(eid)
-
-    # Assign one slot per edge endpoint, walking the circle in order
-    # direction.  Sorting by decreasing forward distance of the other
-    # endpoint makes chords sharing this vertex nest.
-    slot_of: dict[tuple[int, int], int] = {}
-    next_slot = 1
-    for v in instance.order:
-        def forward_distance(eid: int, _v: int = v) -> int:
-            a, b = edges[eid]
-            other = b if a == _v else a
-            return (pos[other] - pos[_v]) % n
-
-        for eid in sorted(incident[v], key=lambda e: (-forward_distance(e), e)):
-            slot_of[(v, eid)] = next_slot
-            next_slot += 1
-
-    intervals = []
-    for eid, (u, v) in enumerate(edges):
-        a, b = slot_of[(u, eid)], slot_of[(v, eid)]
-        intervals.append((min(a, b), max(a, b)))
+    # One slot per edge endpoint, walking the circle in order direction; at a
+    # vertex, decreasing forward distance of the other endpoint makes chords
+    # sharing it nest.  Slots come out ascending, so each edge's first slot
+    # is its left end.
+    keys = sorted(
+        (pos[v], -((pos[w] - pos[v]) % n), eid)
+        for eid, (a, b) in enumerate(edges)
+        for v, w in ((a, b), (b, a))
+    )
+    slots: list[list[int]] = [[] for _ in edges]
+    for slot, (_, _, eid) in enumerate(keys, 1):
+        slots[eid].append(slot)
+    intervals = [(l, r) for l, r in slots]
 
     overlaps = Overlaps.scan(intervals)
     _check_alternation(instance, overlaps)

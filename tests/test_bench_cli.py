@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -19,6 +20,7 @@ from twosided.bench import (
 from twosided.cli import main
 from twosided.graphio import format_graph
 from twosided.model import TwoSidedAssignment, count_crossings
+from twosided.transform import EdgeWeightMode
 from twosided.bench import _is_biconnected
 
 
@@ -251,6 +253,34 @@ def test_cli_memo_budget_is_exit_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(solver_general, "MAX_MEMO_STATES", 10**6)
     assert main(["solve", str(path), "--k", "3"]) == 0
     capsys.readouterr()
+
+
+def test_cli_bench_failure_is_exit_1(capsys):
+    """An instance that cannot be generated stops the run: no CSV and no
+    summary, exit code 1 and a one-line diagnostic."""
+    assert main(["bench", "--sizes", "4", "--density", "3"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: 12 edges do not fit in a simple graph on 4 vertices\n"
+    )
+
+
+def test_solve_layout_checks_its_accounting(monkeypatch):
+    """A solution whose weight breaks the crossing accounting of its mode is
+    rejected by solve_layout itself."""
+    from twosided import pipeline
+
+    solve_k = pipeline.solve_k
+
+    def off_by_one(s, k, **kwargs):
+        sol = solve_k(s, k, **kwargs)
+        return dataclasses.replace(sol, weight=sol.weight + 1)
+
+    monkeypatch.setattr(pipeline, "solve_k", off_by_one)
+    instance = generate_random_biconnected(8, 16, seed=3)
+    for mode in EdgeWeightMode:
+        with pytest.raises(AssertionError, match="accounting broken"):
+            pipeline.solve_layout(instance, 1, mode)
 
 
 def test_cli_argparse_error_is_exit_1(capsys):

@@ -97,6 +97,17 @@ def test_legal_successor_committed_interval_raises():
     assert step.chosen_neighbors == {0} and step.vector.state_of(0) == (2, 1)
 
 
+def test_legal_successors_keep_the_vector_k_overlap():
+    """A caller's budget may allow more overlaps than k; a step whose vector
+    would give a committed interval more than k committed neighbors is not
+    legal."""
+    s = make_set([(1, 7), (2, 6), (3, 5), (4, 8)], [1, 10, 10, 1], 0)
+    lam = CapacityVector.initial(s).replace(3, (5, 5))
+    [step] = legal_successors(lam, 0, s, 1)
+    assert step.chosen_neighbors == {3} and step.vector.state_of(3) == (4, 5)
+    assert legal_successors(step.vector, 1, s, 1) == []
+
+
 def test_transition_weight_examples():
     s = make_set([(1, 3), (2, 4)], [5, 4], 1)
     lam = CapacityVector.initial(s)

@@ -116,24 +116,15 @@ def test_dms1_lookups_take_int_ids():
                 assert dms1_pair(i, jv, s, table) == dms1_pair(iv, j, s, table)
 
 
-def test_dms1_lookups_reuse_the_filling_engine(monkeypatch):
-    """Window lookups on a table from compute_dms1 build no further engine
-    and return the table's own values; a hand-built table gets a new engine,
-    and a missing entry still raises ValueError."""
+def test_dms1_lookups_match_the_filled_table():
+    """Window lookups on a table from compute_dms1 return the table's own
+    values, also on a hand-built copy of the table, and a missing entry
+    still raises ValueError."""
     from twosided.bench import generate_random_biconnected
     from twosided.transform import project_to_intervals
 
     s = project_to_intervals(generate_random_biconnected(60, 156, seed=424242)).interval_set
-    built = []
-    init = _Engine.__init__
-
-    def counted(self, s):
-        built.append(s)
-        init(self, s)
-
-    monkeypatch.setattr(_Engine, "__init__", counted)
     table = compute_dms1(s)
-    assert len(built) == 1
     assert [dms1_single(iv, s, table) for iv in s.intervals] == [
         table.single[i] for i in range(len(s))
     ]
@@ -141,16 +132,14 @@ def test_dms1_lookups_reuse_the_filling_engine(monkeypatch):
     assert [dms1_pair(s.intervals[i], s.intervals[j], s, table) for i, j in some_pairs] == [
         table.pair[p] for p in some_pairs
     ]
-    assert len(built) == 1
     i, j = some_pairs[0]
     assert dms1_pair(s.intervals[i], s.intervals[j], s, Dms1Table(table.single, table.pair)) == (
         table.pair[(i, j)]
     )
-    assert len(built) == 2
     nested = s.overlaps.nested(i)
     assert nested
     single = {a: v for a, v in table.single.items() if a != nested[0]}
-    partial = Dms1Table(single, table.pair, table.engine)
+    partial = Dms1Table(single, table.pair)
     with pytest.raises(ValueError, match=f"interval {nested[0]}"):
         dms1_single(s.intervals[i], s, partial)
 
@@ -158,20 +147,19 @@ def test_dms1_lookups_reuse_the_filling_engine(monkeypatch):
 # -- the shared-sweep table fill ---------------------------------------------
 
 
-def reference_sweep(s, eng, lo, hi, use_pairs):
+def reference_sweep(s, eng, lo, hi):
     """S[lo + 1] of the open window (lo, hi) on the engine's finished
-    tables, by the sweep recurrence written over the interval set."""
+    option values, by the sweep recurrence written over the interval set."""
     start = {iv.left: i for i, iv in enumerate(s.intervals)}
-    pairs = list(zip(eng.owner, eng.partner, eng.pair_val))
     S = {hi: 0}
     for x in range(hi - 1, lo, -1):
         S[x] = S[x + 1]
         i = start.get(x)
         if i is not None and s.intervals[i].right < hi:
-            S[x] = max(S[x], eng.dms_single[i] + S[s.intervals[i].right + 1])
-            for a, b, v in pairs if use_pairs else ():
-                if a == i and s.intervals[b].right < hi:
-                    S[x] = max(S[x], v + S[s.intervals[b].right + 1])
+            for o in range(eng.optr[i], eng.optr[i + 1]):
+                last = s.intervals[i if eng.mate[o] < 0 else eng.mate[o]]
+                if last.right < hi:
+                    S[x] = max(S[x], eng.val[o] + S[last.right + 1])
     return S[lo + 1]
 
 
@@ -184,34 +172,35 @@ def test_fill_matches_window_by_window_sweeps():
     for trial in range(300):
         rng = random.Random(5000 + trial)
         s = random_interval_set(rng.randint(1, 16), rng)
-        for use_pairs in (False, True):
-            eng = _Engine(s)
-            eng.fill_tables(use_pairs)
+        for k in (0, 1):
+            eng = _Engine(s, k)
+            eng.fill_tables()
 
             def sweep(lo, hi):
-                return reference_sweep(s, eng, lo, hi, use_pairs)
+                return reference_sweep(s, eng, lo, hi)
 
             for i, iv in enumerate(s.intervals):
-                assert eng.dms_single[i] == sweep(iv.left, iv.right) + iv.weight, (trial, i)
+                assert eng.val[eng.optr[i]] == sweep(iv.left, iv.right) + iv.weight, (trial, i)
                 checked += 1
-            if not use_pairs:
-                continue
-            for t, (i, j) in enumerate(zip(eng.owner, eng.partner)):
-                a, b = s.intervals[i], s.intervals[j]
-                assert a.left < b.left < a.right < b.right
-                want = (
-                    sweep(a.left, b.left) + sweep(b.left, a.right) + sweep(a.right, b.right)
-                    + a.weight + b.weight - s.pair_weight(i, j)
-                )
-                assert eng.pair_val[t] == want, (trial, i, j)
-                checked += 1
+                partners = [eng.mate[o] for o in range(eng.optr[i] + 1, eng.optr[i + 1])]
+                assert partners == (list(s.overlaps.forward(i)) if k else []), (trial, i)
+                for o in range(eng.optr[i] + 1, eng.optr[i + 1]):
+                    j = eng.mate[o]
+                    a, b = iv, s.intervals[j]
+                    assert a.left < b.left < a.right < b.right
+                    want = (
+                        sweep(a.left, b.left) + sweep(b.left, a.right) + sweep(a.right, b.right)
+                        + a.weight + b.weight - s.pair_weight(i, j)
+                    )
+                    assert eng.val[o] == want, (trial, i, j)
+                    checked += 1
     assert checked > 3000
 
 
 def test_recovery_mismatch_raises(monkeypatch):
     s = make_set([(1, 3), (2, 4), (5, 6)], [2, 2, 4], 1)
     assert solve_k1(s).weight == 7
-    monkeypatch.setattr(_Engine, "_backtrack", lambda self, use_pairs: [2])
+    monkeypatch.setattr(_Engine, "_backtrack", lambda self: [2])
     for solver in (solve_k0, solve_k1):
         with pytest.raises(AssertionError, match="recovered solution weighs 4"):
             solver(s)
@@ -258,18 +247,18 @@ if not sys.flags.optimize:
 s = IntervalSet.build([(1, 3), (2, 4), (5, 6)], [2, 2, 4], 1)
 
 backtrack = _Engine._backtrack
-_Engine._backtrack = lambda self, use_pairs: [2]
+_Engine._backtrack = lambda self: [2]
 raises("recovered solution weighs 4, the DP value is 7", lambda: solve_k1(s))
 triangle = IntervalSet.build([(1, 4), (2, 5), (3, 6)], [1, 0, 0], 0)
-_Engine._backtrack = lambda self, use_pairs: [0, 1, 2]
+_Engine._backtrack = lambda self: [0, 1, 2]
 raises("recovered solution is not 1-overlap", lambda: solve_k1(triangle))
 _Engine._backtrack = backtrack
 
-eng = _Engine(s)
-eng.fill_tables(True)
-eng.sweep(0, 2 * len(s) + 1, True)
+eng = _Engine(s, 1)
+eng.fill_tables()
+eng.sweep(0, 2 * len(s) + 1)
 eng.s_buf[1] += 1
-raises("no option at position 1", lambda: eng._backtrack(True))
+raises("no option at position 1", lambda: eng._backtrack())
 
 walk = GeneralSolver._walk
 
