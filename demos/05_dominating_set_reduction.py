@@ -2,9 +2,13 @@
 
 Attaching leaves until every original vertex has degree k+1 (k = the
 maximum degree) turns minimum dominating set on a circle graph into the
-bounded-overlap selection problem: an optimal selection misses exactly a
-minimum dominating set.  The round trip is checked against the brute-force
-dominating-set oracle.
+bounded-overlap selection problem.  A selection maps back to the originals
+outside it plus the parent of every leaf outside it.  That set dominates:
+an original left out is selected with all of its leaves, and since at most
+k of its k+1 neighbours are selected, some original neighbour is in the set.
+It has at most as many members as the selection leaves out, so an optimal
+selection gives a minimum dominating set.  The round trip is checked against
+the brute-force dominating-set oracle.
 """
 
 import random

@@ -120,6 +120,12 @@ class ExperimentConfig:
     repetitions: int = 1
     seed_base: int = 0
 
+    def __post_init__(self) -> None:
+        if not self.cases:
+            raise ValueError("the experiment has no (n, m) cases")
+        if self.repetitions < 1:
+            raise ValueError(f"repetitions must be at least 1, got {self.repetitions}")
+
     @classmethod
     def density_sweep(
         cls,

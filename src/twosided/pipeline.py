@@ -66,14 +66,10 @@ def verify_accounting(result: PipelineResult) -> None:
     """
     w = result.solution.weight
     if result.mode is EdgeWeightMode.COUNT_SHIFTED:
-        if result.interior != result.crossings_one_sided - w:
-            raise AssertionError(
-                f"interior accounting broken: {result.interior} != "
-                f"{result.crossings_one_sided} - {w}"
-            )
+        name, counted = "interior", result.interior
     else:
-        if result.total != result.crossings_one_sided - w:
-            raise AssertionError(
-                f"total accounting broken: {result.total} != "
-                f"{result.crossings_one_sided} - {w}"
-            )
+        name, counted = "total", result.total
+    if counted != result.crossings_one_sided - w:
+        raise AssertionError(
+            f"{name} accounting broken: {counted} != {result.crossings_one_sided} - {w}"
+        )

@@ -265,6 +265,34 @@ def test_cli_bench_failure_is_exit_1(capsys):
     )
 
 
+def test_cli_bench_refuses_an_empty_experiment(capsys):
+    """No repetitions or no sizes is an error, not a header-only CSV."""
+    for args, message in (
+        (["--sizes", "8", "--reps", "0"], "repetitions must be at least 1, got 0"),
+        (["--sizes", ""], "the experiment has no (n, m) cases"),
+    ):
+        assert main(["bench", *args]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    with pytest.raises(ValueError):
+        ExperimentConfig(cases=((8, 14),), repetitions=-1)
+
+
+def test_cli_bench_summary_counts_non_trivial_rows(capsys):
+    """The stderr means name how many non-trivial rows they cover, and say
+    there are none instead of reporting 100%."""
+    args = ["bench", "--density", "1", "--seed-base", "1", "--stable-times"]
+    assert main(args + ["--sizes", "4"]) == 0  # seed 2 is crossing-free
+    assert capsys.readouterr().err == (
+        "mean saved crossings over the non-trivial rows (0 of 1): "
+        "none, every instance is crossing-free\n"
+    )
+    assert main(args + ["--sizes", "4,8"]) == 0
+    assert capsys.readouterr().err == (
+        "mean saved crossings over the non-trivial rows (1 of 2): "
+        "k=0: 87.50%  k=1: 87.50%\n"
+    )
+
+
 def test_solve_layout_checks_its_accounting(monkeypatch):
     """A solution whose weight breaks the crossing accounting of its mode is
     rejected by solve_layout itself."""

@@ -1,7 +1,9 @@
 import re
 
 import pytest
+from hypothesis import given, settings
 
+from test_overlaps import layouts
 from twosided.graphio import (
     GraphParseError,
     dump_intervals,
@@ -28,6 +30,13 @@ def test_parse_graph_round_trip():
     inst = parse_graph("4 3\n1 2\n3 4\n1 4\norder: 4 3 2 1\n")
     assert parse_graph(format_graph(inst)).edges == inst.edges
     assert parse_graph(format_graph(inst)).order == inst.order
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(layouts())
+def test_format_graph_round_trips_any_layout(inst):
+    back = parse_graph(format_graph(inst))
+    assert (back.vertices, back.edges, back.order) == (inst.vertices, inst.edges, inst.order)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_set
 from twosided.bench import random_interval_set
@@ -95,3 +97,41 @@ def test_round_trip_optimality(rng):
         for v in range(n):
             assert v in dom or (adj[v] & dom)
         assert len(dom) == len(want), (trial, sorted(dom), sorted(want))
+
+
+@st.composite
+def reduced_with_selection(draw):
+    """A reduced instance of a circle graph with maximum degree <= 3, and a
+    k-feasible selection on it: a drawn prefix of a drawn order of the
+    intervals, each taken when it keeps every selected interval's overlap
+    degree <= k."""
+    n = draw(st.integers(0, 8))
+    pts = draw(st.permutations(range(1, 2 * n + 1)))
+    g = make_set([tuple(sorted(pts[2 * i : 2 * i + 2])) for i in range(n)])
+    assume(g.max_degree <= 3)
+    red = reduce_mds_to_bdmwis(g)
+    s = red.intervals
+    chosen: set[int] = set()
+    order = draw(st.permutations(range(len(s))))
+    for u in order[: draw(st.integers(0, len(s)))]:
+        trial = chosen | {u}
+        if all(sum(w in trial for w in s.neighbors[v]) <= red.k for v in trial):
+            chosen = trial
+    return g, red, chosen
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(reduced_with_selection(), st.data())
+def test_extract_dominating_set_from_any_feasible_selection(case, data):
+    g, red, chosen = case
+    s = red.intervals
+    dom = extract_dominating_set(Solution.from_chosen(chosen, s, red.k), red)
+    for v in range(len(g)):
+        assert v in dom or set(g.neighbors[v]) & dom
+    assert len(dom) <= len(s) - len(chosen)
+    if len(g):
+        # An original and its k+1 neighbours overlap it k+1 times.
+        v = data.draw(st.sampled_from(range(len(g))))
+        overfull = chosen | {v} | set(s.neighbors[v])
+        with pytest.raises(ValueError):
+            extract_dominating_set(Solution.from_chosen(overfull, s, red.k), red)

@@ -1,15 +1,19 @@
-"""Both dynamic programs' outputs, pinned as sha256 digests.
+"""Both dynamic programs' outputs and the dominating-set reduction's
+instances, pinned as sha256 digests.
 
 A refactor of either DP that keeps every optimum, every recovered set and
 every table entry keeps these digests; any change in tie-breaking or in a
-value changes them.  The memo size of the general-k solver is left out on
-purpose: an exact reduction of its state space may lower it.
+value changes them.  A rewrite of ``reduce_mds_to_bdmwis`` that lays out the
+same spans and leaves keeps the reduction's digest.  The memo size of the
+general-k solver is left out on purpose: an exact reduction of its state
+space may lower it.
 """
 
 import hashlib
 import random
 
 from twosided.bench import random_interval_set
+from twosided.hardness import reduce_mds_to_bdmwis
 from twosided.solver_general import GeneralSolver
 from twosided.solver_k1 import compute_dms1, solve_k0, solve_k1
 
@@ -39,6 +43,16 @@ def _general_records():
             yield seed, k, sol.weight, sorted(sol.chosen)
 
 
+def _reduction_records():
+    for seed in range(400):
+        g = random_interval_set(random.Random(seed).randint(0, 12), seed)
+        red = reduce_mds_to_bdmwis(g)
+        s = red.intervals
+        yield seed, red.k, red.n_original, sorted(red.leaf_parent.items())
+        yield [(iv.left, iv.right) for iv in s], [iv.weight for iv in s]
+        yield sorted(s.pair_weights.items())
+
+
 def test_k01_dp_outputs_are_pinned():
     """``compute_dms1`` tables and the ``solve_k0``/``solve_k1`` weights,
     chosen sets and overlapping pairs on 600 random interval sets."""
@@ -52,4 +66,12 @@ def test_general_k_dp_outputs_are_pinned():
     300 random interval sets."""
     assert _digest(_general_records()) == (
         "e08c02454205f06ba237e487b50d30c9f67e3b0fa0836096de9e7b718faea972"
+    )
+
+
+def test_mds_reduction_instances_are_pinned():
+    """``reduce_mds_to_bdmwis`` degree bound, leaf parents, spans, weights and
+    pair weights on 400 random circle graphs with 0 to 12 vertices."""
+    assert _digest(_reduction_records()) == (
+        "d56c263d4a1773c4d3c7d89b3de4a4a405d89313695152887c0f5d73075fb540"
     )
