@@ -58,11 +58,6 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("--svg", metavar="PATH", help="write the drawing here")
     p_solve.add_argument("--json", metavar="PATH", help="write the solution here")
     p_solve.add_argument("--labels", action="store_true", help="label vertices in the SVG")
-    p_solve.add_argument(
-        "--force-general",
-        action="store_true",
-        help="use the general-k dynamic program even for k <= 1",
-    )
 
     p_oracle = sub.add_parser("oracle", help="brute-force reference (small instances)")
     p_oracle.add_argument("graph")
@@ -103,7 +98,7 @@ def _parse_sizes(text: str) -> list[int]:
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = parse_graph_file(args.graph)
     mode = EdgeWeightMode(args.weight_mode)
-    result = solve_layout(instance, args.k, mode, force_general=args.force_general)
+    result = solve_layout(instance, args.k, mode)
     stats = layout_stats(instance, result.assignment)
     exterior = sorted(result.assignment.exterior)
     print(f"W = {result.solution.weight}")

@@ -33,42 +33,26 @@ Values dms^k(I, lambda) -- the best completion of I's window under basic
 capacities lambda -- are computed member by member in left-endpoint order.
 The value from member index idx on depends on lambda only through the states
 that its remaining members R = members[idx:] can read or write, so the memo
-key is (owner, idx, states at those positions), in a fixed order built once
-per (owner, idx):
+key is (owner, idx, states of R and of N(R), its overlapping neighbors), in
+ascending id order, built once per (owner, idx).
 
-* every interval of R and of N(R), its overlapping neighbors;
-* for each interval y of N(R) - R that is still undecided, every neighbor
-  of y.
+A window is entered only with all of its owner's neighbors decided:
+committing j decides N(j), and ``dms`` requires it of the caller's vector.
+So every undecided interval of N(R) is in R: it crosses a member but not the
+owner, so it is a member itself, and not one left of the left endpoint of
+member idx, as each of those was decided, or is nested in a committed member
+and ends before any interval of R starts.
 
-One decision step for a member j reads and writes nothing else: j's own
-state, the forced or fresh state of each neighbor in N(j) and the budgets of
-the committed ones, and, for each fresh joiner x, the committed neighbors of
-x (x's budget, the stab counts and the pair charges).  A fresh joiner is an
-undecided interval of N(R); if it lies in R its neighbors are already in
-N(R), otherwise the second item holds them.  Later steps stay inside the
-same positions (a later member's neighbors are in N(R), and an interval
-undecided then is undecided now).  j's own window takes the successor state
-as it is: it reads and writes only positions nested in j or in N(j), as every
-member of the window and every neighbor of one lies there, and every fresh
-joiner is nested in j (all of N(j) is decided once j commits).  On those
-positions the successor state equals its restriction to N(j), because no
-interval nested in j is decided yet (an earlier member crossing one would
-cross j).  The value is therefore a function of the keyed states, and the
-key is exact for every vector.
-
-On the vectors a solve reaches, the second item is always empty, because no
-undecided interval straddles the left endpoint pos of member idx.  Every
-member left of pos was decided, or is nested in a committed member and ends
-before pos (the members crossing that member were decided with it), and
-every neighbor of the owner was decided when the owner was committed.  So
-every undecided interval of N(R) lies in R, and committed intervals ending
-before pos are never read.  ``GeneralSolver.dms`` (and ``dms_k``, which
-calls it on a fresh solver) takes the caller's vector, which may leave
-neighbors of the interval undecided.  Such a neighbor straddles
-members of the window, may join when one of them commits, and then charges
-its own neighbors, some of which end before pos.  The second item keys
-exactly those states, so values memoized for one caller vector are exact
-for every other vector given to the same solver.
+One decision step for a member j therefore reads and writes nothing else:
+j's own state, the forced or fresh state of each neighbor in N(j) and the
+budgets of the committed ones, and, for each fresh joiner x, which lies in
+R, the committed neighbors of x (x's budget, the stab counts and the pair
+charges).  Later steps stay inside the same positions.  j's own window takes
+the successor state as it is: it reads and writes only positions nested in j
+or in N(j), and on those the successor state equals its restriction to
+N(j), because no interval nested in j is decided yet (an earlier member
+crossing one would cross j).  The value is therefore a function of the keyed
+states, and the key is exact for every vector that meets the invariant.
 
 The memo is bounded: a solve that would store more than ``MAX_MEMO_STATES``
 values raises ``SolverBudgetError``.  Solution recovery replays the
@@ -208,16 +192,11 @@ class GeneralSolver:
 
     # -- state helpers ------------------------------------------------------
 
-    def _key_positions(self, owner: int, idx: int) -> tuple:
+    def _key_positions(self, owner: int, idx: int) -> tuple[int, ...]:
         """The positions keying the window value of (owner, idx): the ids
-        of R and N(R) in ascending order, with R = members[idx:], and for each
-        y of N(R) - R its index in that tuple and its neighbors, read only
-        while y is undecided (see the module docstring)."""
+        of R and N(R) in ascending order, with R = members[idx:]."""
         rest = self.members[owner][idx:]
-        inside = set(rest)
-        ids = tuple(sorted(inside.union(*(self.nb[r] for r in rest))))
-        outer = tuple((at, self.nb[y]) for at, y in enumerate(ids) if y not in inside)
-        return ids, outer
+        return tuple(sorted(set(rest).union(*(self.nb[r] for r in rest))))
 
     def _successors(
         self, lam: Mapping[int, object], j: int
@@ -292,16 +271,10 @@ class GeneralSolver:
         if idx >= len(members):
             return 0
         where = (owner, idx)
-        positions = self.key_positions.get(where)
-        if positions is None:
-            positions = self.key_positions[where] = self._key_positions(owner, idx)
-        ids, outer = positions
-        get = lam.get
-        states = tuple(map(get, ids))
-        for at, around in outer:
-            if states[at] is None:
-                states += tuple(map(get, around))
-        key = (owner, idx, states)
+        ids = self.key_positions.get(where)
+        if ids is None:
+            ids = self.key_positions[where] = self._key_positions(owner, idx)
+        key = (owner, idx, tuple(map(lam.get, ids)))
         hit = self.f_memo.get(key)
         if hit is not None:
             return hit
@@ -360,8 +333,13 @@ class GeneralSolver:
         """dms^k of one interval under basic capacities ``lam`` (the
         ``CapacityVector.states`` encoding, read on the interval's
         overlapping neighbors only): its weight plus the best selection
-        among its nested set."""
-        basic = {m: lam[m] for m in self.nb[interval_id] if m in lam}
+        among its nested set.  Every neighbor must be decided, as committing
+        the interval decides them; the memo relies on it, so an undecided
+        neighbor raises ValueError."""
+        nb = self.nb[interval_id]
+        if any(lam.get(m) is UNDECIDED for m in nb):
+            raise ValueError("the capacity vector leaves a neighbor of the interval undecided")
+        basic = {m: lam[m] for m in nb}
         with self._deep_recursion():
             value = self._window_value(interval_id, 0, basic)
         return self.weight[interval_id] + value
@@ -399,16 +377,17 @@ def _check_set(lam: CapacityVector, s: IntervalSet) -> None:
 
 def is_valid_for(lam: CapacityVector, interval: Interval | int, s: IntervalSet, k: int) -> bool:
     """A vector is valid for an interval when the interval carries a numeric
-    budget and at most k of its overlapping neighbors are committed
-    (numeric), each with a budget in {0..k} on both sides.  Undecided and
-    rejected neighbors do not count, and the interval's own budget is
-    never read (``dms`` starts from its neighbors' states only)."""
+    budget and every overlapping neighbor is decided, as committing the
+    interval decides them: rejected, or committed (numeric) with a budget in
+    {0..k} on both sides, at most k of them committed.  The interval's own
+    budget is never read (``dms`` starts from its neighbors' states only)."""
     _check_set(lam, s)
     i = s.id_of(interval)
     get = lam.states.get
-    if get(i) in (UNDECIDED, UNLIMITED):
+    around = [get(m) for m in s.neighbors[i]]
+    if get(i) in (UNDECIDED, UNLIMITED) or UNDECIDED in around:
         return False
-    committed = [get(m) for m in s.neighbors[i] if get(m) not in (UNDECIDED, UNLIMITED)]
+    committed = [st for st in around if st is not UNLIMITED]
     return len(committed) <= k and all(0 <= side <= k for st in committed for side in st)
 
 
@@ -465,7 +444,8 @@ def transition_weight(
 def dms_k(interval: Interval | int, lam: CapacityVector, s: IntervalSet, k: int) -> int:
     """Best k-overlap-set weight on the interval's window, the interval
     included, under pre-set capacities.  Rejects vectors not valid for the
-    interval.  Calls on one solver's :meth:`GeneralSolver.dms` share its
+    interval, among them one that leaves a neighbor of the interval
+    undecided.  Calls on one solver's :meth:`GeneralSolver.dms` share its
     memo table instead."""
     i = s.id_of(interval)
     if not is_valid_for(lam, i, s, k):
