@@ -165,8 +165,8 @@ def run_experiment(
     byte-stable timing columns.
     """
     tick = clock if clock is not None else time.perf_counter
-    # One untimed tiny solve, so that first-call costs (lazy imports, kernel
-    # compilation) stay out of the first row's timings.
+    # One untimed tiny solve, so that first-call costs (lazy imports, cold
+    # interpreter caches) stay out of the first row's timings.
     solve_layout(generate_random_biconnected(6, 9, seed=0), 1, EdgeWeightMode.COUNT_SHIFTED)
     rows: list[dict] = []
     seed = config.seed_base

@@ -89,8 +89,7 @@ def extract_dominating_set(solution: Solution, reduced: ReducedInstance) -> froz
     Raises ValueError when the selection is not k-feasible.
     """
     chosen = solution.chosen
-    neighbors = reduced.intervals.neighbors
-    if any(sum(w in chosen for w in neighbors[v]) > reduced.k for v in chosen):
+    if Solution.from_chosen(chosen, reduced.intervals, reduced.k).max_overlap_degree() > reduced.k:
         raise ValueError("solution is infeasible for the reduced instance")
     return frozenset(v for v in range(reduced.n_original) if v not in chosen) | {
         p for u, p in reduced.leaf_parent.items() if u not in chosen

@@ -353,22 +353,23 @@ class IntervalSet:
 
     The 2n endpoints are exactly {1, ..., 2n}; ``pair_weights`` carries one
     entry per properly overlapping pair (keyed by the interval indices in
-    ``intervals``, smaller index first).  Interval ids are positions in
-    ``intervals``.  ``overlaps`` is the set's overlap relation: scanned on
-    construction, or passed in when the caller already scanned these spans.
+    ``intervals``, smaller index first), or is one integer applied to every
+    overlapping pair; after construction it is always a mapping.  Interval
+    ids are positions in ``intervals``.  ``overlaps`` is the set's overlap
+    relation, scanned from its own intervals on construction.
     """
 
     intervals: tuple[Interval, ...]
-    pair_weights: Mapping[Pair, int] = field(default_factory=dict)
-    overlaps: Overlaps | None = field(default=None, repr=False)
+    pair_weights: Mapping[Pair, int] | int = field(default_factory=dict)
+    overlaps: Overlaps = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        spans = tuple((i.left, i.right) for i in self.intervals)
-        if self.overlaps is None:
-            object.__setattr__(self, "overlaps", Overlaps.scan(spans))
-        elif self.overlaps.spans != spans:
-            raise ValueError("the overlap structure was scanned from other spans")
-        expected = set(self.overlaps.pairs)
+        overlaps = Overlaps.scan((i.left, i.right) for i in self.intervals)
+        object.__setattr__(self, "overlaps", overlaps)
+        if isinstance(self.pair_weights, int):
+            uniform = dict.fromkeys(overlaps.pairs, self.pair_weights)
+            object.__setattr__(self, "pair_weights", uniform)
+        expected = set(overlaps.pairs)
         got = set(self.pair_weights)
         if got != expected:
             raise ValueError(
@@ -386,17 +387,13 @@ class IntervalSet:
         weights: Sequence[int] | None = None,
         pair_weights: Mapping[Pair, int] | int = 0,
     ) -> "IntervalSet":
-        """Convenience constructor from raw (left, right) spans.
-
-        ``pair_weights`` may be a full mapping or a single integer applied to
-        every overlapping pair.
-        """
+        """Convenience constructor from raw (left, right) spans; the keys of
+        a ``pair_weights`` mapping may list either id first."""
         ws = list(weights) if weights is not None else [0] * len(spans)
         ivs = tuple(Interval(l, r, w) for (l, r), w in zip(spans, ws))
-        if isinstance(pair_weights, int):
-            overlaps = Overlaps.scan((iv.left, iv.right) for iv in ivs)
-            return cls(ivs, dict.fromkeys(overlaps.pairs, pair_weights), overlaps)
-        return cls(ivs, {canonical_edge(*k): v for k, v in pair_weights.items()})
+        if not isinstance(pair_weights, int):
+            pair_weights = {canonical_edge(*k): v for k, v in pair_weights.items()}
+        return cls(ivs, pair_weights)
 
     def __len__(self) -> int:
         return len(self.intervals)

@@ -329,20 +329,21 @@ class GeneralSolver:
         finally:
             sys.setrecursionlimit(old_limit)
 
-    def dms(self, interval_id: int, lam: Mapping[int, object]) -> int:
+    def dms(self, interval: Interval | int, lam: Mapping[int, object]) -> int:
         """dms^k of one interval under basic capacities ``lam`` (the
         ``CapacityVector.states`` encoding, read on the interval's
         overlapping neighbors only): its weight plus the best selection
         among its nested set.  Every neighbor must be decided, as committing
-        the interval decides them; the memo relies on it, so an undecided
-        neighbor raises ValueError."""
-        nb = self.nb[interval_id]
+        the interval decides them; the memo relies on it.  An undecided
+        neighbor or an interval not in the set raises ValueError."""
+        i = self.s.id_of(interval)
+        nb = self.nb[i]
         if any(lam.get(m) is UNDECIDED for m in nb):
             raise ValueError("the capacity vector leaves a neighbor of the interval undecided")
         basic = {m: lam[m] for m in nb}
         with self._deep_recursion():
-            value = self._window_value(interval_id, 0, basic)
-        return self.weight[interval_id] + value
+            value = self._window_value(i, 0, basic)
+        return self.weight[i] + value
 
     def solve(self) -> Solution:
         chosen: list[int] = []
@@ -391,6 +392,11 @@ def is_valid_for(lam: CapacityVector, interval: Interval | int, s: IntervalSet, 
     return len(committed) <= k and all(0 <= side <= k for st in committed for side in st)
 
 
+def _selected(states: Mapping[int, object]) -> list[int]:
+    """The ids a capacity state mapping selects: its committed intervals."""
+    return [x for x, st in states.items() if st is not UNLIMITED]
+
+
 def legal_successors(
     lam: CapacityVector, interval: Interval | int, s: IntervalSet, k: int
 ) -> list[LegalSuccessor]:
@@ -409,14 +415,10 @@ def legal_successors(
         state = "a rejected" if st is UNLIMITED else "an already committed"
         raise ValueError(f"cannot commit {state} interval")
 
-    def k_overlap(state: Mapping[int, object]) -> bool:
-        selected = {x for x, v in state.items() if v is not UNLIMITED}
-        return all(sum(m in selected for m in s.neighbors[x]) <= k for x in selected)
-
     return [
         LegalSuccessor(CapacityVector(s, MappingProxyType(state)), frozenset(chosen), delta)
         for state, delta, chosen in GeneralSolver(s, k)._successors(lam.states, i)
-        if k_overlap(state)
+        if Solution.from_chosen(_selected(state), s, k).max_overlap_degree() <= k
     ]
 
 
@@ -433,12 +435,9 @@ def transition_weight(
     _check_set(lam_prime, s)
     _check_set(lam, s)
     i = s.id_of(interval)
-
-    def selected(vector: CapacityVector) -> list[int]:
-        return [x for x, st in vector.states.items() if st is not UNLIMITED]
-
     owner = 0 if i in lam.states else s.intervals[i].weight
-    return solution_weight(selected(lam_prime), s) - solution_weight(selected(lam), s) - owner
+    before, after = _selected(lam.states), _selected(lam_prime.states)
+    return solution_weight(after, s) - solution_weight(before, s) - owner
 
 
 def dms_k(interval: Interval | int, lam: CapacityVector, s: IntervalSet, k: int) -> int:

@@ -3,9 +3,9 @@
 The layout's circle graph has one node per edge and a link for every
 crossing chord pair; the solvers run on its interval representation and never
 build the graph itself.  Routing an edge outside the circle removes as many
-interior crossings as its node degree, so interval weights are set to the
-degree; pair weights encode how a crossing that moves outside is accounted
-for (see :class:`EdgeWeightMode`).
+interior crossings as its node degree, which is its crossing count, so
+interval weights are set to that count; pair weights encode how a crossing
+that moves outside is accounted for (see :class:`EdgeWeightMode`).
 
 The interval projection cuts the circle between the last and the first vertex
 of the cyclic order and reads the chords off as intervals over the endpoint
@@ -13,9 +13,9 @@ ranks 1..2m.  Chords sharing a vertex are first separated into per-edge slots
 so that all endpoints are distinct; the slot order is chosen so that the
 shared-vertex chords nest instead of crossing, which keeps the intersection
 graph unchanged.  The projection is purely combinatorial; no geometry is
-involved.  One overlap scan (:class:`~twosided.model.Overlaps`) gives the
-degrees, the pair weights and the interval set's own overlap relation, and
-one independent check ties that relation to chord alternation.
+involved.  The interval set scans its own overlap relation, and one
+independent check ties it to chord alternation and, edge by edge, to the
+weights.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .model import Interval, IntervalSet, LayoutInstance, Overlaps
+from .model import IntervalSet, LayoutInstance, Overlaps
 
 
 class EdgeWeightMode(enum.Enum):
@@ -66,9 +66,9 @@ def project_to_intervals(
     slots, ordered so that the chord reaching farthest (in order direction)
     comes first; chords sharing the vertex then nest rather than cross.
 
-    Two intervals overlap iff the corresponding chords cross; every call
-    checks this against the chords (:func:`_check_alternation`) and raises
-    AssertionError when it fails.
+    Two intervals overlap iff the corresponding chords cross, and each weighs
+    its crossing count; every call checks both, the count edge by edge
+    (:func:`_check_alternation`), and raises AssertionError when one fails.
     """
     pos = instance.positions
     n = instance.n_vertices
@@ -86,24 +86,19 @@ def project_to_intervals(
     slots: list[list[int]] = [[] for _ in edges]
     for slot, (_, _, eid) in enumerate(keys, 1):
         slots[eid].append(slot)
-    intervals = [(l, r) for l, r in slots]
-
-    overlaps = Overlaps.scan(intervals)
-    _check_alternation(instance, overlaps)
-    ivs = tuple(
-        Interval(l, r, weight=len(overlaps.neighbors[eid])) for eid, (l, r) in enumerate(intervals)
-    )
-    pair_weights = dict.fromkeys(overlaps.pairs, mode.value)
-    return ProjectionResult(IntervalSet(ivs, pair_weights, overlaps))
+    s = IntervalSet.build(slots, instance.crossings_per_edge, mode.value)
+    _check_alternation(instance, s.overlaps)
+    return ProjectionResult(s)
 
 
 def _check_alternation(instance: LayoutInstance, overlaps: Overlaps) -> None:
     """Raise unless the overlapping pairs are exactly the crossing chords:
     every overlapping pair alternates as chords (the first pair that does
-    not, by owner and then row order of the forward rows, is named) and the
-    Fenwick count of crossing chord pairs is P.  That count is the layout's
-    cached :attr:`~twosided.model.LayoutInstance.crossings_per_edge`, so the
-    check and the one-sided crossing count are one pass."""
+    not, by owner and then row order of the forward rows, is named), the
+    Fenwick count of crossing chord pairs is P, and each edge's count is its
+    overlap degree (the first edge that differs is named).  The counts are
+    the layout's cached :attr:`~twosided.model.LayoutInstance.crossings_per_edge`,
+    one pass shared with the weights and the one-sided crossing count."""
     pos = instance.positions
     ends = [sorted((pos[u], pos[v])) for u, v in instance.edges]
     ptr, partner = overlaps.ptr, overlaps.partner
@@ -116,3 +111,6 @@ def _check_alternation(instance: LayoutInstance, overlaps: Overlaps) -> None:
     crossing = sum(instance.crossings_per_edge) // 2
     if crossing != len(partner):
         raise AssertionError(f"{len(partner)} overlapping pairs for {crossing} crossing chord pairs")
+    for e, (c, nb) in enumerate(zip(instance.crossings_per_edge, overlaps.neighbors)):
+        if c != len(nb):
+            raise AssertionError(f"edge {e} crosses {c} chords but overlaps {len(nb)} intervals")

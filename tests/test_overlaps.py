@@ -129,11 +129,13 @@ def test_interval_set_rejects_one_pair_missing_or_added(spans, data):
             IntervalSet(full.intervals, {**full.pair_weights, extra: 1})
 
 
-def test_interval_set_rejects_an_overlap_structure_of_other_spans():
-    a = IntervalSet.build([(1, 3), (2, 4)], pair_weights=1)
-    b = IntervalSet.build([(1, 4), (2, 3)])
-    with pytest.raises(ValueError, match="other spans"):
-        IntervalSet(b.intervals, {}, a.overlaps)
+def test_interval_set_scans_itself_and_spreads_an_int_pair_weight():
+    ivs = (Interval(1, 3), Interval(2, 5), Interval(4, 6))
+    s = IntervalSet(ivs, 2)
+    assert s.pair_weights == {(0, 1): 2, (1, 2): 2}
+    assert s.overlaps.pairs == [(0, 1), (1, 2)]
+    with pytest.raises(TypeError):
+        IntervalSet(ivs, 2, s.overlaps)
 
 
 def test_id_of_rejects_an_unknown_interval():

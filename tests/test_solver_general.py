@@ -207,6 +207,18 @@ def test_interval_ids_outside_the_set_are_rejected():
     assert dms_k(5, lam, s, 2) == 10
 
 
+def test_general_solver_dms_rejects_an_id_outside_the_set():
+    """-1 and len(s) both index the solver's dummy interval, whose window is
+    the whole instance; ``dms`` resolves the id through the set first, as
+    ``dms_k`` does, and takes an ``Interval`` too."""
+    s = make_set([(1, 2), (3, 4)], [5, 7], 0)
+    solver = GeneralSolver(s, 2)
+    for bad in (-1, len(s)):
+        with pytest.raises(ValueError, match=f"interval id {bad} is not in the set"):
+            solver.dms(bad, {})
+    assert solver.dms(s.intervals[1], {}) == solver.dms(1, {}) == 7
+
+
 def test_vectors_of_another_interval_set_are_rejected():
     """A vector is read against the set it was built on: used with any
     other set, even one with the same spans, it raises ValueError."""

@@ -137,3 +137,13 @@ def test_projection_check_raises_on_a_wrong_overlap_relation(monkeypatch, edges,
     monkeypatch.setattr(Overlaps, "scan", classmethod(lambda cls, spans: scan(scanned)))
     with pytest.raises(AssertionError, match=message):
         project_to_intervals(LayoutInstance.build(range(1, 5), edges))
+
+
+def test_projection_check_compares_each_edge_with_its_overlap_degree():
+    """Per-edge crossing counts that are wrong but keep the right total are
+    caught edge by edge; the interval weights are these counts."""
+    inst = c4_with_diagonals()
+    assert inst.crossings_per_edge == (0, 0, 0, 0, 1, 1)
+    inst.__dict__["crossings_per_edge"] = (1, 0, 0, 0, 0, 1)
+    with pytest.raises(AssertionError, match="edge 0 crosses 1 chords but overlaps 0 intervals"):
+        project_to_intervals(inst)
