@@ -367,8 +367,11 @@ class IntervalSet:
         overlaps = Overlaps.scan((i.left, i.right) for i in self.intervals)
         object.__setattr__(self, "overlaps", overlaps)
         if isinstance(self.pair_weights, int):
+            if self.pair_weights < 0:
+                raise ValueError("pair weights must be non-negative")
             uniform = dict.fromkeys(overlaps.pairs, self.pair_weights)
             object.__setattr__(self, "pair_weights", uniform)
+            return
         expected = set(overlaps.pairs)
         got = set(self.pair_weights)
         if got != expected:
@@ -376,9 +379,8 @@ class IntervalSet:
                 f"pair_weights must cover exactly the overlapping pairs; "
                 f"missing={sorted(expected - got)} spurious={sorted(got - expected)}"
             )
-        for w in self.pair_weights.values():
-            if w < 0:
-                raise ValueError("pair weights must be non-negative")
+        if any(w < 0 for w in self.pair_weights.values()):
+            raise ValueError("pair weights must be non-negative")
 
     @classmethod
     def build(

@@ -31,28 +31,24 @@ once, at the moment its later member joins.
 
 Values dms^k(I, lambda) -- the best completion of I's window under basic
 capacities lambda -- are computed member by member in left-endpoint order.
-The value from member index idx on depends on lambda only through the states
-that its remaining members R = members[idx:] can read or write, so the memo
-key is (owner, idx, states of R and of N(R), its overlapping neighbors), in
-ascending id order, built once per (owner, idx).
+The memo rests on one fact.  When the recursion reaches member idx of a
+window, every interval of its remaining members R = members[idx:] is
+undecided and every interval of their frontier F = N(R) minus R is decided:
 
-A window is entered only with all of its owner's neighbors decided:
-committing j decides N(j), and ``dms`` requires it of the caller's vector.
-So every undecided interval of N(R) is in R: it crosses a member but not the
-owner, so it is a member itself, and not one left of the left endpoint of
-member idx, as each of those was decided, or is nested in a committed member
-and ends before any interval of R starts.
+* a step at member j decides only N(j);
+* a member that crosses an earlier member j of the same window starts
+  before j's right end, so the step at j skips past it;
+* an interval outside the window that crosses R also crosses the owner, so
+  a step there would have decided the owner before its window opened;
+* ``dms`` passes states on the interval's neighbors N(i) only.
 
-One decision step for a member j therefore reads and writes nothing else:
-j's own state, the forced or fresh state of each neighbor in N(j) and the
-budgets of the committed ones, and, for each fresh joiner x, which lies in
-R, the committed neighbors of x (x's budget, the stab counts and the pair
-charges).  Later steps stay inside the same positions.  j's own window takes
-the successor state as it is: it reads and writes only positions nested in j
-or in N(j), and on those the successor state equals its restriction to
-N(j), because no interval nested in j is decided yet (an earlier member
-crossing one would cross j).  The value is therefore a function of the keyed
-states, and the key is exact for every vector that meets the invariant.
+A step at member j reads and writes only R and F: j's neighbors, and for
+each fresh joiner, an undecided neighbor of j and so a member of R, its own
+neighbors.  The steps after it stay inside the same positions, and j's own
+window sees R and the neighbors of j.  R's states are always undecided, so
+the value is a function of F's states, and the memo key is (owner, idx,
+states of F in ascending id order), with F's ids built once per (owner,
+idx).
 
 The memo is bounded: a solve that would store more than ``MAX_MEMO_STATES``
 values raises ``SolverBudgetError``.  Solution recovery replays the
@@ -91,9 +87,8 @@ UNDECIDED = None  # the undecided capacity (no decision made about the interval)
 UNLIMITED = math.inf  # the unlimited capacity (interval rejected); tested with ``is``
 
 # Largest number of memoized values one solve may store.  A stored state
-# was measured at 390-460 bytes of resident memory (CPython 3.11, 30 to 52
-# intervals), so a solve that reaches the limit holds about half a gigabyte
-# of memo.
+# was measured at 250-290 bytes of resident memory (CPython 3.11, 30 to 52
+# intervals), so a solve that reaches the limit holds about 0.3 GB of memo.
 MAX_MEMO_STATES = 1_000_000
 
 
@@ -194,9 +189,10 @@ class GeneralSolver:
 
     def _key_positions(self, owner: int, idx: int) -> tuple[int, ...]:
         """The positions keying the window value of (owner, idx): the ids
-        of R and N(R) in ascending order, with R = members[idx:]."""
+        of the frontier N(R) minus R in ascending order, with R =
+        members[idx:]."""
         rest = self.members[owner][idx:]
-        return tuple(sorted(set(rest).union(*(self.nb[r] for r in rest))))
+        return tuple(sorted(set().union(*(self.nb[r] for r in rest)).difference(rest)))
 
     def _successors(
         self, lam: Mapping[int, object], j: int
@@ -274,7 +270,7 @@ class GeneralSolver:
         ids = self.key_positions.get(where)
         if ids is None:
             ids = self.key_positions[where] = self._key_positions(owner, idx)
-        key = (owner, idx, tuple(map(lam.get, ids)))
+        key = (owner, idx, *map(lam.get, ids))
         hit = self.f_memo.get(key)
         if hit is not None:
             return hit
@@ -290,15 +286,11 @@ class GeneralSolver:
     def _decide(
         self, owner: int, idx: int, lam: Mapping[int, object]
     ) -> tuple[int, tuple[int, Mapping[int, object], tuple[int, ...] | None]]:
-        """Options for member ``idx`` of owner's window: skip it if it is
-        rejected, else reject it or commit it through one of its successors.
-        Returns the best value and the first option reaching it, as ``(next
-        index, next state, chosen)``; ``chosen`` is None unless committed."""
+        """Options for the undecided member ``idx`` of owner's window: reject
+        it or commit it through one of its successors.  Returns the best
+        value and the first option reaching it, as ``(next index, next
+        state, chosen)``; ``chosen`` is None unless committed."""
         j = self.members[owner][idx]
-        st = lam.get(j)
-        assert st is None or st is UNLIMITED, "window member unexpectedly committed"
-        if st is UNLIMITED:
-            return self._window_value(owner, idx + 1, lam), (idx + 1, lam, None)
         lam_rej = dict(lam)
         lam_rej[j] = UNLIMITED
         best = self._window_value(owner, idx + 1, lam_rej)

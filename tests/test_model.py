@@ -181,6 +181,14 @@ def test_interval_set_validates_endpoints_and_pairs():
         IntervalSet((Interval(1, 3), Interval(2, 4)), {})  # missing pair entry
     with pytest.raises(ValueError):
         IntervalSet((Interval(1, 2), Interval(3, 4)), {(0, 1): 1})  # spurious pair
+    # A negative uniform pair weight is rejected even when no pair overlaps.
+    for spans, pair_weights in (
+        ([(1, 2), (3, 4)], -1),
+        ([(1, 3), (2, 4)], -1),
+        ([(1, 3), (2, 4)], {(0, 1): -1}),
+    ):
+        with pytest.raises(ValueError, match="pair weights must be non-negative"):
+            IntervalSet.build(spans, None, pair_weights)
 
 
 def test_solution_weight():

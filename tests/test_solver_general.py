@@ -1,3 +1,4 @@
+import functools
 import random
 import sys
 
@@ -594,12 +595,12 @@ def test_replace_with_float_infinity_is_unlimited():
         )
 
 
-def test_memo_key_covers_every_read_and_write():
-    """One decision step at a reachable (owner, idx, state) reads and writes
-    only the positions its memo key holds, the window's remaining members
-    and their neighbors: at the states a solve reaches and at the states
-    ``dms`` reaches from vectors that decide every neighbor of the interval."""
-    checked = 0
+@functools.cache
+def _reached_states():
+    """(solver, owner, idx, state) for every distinct state a solve reaches
+    and every state ``dms`` reaches from vectors that decide every neighbor
+    of the interval, on 40 random sets at k = 2 and 3."""
+    out = []
     for trial in range(40):
         rng = random.Random(4100 + trial)
         s = random_interval_set(rng.randint(4, 11), random.Random(4200 + trial))
@@ -611,17 +612,40 @@ def test_memo_key_covers_every_read_and_write():
                     for vec in _caller_vectors(s, k, i, rng, 3, decided=True):
                         log.dms(i, vec.states)
             checker = GeneralSolver(s, k)
-            for owner, idx, lam in log.seen.values():
-                keyed = set(checker._key_positions(owner, idx))
-                j = checker.members[owner][idx]
-                rec = _ReadLog(lam)
-                checker._decide(owner, idx, rec)[0]
-                assert j in rec.read
-                assert rec.read <= keyed, (trial, k, owner, idx, rec.read - keyed)
-                for lam2, _, _ in checker._successors(lam, j):
-                    written = {x for x in lam2.keys() | lam.keys() if lam2.get(x) != lam.get(x)}
-                    assert written <= keyed, (trial, k, owner, idx)
-                checked += 1
+            out.extend((checker, owner, idx, lam) for owner, idx, lam in log.seen.values())
+    return out
+
+
+def test_window_members_undecided_and_frontier_decided():
+    """At every reached (owner, idx, state) the window's remaining members R
+    are undecided and their frontier F, the neighbors of R outside R, is
+    decided; the memo key holds exactly the positions of F."""
+    for solver, owner, idx, lam in _reached_states():
+        rest = solver.members[owner][idx:]
+        frontier = set().union(*(solver.nb[r] for r in rest)).difference(rest)
+        assert all(lam.get(r) is UNDECIDED for r in rest), (owner, idx)
+        assert all(lam.get(f) is not UNDECIDED for f in frontier), (owner, idx)
+        assert list(solver._key_positions(owner, idx)) == sorted(frontier), (owner, idx)
+    assert len(_reached_states()) > 2000
+
+
+def test_memo_key_covers_every_read_and_write():
+    """One decision step at a reachable (owner, idx, state) reads and writes
+    only the positions its memo key holds and the window's remaining
+    members R, whose states are always undecided there (see the test
+    above), so the key decides the value."""
+    checked = 0
+    for solver, owner, idx, lam in _reached_states():
+        rest = solver.members[owner][idx:]
+        allowed = set(solver._key_positions(owner, idx)).union(rest)
+        j = rest[0]
+        rec = _ReadLog(lam)
+        solver._decide(owner, idx, rec)[0]
+        assert rec.read <= allowed, (owner, idx, rec.read - allowed)
+        for lam2, _, _ in solver._successors(lam, j):
+            written = {x for x in lam2.keys() | lam.keys() if lam2.get(x) != lam.get(x)}
+            assert written <= allowed, (owner, idx, written - allowed)
+        checked += 1
     assert checked > 2000, checked
 
 
@@ -649,15 +673,19 @@ def _twelve_vertex_set():
 
 
 def test_memo_states_regression():
-    """The memo keyed on the window's remaining members and their
-    neighbors holds less than half the states of the key on every decided
-    interval ending at or after the window position (20,250 at k=2 and
-    309,478 at k=3 on this instance)."""
+    """The memo keyed on the frontier of the window's remaining members
+    holds less than half the states of the key on every decided interval
+    ending at or after the window position (20,250 at k=2 and 309,478 at
+    k=3 on this instance).  At k=3 its keys hold under 0.7 times the
+    positions of the key on the remaining members and their neighbors
+    (1,838,481 summed over the memo)."""
     s = _twelve_vertex_set()
     for k, before in ((2, 20_250), (3, 309_478)):
         solver = GeneralSolver(s, k)
         solver.solve()
         assert len(solver.f_memo) < before / 2, (k, len(solver.f_memo))
+    keyed = sum(len(solver.key_positions[key[:2]]) for key in solver.f_memo)
+    assert keyed < 0.7 * 1_838_481, keyed
 
 
 def test_memo_budget_raises(monkeypatch):
