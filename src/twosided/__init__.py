@@ -15,7 +15,6 @@ from .model import (
     LayoutInstance,
     Solution,
     TwoSidedAssignment,
-    Overlaps,
     chords_cross,
     count_crossings,
     crossings_per_chord,

@@ -66,11 +66,12 @@ def reduce_mds_to_bdmwis(g: IntervalSet) -> ReducedInstance:
     # just after it (innermost first).
     spans = [[0, 0] for _ in range(n + len(leaf_parent))]
     rank = count(1)
-    ends = sorted((p, i) for i, iv in enumerate(g.intervals) for p in (iv.left, iv.right))
-    for p, i in ends:
-        if p == g.intervals[i].right:
+    for p in range(1, 2 * n + 1):
+        i = g.end_at[p]
+        if i >= 0:
             spans[i][1] = next(rank)
             continue
+        i = g.start_at[p]
         for u in reversed(leaves[i]):
             spans[u][0] = next(rank)
         spans[i][0] = next(rank)

@@ -12,18 +12,18 @@ This module holds the vocabulary shared by everything else in the package:
   and exterior curves
 * :class:`Interval` / :class:`IntervalSet` -- the normalized interval view of
   the layout's circle graph (one node per edge, a link per crossing pair)
-  that the dynamic programs run on
-* :class:`Overlaps`            -- the overlap relation of an interval set,
-  computed once by a left-endpoint scan and owned by the set
+  that the dynamic programs run on; the set scans its endpoints once on
+  construction and keeps the per-id and per-position tables, the
+  left-endpoint order and the overlap relation that every consumer reads
 * :class:`Solution`            -- a selected subset and its objective value
 
 plus :func:`overlap_kind`, the pairwise classification of two intervals,
-kept as the reference that :class:`Overlaps` is tested against.  All types
+kept as the reference that the set's scan is tested against.  All types
 are immutable after construction and every operation is a pure function.
 
 The crossing accounting (:func:`count_crossings`, :func:`crossings_per_chord`)
-counts alternating chords with a Fenwick tree and shares no code with
-:class:`Overlaps`.  The count over all edges is a property of the layout
+counts alternating chords with a Fenwick tree and shares no code with the
+interval scan.  The count over all edges is a property of the layout
 (:attr:`LayoutInstance.crossings_per_edge`), paid once; each side's count is
 then derived from it and one pass over the exterior edges only.
 """
@@ -276,78 +276,6 @@ def overlap_kind(a: Interval, b: Interval) -> str:
 
 
 @dataclass(frozen=True, eq=False)
-class Overlaps:
-    """The overlap relation of a normalized span list, from one scan.
-
-    :meth:`scan` lists the ids in left-endpoint order (``by_left``).  The ids
-    starting inside (left_i, right_i) are then one run of that order,
-    ``by_left[rank[i] + 1 : run_end[i]]``; those ending after right_i are
-    i's forward partners, the rest are nested in i.  The forward partners are
-    kept as compressed rows: i's partners are ``partner[ptr[i]:ptr[i + 1]]``,
-    ascending by id.  Every overlapping pair appears once, under its member
-    with the smaller left endpoint.
-    """
-
-    spans: tuple[Pair, ...]
-    by_left: tuple[int, ...]
-    rank: tuple[int, ...]
-    run_end: tuple[int, ...]
-    ptr: tuple[int, ...]
-    partner: tuple[int, ...]
-
-    @classmethod
-    def scan(cls, spans: Iterable[Sequence[int]]) -> "Overlaps":
-        """Scan (left, right) spans whose 2n endpoints are exactly {1..2n}.
-
-        O(n + l) for the total span length l, plus sorting each row."""
-        spans = tuple((l, r) for l, r in spans)
-        n = len(spans)
-        if sorted(p for sp in spans for p in sp) != list(range(1, 2 * n + 1)):
-            raise ValueError("endpoints must be exactly {1..2n} with no repeats")
-        at = [0] * (2 * n + 1)
-        for i, (l, r) in enumerate(spans):
-            at[l] = at[r] = i
-        by_left: list[int] = []
-        rank = [0] * n
-        run_end = [0] * n
-        for x in range(1, 2 * n + 1):
-            i = at[x]
-            if spans[i][0] == x:
-                rank[i] = len(by_left)
-                by_left.append(i)
-            else:
-                run_end[i] = len(by_left)
-        ptr, partner = [0], []
-        for i, (_, r) in enumerate(spans):
-            partner.extend(sorted(j for j in by_left[rank[i] + 1 : run_end[i]] if spans[j][1] > r))
-            ptr.append(len(partner))
-        return cls(spans, tuple(by_left), tuple(rank), tuple(run_end), tuple(ptr), tuple(partner))
-
-    def forward(self, i: int) -> tuple[int, ...]:
-        """Ids j with left_i < left_j < right_i < right_j, ascending."""
-        return self.partner[self.ptr[i] : self.ptr[i + 1]]
-
-    def nested(self, i: int) -> list[int]:
-        """Ids strictly nested in interval i, in left-endpoint order."""
-        r = self.spans[i][1]
-        return [j for j in self.by_left[self.rank[i] + 1 : self.run_end[i]] if self.spans[j][1] < r]
-
-    @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Ids of the intervals overlapping each interval, ascending."""
-        nbr: list[list[int]] = [list(self.forward(i)) for i in range(len(self.spans))]
-        for i in range(len(self.spans)):
-            for j in self.forward(i):
-                nbr[j].append(i)
-        return tuple(tuple(sorted(x)) for x in nbr)
-
-    @cached_property
-    def pairs(self) -> list[Pair]:
-        """Every overlapping pair (i, j), i < j, in lexicographic order."""
-        return [(i, j) for i, nb in enumerate(self.neighbors) for j in nb if j > i]
-
-
-@dataclass(frozen=True, eq=False)
 class IntervalSet:
     """A normalized interval representation of a weighted circle graph.
 
@@ -355,24 +283,32 @@ class IntervalSet:
     entry per properly overlapping pair (keyed by the interval indices in
     ``intervals``, smaller index first), or is one integer applied to every
     overlapping pair; after construction it is always a mapping.  Interval
-    ids are positions in ``intervals``.  ``overlaps`` is the set's overlap
-    relation, scanned from its own intervals on construction.
+    ids are positions in ``intervals``.
+
+    Construction scans the endpoints once, left to right, and keeps the
+    tables every consumer reads, as plain attributes rather than fields (the
+    constructor, ``repr`` and identity equality ignore them): per id
+    ``left``, ``right`` and ``weight``; per position 0..2n+1 ``start_at`` and
+    ``end_at``, the id starting or ending there or -1; ``by_left``, the ids
+    in left-endpoint order, and ``rank``, each id's place in it.  The ids
+    starting inside (left_i, right_i) are the run ``by_left[rank[i] + 1 :
+    run_end[i]]``.  Those ending after right_i are i's forward partners,
+    kept as compressed rows ``partner[ptr[i]:ptr[i + 1]]`` ascending by id;
+    the rest are nested in i.  Every overlapping pair appears once, under
+    its member with the smaller left endpoint.
     """
 
     intervals: tuple[Interval, ...]
     pair_weights: Mapping[Pair, int] | int = field(default_factory=dict)
-    overlaps: Overlaps = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        overlaps = Overlaps.scan((i.left, i.right) for i in self.intervals)
-        object.__setattr__(self, "overlaps", overlaps)
+        self._scan()
         if isinstance(self.pair_weights, int):
             if self.pair_weights < 0:
                 raise ValueError("pair weights must be non-negative")
-            uniform = dict.fromkeys(overlaps.pairs, self.pair_weights)
-            object.__setattr__(self, "pair_weights", uniform)
+            object.__setattr__(self, "pair_weights", dict.fromkeys(self.pairs, self.pair_weights))
             return
-        expected = set(overlaps.pairs)
+        expected = set(self.pairs)
         got = set(self.pair_weights)
         if got != expected:
             raise ValueError(
@@ -381,6 +317,35 @@ class IntervalSet:
             )
         if any(w < 0 for w in self.pair_weights.values()):
             raise ValueError("pair weights must be non-negative")
+
+    def _scan(self) -> None:
+        """Fill the tables: O(n + l) for the total length l, plus row sorts."""
+        n = len(self.intervals)
+        left = tuple(iv.left for iv in self.intervals)
+        right = tuple(iv.right for iv in self.intervals)
+        if sorted(left + right) != list(range(1, 2 * n + 1)):
+            raise ValueError("endpoints must be exactly {1..2n} with no repeats")
+        start_at, end_at = [-1] * (2 * n + 2), [-1] * (2 * n + 2)
+        for i in range(n):
+            start_at[left[i]] = i
+            end_at[right[i]] = i
+        by_left, rank, run_end = [], [0] * n, [0] * n
+        for x in range(1, 2 * n + 1):
+            i = start_at[x]
+            if i >= 0:
+                rank[i] = len(by_left)
+                by_left.append(i)
+            else:
+                run_end[end_at[x]] = len(by_left)
+        ptr, partner = [0], []
+        for i, r in enumerate(right):
+            partner.extend(sorted(j for j in by_left[rank[i] + 1 : run_end[i]] if right[j] > r))
+            ptr.append(len(partner))
+        self.__dict__.update(
+            left=left, right=right, weight=tuple(iv.weight for iv in self.intervals),
+            start_at=tuple(start_at), end_at=tuple(end_at), by_left=tuple(by_left),
+            rank=tuple(rank), run_end=tuple(run_end), ptr=tuple(ptr), partner=tuple(partner),
+        )
 
     @classmethod
     def build(
@@ -412,19 +377,34 @@ class IntervalSet:
             if not 0 <= interval < len(self.intervals):
                 raise ValueError(f"interval id {interval} is not in the set")
             return interval
-        i = self._ids.get((interval.left, interval.right))
-        if i is None:
+        l = interval.left
+        i = self.start_at[l] if 0 < l < len(self.start_at) else -1
+        if i < 0 or self.right[i] != interval.right:
             raise ValueError(f"interval [{interval.left},{interval.right}] is not in the set")
         return i
 
-    @cached_property
-    def _ids(self) -> dict[Pair, int]:
-        return {sp: i for i, sp in enumerate(self.overlaps.spans)}
+    def forward(self, i: int) -> tuple[int, ...]:
+        """Ids j with left_i < left_j < right_i < right_j, ascending."""
+        return self.partner[self.ptr[i] : self.ptr[i + 1]]
 
-    @property
+    def nested(self, i: int) -> list[int]:
+        """Ids strictly nested in interval i, in left-endpoint order."""
+        r, right = self.right[i], self.right
+        return [j for j in self.by_left[self.rank[i] + 1 : self.run_end[i]] if right[j] < r]
+
+    @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Ids of the intervals overlapping each interval, ascending."""
-        return self.overlaps.neighbors
+        nbr: list[list[int]] = [list(self.forward(i)) for i in range(len(self))]
+        for i in range(len(self)):
+            for j in self.forward(i):
+                nbr[j].append(i)
+        return tuple(tuple(sorted(x)) for x in nbr)
+
+    @cached_property
+    def pairs(self) -> list[Pair]:
+        """Every overlapping pair (i, j), i < j, in lexicographic order."""
+        return [(i, j) for i, nb in enumerate(self.neighbors) for j in nb if j > i]
 
     @cached_property
     def max_degree(self) -> int:

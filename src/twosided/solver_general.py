@@ -62,7 +62,7 @@ import math
 import sys
 from bisect import bisect_right
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 from types import MappingProxyType
 from typing import Iterator, Mapping
@@ -171,14 +171,13 @@ class GeneralSolver:
         n = len(s)
         self.n = n
         self.dummy = n
-        self.left = [iv.left for iv in s.intervals] + [0]
-        self.right = [iv.right for iv in s.intervals] + [2 * n + 1]
-        self.weight = [iv.weight for iv in s.intervals] + [0]
-        self.nb: list[tuple[int, ...]] = [s.neighbors[i] for i in range(n)] + [()]
+        self.left = [*s.left, 0]
+        self.right = [*s.right, 2 * n + 1]
+        self.weight = [*s.weight, 0]
+        self.nb: list[tuple[int, ...]] = [*s.neighbors, ()]
 
         # Strictly nested members per owner, sorted by left endpoint.
-        ov = s.overlaps
-        self.members = [ov.nested(i) for i in range(n)] + [list(ov.by_left)]
+        self.members = [s.nested(i) for i in range(n)] + [list(s.by_left)]
         self.member_lefts = [[self.left[j] for j in lst] for lst in self.members]
 
         self.f_memo: dict = {}
@@ -427,7 +426,7 @@ def transition_weight(
     _check_set(lam_prime, s)
     _check_set(lam, s)
     i = s.id_of(interval)
-    owner = 0 if i in lam.states else s.intervals[i].weight
+    owner = 0 if i in lam.states else s.weight[i]
     before, after = _selected(lam.states), _selected(lam_prime.states)
     return solution_weight(after, s) - solution_weight(before, s) - owner
 
@@ -448,7 +447,11 @@ def solve_k(s: IntervalSet, k: int, force_general: bool = False) -> Solution:
     """Exact max-weight k-overlap set.
 
     Delegates to the specialized k<=1 solver unless ``force_general`` is set
-    (the general path is asymptotically and practically slower there).
+    (the general path is asymptotically and practically slower there).  The
+    general path runs at min(k, max overlap degree): a budget above the
+    degree never binds, and capping it keeps every chosen set legal and
+    every tie won by the same first split, so the solution is the same and
+    any k above the degree costs what the degree costs.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -457,4 +460,4 @@ def solve_k(s: IntervalSet, k: int, force_general: bool = False) -> Solution:
             return solve_k0(s)
         if k == 1:
             return solve_k1(s)
-    return GeneralSolver(s, k).solve()
+    return replace(GeneralSolver(s, min(k, s.max_degree)).solve(), k=k)

@@ -59,7 +59,8 @@ _NEG = -(1 << 60)  # sentinel for "not yet computed"
 
 
 class _Engine:
-    """Flat-list form of an IntervalSet for one k <= 1, plus its option rows.
+    """The option rows of an IntervalSet for one k <= 1, beside the set's
+    own position and endpoint tables.
 
     Interval i's options are ``optr[i]:optr[i + 1]``: the single first
     (``mate[o] = -1``), then at k = 1 one pair per forward partner
@@ -70,16 +71,8 @@ class _Engine:
 
     def __init__(self, s: IntervalSet, k: int):
         self.n = n = len(s)
-        self.start_at = [-1] * (2 * n + 2)
-        self.end_at = [-1] * (2 * n + 2)
-        for i, iv in enumerate(s.intervals):
-            self.start_at[iv.left] = i
-            self.end_at[iv.right] = i
-        self.left = left = [iv.left for iv in s.intervals]
-        self.right = right = [iv.right for iv in s.intervals]
-        weight = [iv.weight for iv in s.intervals]
-
-        ptr, partner, pw = s.overlaps.ptr, s.overlaps.partner, s.pair_weights
+        self.start_at, self.end_at, self.left, self.right = s.start_at, s.end_at, s.left, s.right
+        right, weight, pw = s.right, s.weight, s.pair_weights
         self.optr = optr = [0]
         self.mate, self.end, self.gain = mate, end, gain = [], [], []
         # back[j]: (option, row owner) of every pair whose partner is j.
@@ -88,7 +81,7 @@ class _Engine:
             mate.append(-1)
             end.append(right[i])
             gain.append(weight[i])
-            for j in (partner[ptr[i] : ptr[i + 1]] if k else ()):
+            for j in (s.forward(i) if k else ()):
                 back[j].append((len(mate), i))
                 mate.append(j)
                 end.append(right[j])
@@ -272,8 +265,8 @@ def dms1_single(interval: Interval | int, s: IntervalSet, table: Dms1Table) -> i
     ``table`` must hold the value of every interval and forward pair nested
     in the window; a missing one raises ValueError.
     """
-    iv = s.intervals[s.id_of(interval)]
-    return _window_value(_Engine(s, 1), table, iv.left, iv.right) + iv.weight
+    i = s.id_of(interval)
+    return _window_value(_Engine(s, 1), table, s.left[i], s.right[i]) + s.weight[i]
 
 
 def dms1_pair(
@@ -293,9 +286,7 @@ def dms1_pair(
     o = next((o for o in pairs if eng.mate[o] == j), None)
     if o is None:
         raise ValueError("second interval must overlap the first on its right side")
-    iv, jv = s.intervals[i], s.intervals[j]
-    c, d = iv.left, iv.right
-    e, f = jv.left, jv.right
+    c, d, e, f = s.left[i], s.right[i], s.left[j], s.right[j]
     regions = (
         _window_value(eng, table, c, e)
         + _window_value(eng, table, e, d)

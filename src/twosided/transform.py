@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .model import IntervalSet, LayoutInstance, Overlaps
+from .model import IntervalSet, LayoutInstance
 
 
 class EdgeWeightMode(enum.Enum):
@@ -87,11 +87,11 @@ def project_to_intervals(
     for slot, (_, _, eid) in enumerate(keys, 1):
         slots[eid].append(slot)
     s = IntervalSet.build(slots, instance.crossings_per_edge, mode.value)
-    _check_alternation(instance, s.overlaps)
+    _check_alternation(instance, s)
     return ProjectionResult(s)
 
 
-def _check_alternation(instance: LayoutInstance, overlaps: Overlaps) -> None:
+def _check_alternation(instance: LayoutInstance, s: IntervalSet) -> None:
     """Raise unless the overlapping pairs are exactly the crossing chords:
     every overlapping pair alternates as chords (the first pair that does
     not, by owner and then row order of the forward rows, is named), the
@@ -101,16 +101,15 @@ def _check_alternation(instance: LayoutInstance, overlaps: Overlaps) -> None:
     one pass shared with the weights and the one-sided crossing count."""
     pos = instance.positions
     ends = [sorted((pos[u], pos[v])) for u, v in instance.edges]
-    ptr, partner = overlaps.ptr, overlaps.partner
     for i, (a, b) in enumerate(ends):
-        for j in partner[ptr[i] : ptr[i + 1]]:
+        for j in s.forward(i):
             c, d = ends[j]
             if not (a < c < b < d or c < a < d < b):
                 x, y = sorted((i, j))
                 raise AssertionError(f"projection broke the intersection graph at edges {x},{y}")
     crossing = sum(instance.crossings_per_edge) // 2
-    if crossing != len(partner):
-        raise AssertionError(f"{len(partner)} overlapping pairs for {crossing} crossing chord pairs")
-    for e, (c, nb) in enumerate(zip(instance.crossings_per_edge, overlaps.neighbors)):
+    if crossing != len(s.partner):
+        raise AssertionError(f"{len(s.partner)} overlapping pairs for {crossing} crossing chord pairs")
+    for e, (c, nb) in enumerate(zip(instance.crossings_per_edge, s.neighbors)):
         if c != len(nb):
             raise AssertionError(f"edge {e} crosses {c} chords but overlaps {len(nb)} intervals")

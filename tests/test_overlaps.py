@@ -1,8 +1,8 @@
 """Properties of the shared overlap structure and of the crossing count.
 
 The references here are pair loops over ``chords_cross`` and ``overlap_kind``;
-the program computes the same facts with an interval scan (``Overlaps``) and a
-Fenwick-tree count (``crossings_per_chord``).
+the program computes the same facts with the interval set's own endpoint scan
+and a Fenwick-tree count (``crossings_per_chord``).
 """
 
 import pytest
@@ -97,18 +97,26 @@ def test_projection_pairs_are_the_crossing_chords(inst, mode):
 @PROPERTY
 @given(span_lists())
 def test_overlap_scan_matches_pairwise_classification(spans):
-    s = IntervalSet.build(spans, pair_weights=1)
+    s = IntervalSet.build(spans, range(len(spans)), pair_weights=1)
     ivs = s.intervals
     n = len(ivs)
     kind = {(i, j): overlap_kind(ivs[i], ivs[j]) for i in range(n) for j in range(n) if i != j}
-    assert s.overlaps.pairs == sorted((i, j) for (i, j), k in kind.items() if i < j and k == OVERLAP)
+    assert s.left == tuple(iv.left for iv in ivs)
+    assert s.right == tuple(iv.right for iv in ivs)
+    assert s.weight == tuple(iv.weight for iv in ivs)
+    starts = {iv.left: i for i, iv in enumerate(ivs)}
+    ends = {iv.right: i for i, iv in enumerate(ivs)}
+    assert len(s.start_at) == len(s.end_at) == 2 * n + 2
+    assert s.start_at == tuple(starts.get(x, -1) for x in range(2 * n + 2))
+    assert s.end_at == tuple(ends.get(x, -1) for x in range(2 * n + 2))
+    assert s.pairs == sorted((i, j) for (i, j), k in kind.items() if i < j and k == OVERLAP)
     for i in range(n):
         assert s.neighbors[i] == tuple(j for j in range(n) if kind.get((i, j)) == OVERLAP)
-        assert s.overlaps.forward(i) == tuple(
+        assert s.forward(i) == tuple(
             j for j in s.neighbors[i] if ivs[i].left < ivs[j].left
         )
         nested = [j for j in range(n) if kind.get((i, j)) == A_NESTS_B]
-        assert s.overlaps.nested(i) == sorted(nested, key=lambda j: ivs[j].left)
+        assert s.nested(i) == sorted(nested, key=lambda j: ivs[j].left)
         assert s.id_of(ivs[i]) == i
 
 
@@ -116,7 +124,7 @@ def test_overlap_scan_matches_pairwise_classification(spans):
 @given(span_lists(), st.data())
 def test_interval_set_rejects_one_pair_missing_or_added(spans, data):
     full = IntervalSet.build(spans, pair_weights=1)
-    pairs = full.overlaps.pairs
+    pairs = full.pairs
     if pairs:
         drop = data.draw(st.sampled_from(pairs))
         with pytest.raises(ValueError, match="missing"):
@@ -133,9 +141,9 @@ def test_interval_set_scans_itself_and_spreads_an_int_pair_weight():
     ivs = (Interval(1, 3), Interval(2, 5), Interval(4, 6))
     s = IntervalSet(ivs, 2)
     assert s.pair_weights == {(0, 1): 2, (1, 2): 2}
-    assert s.overlaps.pairs == [(0, 1), (1, 2)]
+    assert s.pairs == [(0, 1), (1, 2)]
     with pytest.raises(TypeError):
-        IntervalSet(ivs, 2, s.overlaps)
+        IntervalSet(ivs, 2, s.pairs)
 
 
 def test_id_of_rejects_an_unknown_interval():
@@ -143,3 +151,14 @@ def test_id_of_rejects_an_unknown_interval():
     assert s.id_of(1) == 1
     with pytest.raises(ValueError, match="not in the set"):
         s.id_of(Interval(1, 3))
+    s = IntervalSet.build([(1, 4), (2, 6), (3, 5)])
+    assert s.id_of(Interval(2, 6)) == 1
+    unknown = [
+        Interval(-7, 4),  # as an index, -7 is position 1, where (1, 4) starts
+        Interval(6, 7),  # left end at 2n, the set's right end
+        Interval(2, 5),  # left end of interval 1, right end of interval 2
+        Interval(7, 9),  # left end above 2n
+    ]
+    for iv in unknown:
+        with pytest.raises(ValueError, match="not in the set"):
+            s.id_of(iv)

@@ -7,7 +7,7 @@ import pytest
 from conftest import make_set
 from twosided import solver_general
 from twosided.bench import generate_random_biconnected, random_interval_set
-from twosided.model import solution_weight
+from twosided.model import LayoutInstance, solution_weight
 from twosided.oracle import brute_force_k_overlap
 from twosided.solver_general import (
     UNDECIDED,
@@ -459,6 +459,40 @@ def test_monotone_in_k_with_ceiling(rng):
         gamma = s.max_degree
         unconstrained = brute_force_k_overlap(s, len(s)).weight
         assert solve_k(s, max(gamma, 0), force_general=True).weight == unconstrained
+
+
+def test_solve_k_caps_the_budget_at_the_largest_overlap_degree(monkeypatch):
+    """A budget above the largest overlap degree never binds: any such k
+    enumerates the successors of k = degree and returns its solution, under
+    the k asked for.  Uncapped, k = 10^4 on C4 with diagonals (degree 1)
+    yields 30,021 successors against 24."""
+    layout = LayoutInstance.build(range(1, 5), [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3), (2, 4)])
+    s = project_to_intervals(layout).interval_set
+    assert s.max_degree == 1
+    yields = 0
+    successors = GeneralSolver._successors
+
+    def counted(self, lam, j):
+        nonlocal yields
+        for step in successors(self, lam, j):
+            yields += 1
+            yield step
+
+    monkeypatch.setattr(GeneralSolver, "_successors", counted)
+    at_degree = solve_k(s, 1, force_general=True)
+    want, yields = yields, 0
+    big = solve_k(s, 10**4)
+    assert yields == want
+    assert (big.weight, big.chosen, big.k) == (at_degree.weight, at_degree.chosen, 10**4)
+
+
+def test_capped_solve_k_returns_the_uncapped_solution(rng):
+    for trial in range(200):
+        s = random_interval_set(rng.randint(1, 7), random.Random(9000 + trial))
+        gamma = s.max_degree
+        for k in range(max(gamma + 1, 2), gamma + 3):
+            got, want = solve_k(s, k), GeneralSolver(s, k).solve()
+            assert (got.weight, got.chosen, got.k) == (want.weight, want.chosen, k), (trial, k)
 
 
 def test_solve_k_empty_and_bad_k():

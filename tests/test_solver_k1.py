@@ -110,7 +110,7 @@ def test_dms1_lookups_take_int_ids():
         table = compute_dms1(s)
         for i, iv in enumerate(s.intervals):
             assert dms1_single(i, s, table) == dms1_single(iv, s, table) == table.single[i]
-            for j in s.overlaps.forward(i):
+            for j in s.forward(i):
                 jv = s.intervals[j]
                 assert dms1_pair(i, j, s, table) == dms1_pair(iv, jv, s, table)
                 assert dms1_pair(i, jv, s, table) == dms1_pair(iv, j, s, table)
@@ -136,7 +136,7 @@ def test_dms1_lookups_match_the_filled_table():
     assert dms1_pair(s.intervals[i], s.intervals[j], s, Dms1Table(table.single, table.pair)) == (
         table.pair[(i, j)]
     )
-    nested = s.overlaps.nested(i)
+    nested = s.nested(i)
     assert nested
     single = {a: v for a, v in table.single.items() if a != nested[0]}
     partial = Dms1Table(single, table.pair)
@@ -183,7 +183,7 @@ def test_fill_matches_window_by_window_sweeps():
                 assert eng.val[eng.optr[i]] == sweep(iv.left, iv.right) + iv.weight, (trial, i)
                 checked += 1
                 partners = [eng.mate[o] for o in range(eng.optr[i] + 1, eng.optr[i + 1])]
-                assert partners == (list(s.overlaps.forward(i)) if k else []), (trial, i)
+                assert partners == (list(s.forward(i)) if k else []), (trial, i)
                 for o in range(eng.optr[i] + 1, eng.optr[i + 1]):
                     j = eng.mate[o]
                     a, b = iv, s.intervals[j]

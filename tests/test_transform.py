@@ -4,7 +4,7 @@ import pytest
 
 from conftest import random_layout
 from twosided.graphio import dump_intervals, parse_intervals
-from twosided.model import LayoutInstance, Overlaps, chords_cross, overlap_kind
+from twosided.model import IntervalSet, LayoutInstance, chords_cross, overlap_kind
 from twosided.transform import EdgeWeightMode, project_to_intervals
 
 
@@ -133,8 +133,8 @@ def test_interval_dump_round_trip():
     ],
 )
 def test_projection_check_raises_on_a_wrong_overlap_relation(monkeypatch, edges, scanned, message):
-    scan = Overlaps.scan
-    monkeypatch.setattr(Overlaps, "scan", classmethod(lambda cls, spans: scan(scanned)))
+    build = IntervalSet.build
+    monkeypatch.setattr(IntervalSet, "build", lambda spans, *args: build(scanned, *args))
     with pytest.raises(AssertionError, match=message):
         project_to_intervals(LayoutInstance.build(range(1, 5), edges))
 
