@@ -11,8 +11,10 @@ Subcommands:
 * ``bench``       -- experiment harness producing a CSV.
 
 Exit codes: 0 on success, 1 on parse errors, 2 on size guards: the
-brute-force oracle's instance limits and the general-k solver's memo-state
-limit (``solver_general.MAX_MEMO_STATES``).  Diagnostics go to stderr.
+brute-force oracle's instance limits, the projection's limit on crossing
+chord pairs (``transform.MAX_OVERLAP_PAIRS``, which keeps a k=1 solve under
+about 1 GiB) and the general-k solver's memo-state limit
+(``solver_general.MAX_MEMO_STATES``).  Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .oracle import OracleSizeError, brute_force_two_sided
 from .pipeline import solve_layout
 from .render import layout_stats, render_layout
 from .solver_general import SolverBudgetError, solve_k
-from .transform import EdgeWeightMode, project_to_intervals
+from .transform import EdgeWeightMode, ProjectionSizeError, project_to_intervals
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -201,7 +203,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "bench":
             return _cmd_bench(args)
         raise AssertionError(f"unhandled command {args.command!r}")
-    except (OracleSizeError, SolverBudgetError) as exc:
+    except (OracleSizeError, ProjectionSizeError, SolverBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (GraphParseError, OSError, ValueError) as exc:

@@ -31,13 +31,23 @@ A sweep walks the integer positions of a window (lo, hi) from right to left;
 at the start point of a window-contained interval it maximizes over skipping
 the interval and taking one option of its row that ends inside the window.
 Its value at position x, ``S_hi[x]``, depends on the right end ``hi`` only,
-never on ``lo``.  One method, ``_Engine.sweep``, is the only copy of that
-recurrence, and it records no choices: solution recovery walks the final
-sweep and the sweeps of the windows along the optimal decomposition and reads
-each decision off the sweep values -- at a position whose value differs from
-its right neighbour's, the first option of the row whose value equals it,
-which is the option the sweep's strict ``>`` kept.  All arithmetic is exact
-integer arithmetic on plain lists.
+never on ``lo``, and it is non-increasing in x.  So an option o' of a row
+never raises a sweep value when another option o of the row ends before it
+and is worth at least as much: o is inside the window whenever o' is, and
+``val[o] + S[end[o] + 1] >= val[o'] + S[end[o'] + 1]``.  The sweep therefore
+walks only each row's undominated options, kept in ascending end order, and
+stops at the first one that leaves the window.  Options become final in
+ascending end order, so the table fill appends an option to that list when
+its value is final and beats the last one kept; nothing is sorted, and every
+sweep value is the one the whole row would give.
+
+One method, ``_Engine.sweep``, is the only copy of that recurrence, and it
+records no choices: solution recovery walks the final sweep and the sweeps of
+the windows along the optimal decomposition and reads each decision off the
+sweep values -- at a position whose value differs from its right neighbour's,
+the first option of the whole row, in row order, whose value equals it, which
+is the option a sweep over the whole row with a strict ``>`` keeps.  All
+arithmetic is exact integer arithmetic on plain lists.
 """
 
 from __future__ import annotations
@@ -67,6 +77,9 @@ class _Engine:
     (``mate[o]`` = the partner), ascending by id.  ``end[o]`` is the right
     end of the option's last interval, ``gain[o]`` the weight of its
     intervals less its pair weight, and ``val[o]`` its dms1 value.
+    ``live[i]`` lists ``(end[o], val[o])`` of row i's undominated final
+    options, strictly ascending in both end and value: each beats every
+    option of the row that ends before it.
     """
 
     def __init__(self, s: IntervalSet, k: int):
@@ -88,6 +101,7 @@ class _Engine:
                 gain.append(weight[i] + weight[j] - pw[(i, j) if i < j else (j, i)])
             optr.append(len(mate))
         self.val = [_NEG] * len(mate)
+        self.live = [[] for _ in range(n)]
         self.s_buf = [0] * (2 * n + 2)
 
     def sweep(self, lo: int, hi: int) -> int:
@@ -97,29 +111,28 @@ class _Engine:
         Fills ``s_buf[lo + 1 : hi + 1]``; values for positions outside the
         window are stale leftovers from earlier calls and are never read.
         ``S[x]`` is the best of copying ``S[x + 1]`` and taking one option of
-        the interval starting at x that ends inside the window; the strict
-        ``>`` keeps the first best in that order, copy then row order.  No
-        option of a row ends before its single, hence the gate on it.
+        the interval starting at x that ends inside the window.  Only the
+        row's undominated options, ``live[a]`` in ascending end order, are
+        tried, and the walk stops at the first one that ends at or after
+        ``hi``; the value is the same as over the whole row.
         """
-        start_at, right, optr, end, val, s_buf = (
-            self.start_at, self.right, self.optr, self.end, self.val, self.s_buf
-        )
+        start_at, live, s_buf = self.start_at, self.live, self.s_buf
         s_buf[hi] = 0
         for x in range(hi - 1, lo, -1):
             best = s_buf[x + 1]
             a = start_at[x]
-            if a >= 0 and right[a] < hi:
-                for o in range(optr[a], optr[a + 1]):
-                    f = end[o]
-                    if f < hi:
-                        v = val[o] + s_buf[f + 1]
-                        if v > best:
-                            best = v
+            if a >= 0:
+                for f, v in live[a]:
+                    if f >= hi:
+                        break
+                    v += s_buf[f + 1]
+                    if v > best:
+                        best = v
             s_buf[x] = best
         return s_buf[lo + 1]
 
     def fill_tables(self) -> None:
-        """Fill ``val`` in place.
+        """Fill ``val`` and ``live`` in place.
 
         ``end_at[x]`` is the interval ending at position x (or -1).  A pair
         option of interval [c, d] with its partner [e, f] has
@@ -131,12 +144,13 @@ class _Engine:
         * a pair stores ``S_e[c + 1]`` at hi = e and adds ``S_d[e + 1]`` at
           hi = d, then finishes with ``S_f[d + 1]`` and its gain at hi = f.
 
-        A sweep at hi reads only options that end before hi, which are final;
-        a pair's ``val`` holds a partial sum only while hi <= f, when no sweep
-        reads it.
+        An option joins its row's ``live`` at the hi where it finishes, if
+        it beats the last one kept there, so a sweep at hi reads only final
+        options, all ending before hi; a pair's ``val`` holds a partial sum
+        only while hi <= f, before it can join.
         """
         start_at, end_at, left, right = self.start_at, self.end_at, self.left, self.right
-        optr, mate, gain, back = self.optr, self.mate, self.gain, self.back
+        optr, mate, gain, back, live = self.optr, self.mate, self.gain, self.back, self.live
         s_buf, val, sweep = self.s_buf, self.val, self.sweep
         for hi in range(1, len(start_at) - 1):
             i = end_at[hi]
@@ -157,10 +171,13 @@ class _Engine:
                 continue
             o = optr[i]
             val[o] = inner + gain[o]
+            live[i].append((hi, val[o]))
             for o in range(o + 1, optr[i + 1]):
                 val[o] += s_buf[left[mate[o]] + 1]
             for o, a in back[i]:
-                val[o] += s_buf[right[a] + 1] + gain[o]
+                v = val[o] = val[o] + s_buf[right[a] + 1] + gain[o]
+                if v > live[a][-1][1]:
+                    live[a].append((hi, v))
 
     def solve(self) -> tuple[int, list[int]]:
         self.fill_tables()
@@ -203,8 +220,9 @@ class _Engine:
         """The option the sweep of a window ending at ``hi`` took at ``x``
         when it did not copy ``S[x + 1]``, as ``(i, mate)``: ``(i, -1)`` for
         the single i, ``(i, j)`` for the pair of i and its partner j.  The
-        row is scanned in the sweep's tie order, and the first option whose
-        value equals ``S[x]`` is the one the sweep's strict ``>`` kept."""
+        whole row is scanned, dominated options too, in row order, and the
+        first option whose value equals ``S[x]`` is taken: the choice a sweep
+        over the whole row with a strict ``>`` makes."""
         S = self.s_buf
         i = self.start_at[x]
         if i >= 0:
@@ -239,23 +257,34 @@ def compute_dms1(s: IntervalSet, include_pairs: bool = True) -> Dms1Table:
 def _window_value(eng: _Engine, table: Dms1Table, lo: int, hi: int) -> int:
     """Sweep value of the open window (lo, hi) over ``table``.
 
-    Loads exactly the entries that sweep reads -- every interval inside the
-    window and every forward pair inside it -- and raises ValueError when
-    ``table`` lacks one of them.
+    Rebuilds ``live`` for every row that starts inside the window, from
+    exactly the entries that sweep reads -- every interval inside the window
+    and every forward pair inside it -- and raises ValueError when ``table``
+    lacks one of them.  A row whose interval leaves the window gets an empty
+    list, so no row keeps what an earlier call loaded.
     """
+    end = eng.end
     for x in range(lo + 1, hi):
         a = eng.start_at[x]
-        if a < 0 or eng.right[a] >= hi:
+        if a < 0:
+            continue
+        row = eng.live[a] = []
+        if eng.right[a] >= hi:
             continue
         if a not in table.single:
             raise ValueError(f"table lacks the dms1 value of interval {a}")
-        eng.val[eng.optr[a]] = table.single[a]
-        for o in range(eng.optr[a] + 1, eng.optr[a + 1]):
+        for o in sorted(range(eng.optr[a], eng.optr[a + 1]), key=end.__getitem__):
+            if end[o] >= hi:
+                break
             b = eng.mate[o]
-            if eng.end[o] < hi:
-                if (a, b) not in table.pair:
-                    raise ValueError(f"table lacks the dms1 value of pair {(a, b)}")
-                eng.val[o] = table.pair[(a, b)]
+            if b < 0:
+                v = table.single[a]
+            elif (a, b) in table.pair:
+                v = table.pair[(a, b)]
+            else:
+                raise ValueError(f"table lacks the dms1 value of pair {(a, b)}")
+            if not row or v > row[-1][1]:
+                row.append((end[o], v))
     return eng.sweep(lo, hi)
 
 

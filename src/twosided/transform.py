@@ -16,6 +16,10 @@ graph unchanged.  The projection is purely combinatorial; no geometry is
 involved.  The interval set scans its own overlap relation, and one
 independent check ties it to chord alternation and, edge by edge, to the
 weights.
+
+A layout with more than ``MAX_OVERLAP_PAIRS`` crossing chord pairs is
+refused with :class:`ProjectionSizeError` before anything of its size is
+allocated: the pair count is known from the layout's crossing counts alone.
 """
 
 from __future__ import annotations
@@ -24,6 +28,16 @@ import enum
 from dataclasses import dataclass
 
 from .model import IntervalSet, LayoutInstance
+
+# A whole k=1 `twosided solve` peaks at about 380 B per crossing chord pair
+# (maxrss 152 MiB at P = 372,636 and 277 MiB at P = 727,981, 16 MiB for a
+# 20-edge graph; random layouts of 1500 and 2100 edges, Python 3.11), so
+# this limit keeps a solve under about 1 GiB.
+MAX_OVERLAP_PAIRS = 2_800_000
+
+
+class ProjectionSizeError(ValueError):
+    """The layout has more crossing chord pairs than ``MAX_OVERLAP_PAIRS``."""
 
 
 class EdgeWeightMode(enum.Enum):
@@ -69,7 +83,14 @@ def project_to_intervals(
     Two intervals overlap iff the corresponding chords cross, and each weighs
     its crossing count; every call checks both, the count edge by edge
     (:func:`_check_alternation`), and raises AssertionError when one fails.
+    Raises :class:`ProjectionSizeError`, before the slots are sorted, when
+    the layout has more than ``MAX_OVERLAP_PAIRS`` crossing chord pairs.
     """
+    crossing = sum(instance.crossings_per_edge) // 2
+    if crossing > MAX_OVERLAP_PAIRS:
+        raise ProjectionSizeError(
+            f"{crossing} crossing chord pairs exceed the limit of {MAX_OVERLAP_PAIRS}"
+        )
     pos = instance.positions
     n = instance.n_vertices
     edges = instance.edges
@@ -87,16 +108,17 @@ def project_to_intervals(
     for slot, (_, _, eid) in enumerate(keys, 1):
         slots[eid].append(slot)
     s = IntervalSet.build(slots, instance.crossings_per_edge, mode.value)
-    _check_alternation(instance, s)
+    _check_alternation(instance, s, crossing)
     return ProjectionResult(s)
 
 
-def _check_alternation(instance: LayoutInstance, s: IntervalSet) -> None:
+def _check_alternation(instance: LayoutInstance, s: IntervalSet, crossing: int) -> None:
     """Raise unless the overlapping pairs are exactly the crossing chords:
     every overlapping pair alternates as chords (the first pair that does
-    not, by owner and then row order of the forward rows, is named), the
-    Fenwick count of crossing chord pairs is P, and each edge's count is its
-    overlap degree (the first edge that differs is named).  The counts are
+    not, by owner and then row order of the forward rows, is named),
+    ``crossing``, the Fenwick count of crossing chord pairs, is P, and each
+    edge's count is its overlap degree (the first edge that differs is
+    named).  The counts are
     the layout's cached :attr:`~twosided.model.LayoutInstance.crossings_per_edge`,
     one pass shared with the weights and the one-sided crossing count."""
     pos = instance.positions
@@ -107,7 +129,6 @@ def _check_alternation(instance: LayoutInstance, s: IntervalSet) -> None:
             if not (a < c < b < d or c < a < d < b):
                 x, y = sorted((i, j))
                 raise AssertionError(f"projection broke the intersection graph at edges {x},{y}")
-    crossing = sum(instance.crossings_per_edge) // 2
     if crossing != len(s.partner):
         raise AssertionError(f"{len(s.partner)} overlapping pairs for {crossing} crossing chord pairs")
     for e, (c, nb) in enumerate(zip(instance.crossings_per_edge, s.neighbors)):

@@ -255,6 +255,32 @@ def test_cli_memo_budget_is_exit_2(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_cli_overlap_pair_limit_is_exit_2(tmp_path, capsys, monkeypatch):
+    """A layout with more crossing chord pairs than the projection's limit
+    is refused before it is projected: ``solve_layout`` raises the size
+    error and ``twosided solve`` exits with code 2 and a one-line
+    diagnostic.  A layout at the limit solves."""
+    from twosided import transform
+    from twosided.pipeline import solve_layout
+
+    instance = generate_random_biconnected(8, 16, seed=3)
+    pairs = sum(instance.crossings_per_edge) // 2
+    path = tmp_path / "g.txt"
+    path.write_text(format_graph(instance))
+    monkeypatch.setattr(transform, "MAX_OVERLAP_PAIRS", pairs - 1)
+    with pytest.raises(transform.ProjectionSizeError, match=f"{pairs} crossing chord pairs"):
+        solve_layout(instance, 1)
+    assert main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {pairs} crossing chord pairs exceed the limit of {pairs - 1}\n"
+    )
+    monkeypatch.setattr(transform, "MAX_OVERLAP_PAIRS", pairs)
+    assert main(["solve", str(path)]) == 0
+    capsys.readouterr()
+
+
 def test_cli_bench_failure_is_exit_1(capsys):
     """An instance that cannot be generated stops the run: no CSV and no
     summary, exit code 1 and a one-line diagnostic."""

@@ -16,6 +16,7 @@ from twosided.oracle import brute_force_k_overlap
 from twosided.solver_k1 import (
     Dms1Table,
     _Engine,
+    _window_value,
     compute_dms1,
     dms1_pair,
     dms1_single,
@@ -195,6 +196,78 @@ def test_fill_matches_window_by_window_sweeps():
                     assert eng.val[o] == want, (trial, i, j)
                     checked += 1
     assert checked > 3000
+
+
+def test_live_rows_are_the_undominated_options():
+    """After the fill, ``live[i]`` is strictly ascending in end and value,
+    each entry is the end and value of an option of row i, and every option
+    of the row is matched by an entry that ends no later and is worth at
+    least as much."""
+    for trial in range(200):
+        rng = random.Random(9000 + trial)
+        s = random_interval_set(rng.randint(1, 16), rng)
+        for k in (0, 1):
+            eng = _Engine(s, k)
+            eng.fill_tables()
+            for i, live in enumerate(eng.live):
+                row = [(eng.end[o], eng.val[o]) for o in range(eng.optr[i], eng.optr[i + 1])]
+                assert live and set(live) <= set(row), (trial, k, i)
+                for (f, v), (g, w) in zip(live, live[1:]):
+                    assert f < g and v < w, (trial, k, i)
+                for f, v in row:
+                    assert any(g <= f and w >= v for g, w in live), (trial, k, i, f)
+
+
+def test_live_rows_regression():
+    """The sweeps walk under 0.3 times the options of the rows (3,884 live
+    entries against 16,561 options on this instance)."""
+    from twosided.bench import generate_random_biconnected
+    from twosided.transform import EdgeWeightMode, project_to_intervals
+
+    instance = generate_random_biconnected(120, 312, seed=424242)
+    s = project_to_intervals(instance, EdgeWeightMode.IGNORE_SHIFTED).interval_set
+    eng = _Engine(s, 1)
+    eng.fill_tables()
+    kept = sum(map(len, eng.live))
+    assert kept < 0.3 * len(eng.mate), (kept, len(eng.mate))
+
+
+def test_window_lookups_rebuild_every_row():
+    """``_window_value`` rebuilds the live rows of each window from the table
+    it is given: on one engine, alternating between a filled table and a
+    copy whose pair values are raised, every window value equals the
+    reference sweep over that table, and ``dms1_single`` and ``dms1_pair``
+    agree with it."""
+    from twosided.bench import generate_random_biconnected
+    from twosided.transform import project_to_intervals
+
+    s = project_to_intervals(generate_random_biconnected(60, 156, seed=424242)).interval_set
+    table = compute_dms1(s)
+    rng = random.Random(17)
+    raised = Dms1Table(table.single, {p: v + rng.randint(0, 50) for p, v in table.pair.items()})
+    assert raised.pair != table.pair
+    refs = []
+    for t in (table, raised):
+        ref = _Engine(s, 1)
+        for i in range(len(s)):
+            ref.val[ref.optr[i]] = t.single[i]
+            for o in range(ref.optr[i] + 1, ref.optr[i + 1]):
+                ref.val[o] = t.pair[i, ref.mate[o]]
+        refs.append((t, ref))
+    shared = _Engine(s, 1)
+    for i in range(len(s)):
+        lo, hi = s.left[i], s.right[i]
+        for t, ref in refs[::-1] + refs:
+            want = reference_sweep(s, ref, lo, hi)
+            assert _window_value(shared, t, lo, hi) == want, i
+        t, ref = refs[1]
+        assert dms1_single(i, s, t) == s.weight[i] + reference_sweep(s, ref, lo, hi), i
+    for i, j in sorted(raised.pair)[::61]:
+        c, d, e, f = s.left[i], s.right[i], s.left[j], s.right[j]
+        t, ref = refs[1]
+        regions = sum(reference_sweep(s, ref, a, b) for a, b in ((c, e), (e, d), (d, f)))
+        want = regions + s.weight[i] + s.weight[j] - s.pair_weight(i, j)
+        assert dms1_pair(i, j, s, t) == want, (i, j)
 
 
 def test_recovery_mismatch_raises(monkeypatch):
