@@ -14,7 +14,8 @@ Exit codes: 0 on success, 1 on parse errors, 2 on size guards: the
 brute-force oracle's instance limits, the projection's limit on crossing
 chord pairs (``transform.MAX_OVERLAP_PAIRS``, which keeps a k=1 solve under
 about 1 GiB) and the general-k solver's memo-state limit
-(``solver_general.MAX_MEMO_STATES``).  Diagnostics go to stderr.
+(``solver_general.MAX_MEMO_STATES``, which ends a ``solve`` or ``reduce-mds``
+whose memo would outgrow it).  Diagnostics go to stderr.
 """
 
 from __future__ import annotations

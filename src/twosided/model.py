@@ -282,8 +282,10 @@ class IntervalSet:
     The 2n endpoints are exactly {1, ..., 2n}; ``pair_weights`` carries one
     entry per properly overlapping pair (keyed by the interval indices in
     ``intervals``, smaller index first), or is one integer applied to every
-    overlapping pair; after construction it is always a mapping.  Interval
-    ids are positions in ``intervals``.
+    overlapping pair; after construction it is always a mapping, and its
+    keys are the overlapping pairs (i, j), i < j, in lexicographic order
+    when the set spread an integer.  Interval ids are positions in
+    ``intervals``.
 
     Construction scans the endpoints once, left to right, and keeps the
     tables every consumer reads, as plain attributes rather than fields (the
@@ -303,12 +305,13 @@ class IntervalSet:
 
     def __post_init__(self) -> None:
         self._scan()
+        pairs = [(i, j) for i, nb in enumerate(self.neighbors) for j in nb if j > i]
         if isinstance(self.pair_weights, int):
             if self.pair_weights < 0:
                 raise ValueError("pair weights must be non-negative")
-            object.__setattr__(self, "pair_weights", dict.fromkeys(self.pairs, self.pair_weights))
+            object.__setattr__(self, "pair_weights", dict.fromkeys(pairs, self.pair_weights))
             return
-        expected = set(self.pairs)
+        expected = set(pairs)
         got = set(self.pair_weights)
         if got != expected:
             raise ValueError(
@@ -402,11 +405,6 @@ class IntervalSet:
         return tuple(tuple(sorted(x)) for x in nbr)
 
     @cached_property
-    def pairs(self) -> list[Pair]:
-        """Every overlapping pair (i, j), i < j, in lexicographic order."""
-        return [(i, j) for i, nb in enumerate(self.neighbors) for j in nb if j > i]
-
-    @cached_property
     def max_degree(self) -> int:
         return max(map(len, self.neighbors), default=0)
 
@@ -426,7 +424,7 @@ def solution_weight(chosen: Iterable[int], s: IntervalSet) -> int:
     weights minus the weights of the overlapping pairs inside it."""
     ids = set(chosen)
     pairs = overlap_pairs_within(ids, s)
-    return sum(s.intervals[i].weight for i in ids) - sum(s.pair_weights[p] for p in pairs)
+    return sum(s.weight[i] for i in ids) - sum(s.pair_weights[p] for p in pairs)
 
 
 @dataclass(frozen=True)

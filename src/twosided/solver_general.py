@@ -52,8 +52,8 @@ idx).
 
 The memo is bounded: a solve that would store more than ``MAX_MEMO_STATES``
 values raises ``SolverBudgetError``.  Solution recovery replays the
-maximizing decisions.  The top-level call wraps the instance in a
-zero-weight dummy interval covering everything.
+maximizing decisions.  The top-level window is owner n = len(s), whose
+members are every interval in left-endpoint order.
 """
 
 from __future__ import annotations
@@ -86,10 +86,12 @@ __all__ = [
 UNDECIDED = None  # the undecided capacity (no decision made about the interval)
 UNLIMITED = math.inf  # the unlimited capacity (interval rejected); tested with ``is``
 
-# Largest number of memoized values one solve may store.  A stored state
-# was measured at 250-290 bytes of resident memory (CPython 3.11, 30 to 52
-# intervals), so a solve that reaches the limit holds about 0.3 GB of memo.
-MAX_MEMO_STATES = 1_000_000
+# Largest number of memoized values one solve may store.  Near the limit a
+# solve stores a state every 44-48 us and holds 200-400 bytes per state,
+# so it fails after about 10 s and 40-80 MB.  The bytes carry over to other
+# machines; the seconds were measured on one 2-core Xeon VM (CPython 3.11)
+# only and scale with its speed, since the limit counts states, not time.
+MAX_MEMO_STATES = 200_000
 
 
 class SolverBudgetError(RuntimeError):
@@ -159,8 +161,8 @@ class LegalSuccessor:
 class GeneralSolver:
     """Capacity-vector dynamic program over one instance and one k.
 
-    A solver owns its memo tables; distinct solves do not share state.  The
-    dummy interval gets id n (= len(s)).
+    A solver owns its memo tables and reads every interval fact off ``s``;
+    owner n (= len(s)) is the top-level window.
     """
 
     def __init__(self, s: IntervalSet, k: int):
@@ -168,17 +170,11 @@ class GeneralSolver:
             raise ValueError("k must be non-negative")
         self.s = s
         self.k = k
-        n = len(s)
-        self.n = n
-        self.dummy = n
-        self.left = [*s.left, 0]
-        self.right = [*s.right, 2 * n + 1]
-        self.weight = [*s.weight, 0]
-        self.nb: list[tuple[int, ...]] = [*s.neighbors, ()]
+        self.n = n = len(s)
 
         # Strictly nested members per owner, sorted by left endpoint.
         self.members = [s.nested(i) for i in range(n)] + [list(s.by_left)]
-        self.member_lefts = [[self.left[j] for j in lst] for lst in self.members]
+        self.member_lefts = [[s.left[j] for j in lst] for lst in self.members]
 
         self.f_memo: dict = {}
         # (owner, idx) -> memo key positions, see _key_positions.
@@ -190,8 +186,8 @@ class GeneralSolver:
         """The positions keying the window value of (owner, idx): the ids
         of the frontier N(R) minus R in ascending order, with R =
         members[idx:]."""
-        rest = self.members[owner][idx:]
-        return tuple(sorted(set().union(*(self.nb[r] for r in rest)).difference(rest)))
+        rest, nb = self.members[owner][idx:], self.s.neighbors
+        return tuple(sorted(set().union(*(nb[r] for r in rest)).difference(rest)))
 
     def _successors(
         self, lam: Mapping[int, object], j: int
@@ -205,7 +201,8 @@ class GeneralSolver:
         (the window value adds j's own) and subtracts the weight of every
         pair that becomes fully selected.
         """
-        k, nb, left, pw = self.k, self.nb, self.left, self.s.pair_weights
+        s, k = self.s, self.k
+        nb, left, weight, pw = s.neighbors, s.left, s.weight, s.pair_weights
         forced: list[int] = []
         fresh: list[int] = []
         for m in nb[j]:
@@ -222,7 +219,7 @@ class GeneralSolver:
                 for m in fresh:
                     if m not in extra:
                         state[m] = UNLIMITED
-                delta = sum(self.weight[x] for x in extra)
+                delta = sum(weight[x] for x in extra)
                 budgets = []
                 legal = True
                 # One pass over each joiner's neighbors: count the ones that
@@ -290,15 +287,16 @@ class GeneralSolver:
         value and the first option reaching it, as ``(next index, next
         state, chosen)``; ``chosen`` is None unless committed."""
         j = self.members[owner][idx]
+        right, weight = self.s.right, self.s.weight
         lam_rej = dict(lam)
         lam_rej[j] = UNLIMITED
         best = self._window_value(owner, idx + 1, lam_rej)
         action = (idx + 1, lam_rej, None)
-        nidx = bisect_right(self.member_lefts[owner], self.right[j], lo=idx)
+        nidx = bisect_right(self.member_lefts[owner], right[j], lo=idx)
         for lam2, delta, chosen in self._successors(lam, j):
             v = (
                 delta
-                + self.weight[j]
+                + weight[j]
                 + self._window_value(j, 0, lam2)
                 + self._window_value(owner, nidx, lam2)
             )
@@ -328,19 +326,19 @@ class GeneralSolver:
         the interval decides them; the memo relies on it.  An undecided
         neighbor or an interval not in the set raises ValueError."""
         i = self.s.id_of(interval)
-        nb = self.nb[i]
+        nb = self.s.neighbors[i]
         if any(lam.get(m) is UNDECIDED for m in nb):
             raise ValueError("the capacity vector leaves a neighbor of the interval undecided")
         basic = {m: lam[m] for m in nb}
         with self._deep_recursion():
             value = self._window_value(i, 0, basic)
-        return self.weight[i] + value
+        return self.s.weight[i] + value
 
     def solve(self) -> Solution:
         chosen: list[int] = []
         with self._deep_recursion():
-            value = self._window_value(self.dummy, 0, {})
-            self._walk(self.dummy, 0, {}, chosen)
+            value = self._window_value(self.n, 0, {})
+            self._walk(self.n, 0, {}, chosen)
         return Solution.recovered(chosen, self.s, self.k, value)
 
     def _walk(self, owner: int, idx: int, lam: dict, out: list[int]) -> None:

@@ -24,22 +24,22 @@ final sweep over the whole line assembles the optimum.
 Each interval owns one row of options, the choices a sweep can make at its
 start point: the interval alone first, then at k = 1 the interval with each
 of its forward partners, ascending by partner id; at k = 0 the row holds the
-single only.  Every option carries its own right end and its own value, a
-single's or a pair's, so one loop serves both k.
+single only.  Every option carries its own value, a single's or a pair's, so
+one loop serves both k; it ends where its last interval ends.
 
 A sweep walks the integer positions of a window (lo, hi) from right to left;
 at the start point of a window-contained interval it maximizes over skipping
 the interval and taking one option of its row that ends inside the window.
 Its value at position x, ``S_hi[x]``, depends on the right end ``hi`` only,
-never on ``lo``, and it is non-increasing in x.  So an option o' of a row
-never raises a sweep value when another option o of the row ends before it
-and is worth at least as much: o is inside the window whenever o' is, and
-``val[o] + S[end[o] + 1] >= val[o'] + S[end[o'] + 1]``.  The sweep therefore
-walks only each row's undominated options, kept in ascending end order, and
-stops at the first one that leaves the window.  Options become final in
-ascending end order, so the table fill appends an option to that list when
-its value is final and beats the last one kept; nothing is sorted, and every
-sweep value is the one the whole row would give.
+never on ``lo``, and it is non-increasing in x.  So an option o' of a row,
+ending at f', never raises a sweep value when another option o of the row
+ends at f < f' and is worth at least as much: o is inside the window
+whenever o' is, and ``val[o] + S[f + 1] >= val[o'] + S[f' + 1]``.  The sweep
+therefore walks only each row's undominated options, kept in ascending end
+order, and stops at the first one that leaves the window.  Options become
+final in ascending end order, so the table fill appends an option to that
+list when its value is final and beats the last one kept; nothing is
+sorted, and every sweep value is the one the whole row would give.
 
 One method, ``_Engine.sweep``, is the only copy of that recurrence, and it
 records no choices: solution recovery walks the final sweep and the sweeps of
@@ -65,42 +65,36 @@ __all__ = [
     "solve_k0",
 ]
 
-_NEG = -(1 << 60)  # sentinel for "not yet computed"
-
 
 class _Engine:
-    """The option rows of an IntervalSet for one k <= 1, beside the set's
-    own position and endpoint tables.
+    """The option rows of an IntervalSet ``s`` for one k <= 1.
 
     Interval i's options are ``optr[i]:optr[i + 1]``: the single first
     (``mate[o] = -1``), then at k = 1 one pair per forward partner
-    (``mate[o]`` = the partner), ascending by id.  ``end[o]`` is the right
-    end of the option's last interval, ``gain[o]`` the weight of its
-    intervals less its pair weight, and ``val[o]`` its dms1 value.
-    ``live[i]`` lists ``(end[o], val[o])`` of row i's undominated final
-    options, strictly ascending in both end and value: each beats every
-    option of the row that ends before it.
+    (``mate[o]`` = the partner), ascending by id.  ``val[o]`` starts as the
+    option's own weight, its intervals' weights less its pair weight, gains
+    each region's sweep value during the fill and ends as its dms1 value.
+    ``live[i]`` lists (end, value) of row i's undominated final options,
+    strictly ascending in both: each beats every option of the row that
+    ends before it.
     """
 
     def __init__(self, s: IntervalSet, k: int):
+        self.s = s
         self.n = n = len(s)
-        self.start_at, self.end_at, self.left, self.right = s.start_at, s.end_at, s.left, s.right
-        right, weight, pw = s.right, s.weight, s.pair_weights
+        weight, pw = s.weight, s.pair_weights
         self.optr = optr = [0]
-        self.mate, self.end, self.gain = mate, end, gain = [], [], []
+        self.mate, self.val = mate, val = [], []
         # back[j]: (option, row owner) of every pair whose partner is j.
         self.back = back = [[] for _ in range(n)]
         for i in range(n):
             mate.append(-1)
-            end.append(right[i])
-            gain.append(weight[i])
+            val.append(weight[i])
             for j in (s.forward(i) if k else ()):
                 back[j].append((len(mate), i))
                 mate.append(j)
-                end.append(right[j])
-                gain.append(weight[i] + weight[j] - pw[(i, j) if i < j else (j, i)])
+                val.append(weight[i] + weight[j] - pw[(i, j) if i < j else (j, i)])
             optr.append(len(mate))
-        self.val = [_NEG] * len(mate)
         self.live = [[] for _ in range(n)]
         self.s_buf = [0] * (2 * n + 2)
 
@@ -116,7 +110,7 @@ class _Engine:
         tried, and the walk stops at the first one that ends at or after
         ``hi``; the value is the same as over the whole row.
         """
-        start_at, live, s_buf = self.start_at, self.live, self.s_buf
+        start_at, live, s_buf = self.s.start_at, self.live, self.s_buf
         s_buf[hi] = 0
         for x in range(hi - 1, lo, -1):
             best = s_buf[x + 1]
@@ -140,17 +134,17 @@ class _Engine:
         from ``hi`` down to the smallest left end needed there, and every
         entry reads its regions off it:
 
-        * a single i with r_i = hi is ``S_hi[l_i + 1] + w_i``;
-        * a pair stores ``S_e[c + 1]`` at hi = e and adds ``S_d[e + 1]`` at
-          hi = d, then finishes with ``S_f[d + 1]`` and its gain at hi = f.
+        * a single i with r_i = hi adds ``S_hi[l_i + 1]``;
+        * a pair adds ``S_e[c + 1]`` at hi = e, ``S_d[e + 1]`` at hi = d and
+          ``S_f[d + 1]`` at hi = f, where it is final.
 
         An option joins its row's ``live`` at the hi where it finishes, if
         it beats the last one kept there, so a sweep at hi reads only final
         options, all ending before hi; a pair's ``val`` holds a partial sum
         only while hi <= f, before it can join.
         """
-        start_at, end_at, left, right = self.start_at, self.end_at, self.left, self.right
-        optr, mate, gain, back, live = self.optr, self.mate, self.gain, self.back, self.live
+        start_at, end_at, left, right = self.s.start_at, self.s.end_at, self.s.left, self.s.right
+        optr, mate, back, live = self.optr, self.mate, self.back, self.live
         s_buf, val, sweep = self.s_buf, self.val, self.sweep
         for hi in range(1, len(start_at) - 1):
             i = end_at[hi]
@@ -167,15 +161,15 @@ class _Engine:
             inner = sweep(lo, hi)
             if i < 0:
                 for o, a in pairs:
-                    val[o] = s_buf[left[a] + 1]
+                    val[o] += s_buf[left[a] + 1]
                 continue
             o = optr[i]
-            val[o] = inner + gain[o]
+            val[o] += inner
             live[i].append((hi, val[o]))
             for o in range(o + 1, optr[i + 1]):
                 val[o] += s_buf[left[mate[o]] + 1]
             for o, a in back[i]:
-                v = val[o] = val[o] + s_buf[right[a] + 1] + gain[o]
+                v = val[o] = val[o] + s_buf[right[a] + 1]
                 if v > live[a][-1][1]:
                     live[a].append((hi, v))
 
@@ -188,7 +182,7 @@ class _Engine:
         """Ids of an optimal set, read off the sweeps of the windows along
         the optimal decomposition.  Expects ``s_buf`` to hold the sweep of
         the whole line, as ``solve`` leaves it."""
-        S, left, right = self.s_buf, self.left, self.right
+        S, left, right = self.s_buf, self.s.left, self.s.right
         chosen: list[int] = []
         windows: list[tuple[int, int]] = []
         lo, hi = 0, 2 * self.n + 1
@@ -223,13 +217,14 @@ class _Engine:
         whole row is scanned, dominated options too, in row order, and the
         first option whose value equals ``S[x]`` is taken: the choice a sweep
         over the whole row with a strict ``>`` makes."""
-        S = self.s_buf
-        i = self.start_at[x]
+        S, right, mate = self.s_buf, self.s.right, self.mate
+        i = self.s.start_at[x]
         if i >= 0:
             for o in range(self.optr[i], self.optr[i + 1]):
-                f = self.end[o]
+                j = mate[o]
+                f = right[i if j < 0 else j]
                 if f < hi and self.val[o] + S[f + 1] == S[x]:
-                    return i, self.mate[o]
+                    return i, j
         raise AssertionError(f"no option at position {x} reaches the sweep value {S[x]}")
 
 
@@ -263,28 +258,25 @@ def _window_value(eng: _Engine, table: Dms1Table, lo: int, hi: int) -> int:
     lacks one of them.  A row whose interval leaves the window gets an empty
     list, so no row keeps what an earlier call loaded.
     """
-    end = eng.end
+    start_at, right = eng.s.start_at, eng.s.right
     for x in range(lo + 1, hi):
-        a = eng.start_at[x]
+        a = start_at[x]
         if a < 0:
             continue
         row = eng.live[a] = []
-        if eng.right[a] >= hi:
+        if right[a] >= hi:
             continue
         if a not in table.single:
             raise ValueError(f"table lacks the dms1 value of interval {a}")
-        for o in sorted(range(eng.optr[a], eng.optr[a + 1]), key=end.__getitem__):
-            if end[o] >= hi:
+        row.append((right[a], table.single[a]))
+        for b in sorted(eng.mate[eng.optr[a] + 1 : eng.optr[a + 1]], key=right.__getitem__):
+            if right[b] >= hi:
                 break
-            b = eng.mate[o]
-            if b < 0:
-                v = table.single[a]
-            elif (a, b) in table.pair:
-                v = table.pair[(a, b)]
-            else:
+            if (a, b) not in table.pair:
                 raise ValueError(f"table lacks the dms1 value of pair {(a, b)}")
-            if not row or v > row[-1][1]:
-                row.append((end[o], v))
+            v = table.pair[a, b]
+            if v > row[-1][1]:
+                row.append((right[b], v))
     return eng.sweep(lo, hi)
 
 
@@ -310,18 +302,16 @@ def dms1_pair(
     """
     i = s.id_of(i_interval)
     j = s.id_of(j_interval)
-    eng = _Engine(s, 1)
-    pairs = range(eng.optr[i] + 1, eng.optr[i + 1])
-    o = next((o for o in pairs if eng.mate[o] == j), None)
-    if o is None:
+    if j not in s.forward(i):
         raise ValueError("second interval must overlap the first on its right side")
+    eng = _Engine(s, 1)
     c, d, e, f = s.left[i], s.right[i], s.left[j], s.right[j]
     regions = (
         _window_value(eng, table, c, e)
         + _window_value(eng, table, e, d)
         + _window_value(eng, table, d, f)
     )
-    return regions + eng.gain[o]
+    return regions + s.weight[i] + s.weight[j] - s.pair_weight(i, j)
 
 
 def _solve(s: IntervalSet, k: int) -> Solution:

@@ -255,6 +255,21 @@ def test_cli_memo_budget_is_exit_2(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_cli_reduce_mds_memo_budget_is_exit_2(tmp_path, capsys, monkeypatch):
+    """``reduce-mds`` solves its reduction (k = 8 and 128 intervals here)
+    with the general-k solver; past the memo-state limit it exits with
+    code 2 and one line on stderr."""
+    from twosided import solver_general
+
+    path = tmp_path / "g.txt"
+    path.write_text(format_graph(generate_random_biconnected(8, 20, seed=3)))
+    monkeypatch.setattr(solver_general, "MAX_MEMO_STATES", 50)
+    assert main(["reduce-mds", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: the general-k solve (k=8, 128 intervals) exceeds the limit of 50 memo states\n"
+    )
+
+
 def test_cli_overlap_pair_limit_is_exit_2(tmp_path, capsys, monkeypatch):
     """A layout with more crossing chord pairs than the projection's limit
     is refused before it is projected: ``solve_layout`` raises the size

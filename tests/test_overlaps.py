@@ -1,8 +1,10 @@
-"""Properties of the shared overlap structure and of the crossing count.
+"""Properties of the shared overlap structure, of the crossing count and of
+the solvers' optima.
 
 The references here are pair loops over ``chords_cross`` and ``overlap_kind``;
 the program computes the same facts with the interval set's own endpoint scan
-and a Fenwick-tree count (``crossings_per_chord``).
+and a Fenwick-tree count (``crossings_per_chord``).  Every solver's optimum
+is held to the brute-force oracle's.
 """
 
 import pytest
@@ -21,7 +23,10 @@ from twosided.model import (
     crossings_per_chord,
     overlap_kind,
 )
+from twosided.oracle import brute_force_k_overlap
 from twosided.render import layout_stats
+from twosided.solver_general import GeneralSolver, solve_k
+from twosided.solver_k1 import solve_k0, solve_k1
 from twosided.transform import EdgeWeightMode, project_to_intervals
 
 PROPERTY = settings(max_examples=150, deadline=None, database=None, derandomize=True)
@@ -51,6 +56,15 @@ def span_lists(draw, max_n=12):
     n = draw(st.integers(0, max_n))
     pts = draw(st.permutations(range(1, 2 * n + 1)))
     return [tuple(sorted(pts[2 * i : 2 * i + 2])) for i in range(n)]
+
+
+@st.composite
+def weighted_sets(draw):
+    """Interval sets of up to 12 intervals, weights 0-9, pair weights 0-3."""
+    spans = draw(span_lists())
+    weights = draw(st.lists(st.integers(0, 9), min_size=len(spans), max_size=len(spans)))
+    pairs = IntervalSet.build(spans, pair_weights=0).pair_weights
+    return IntervalSet.build(spans, weights, {p: draw(st.integers(0, 3)) for p in pairs})
 
 
 def crossing_pairs(inst: LayoutInstance, ids) -> set[tuple[int, int]]:
@@ -109,7 +123,7 @@ def test_overlap_scan_matches_pairwise_classification(spans):
     assert len(s.start_at) == len(s.end_at) == 2 * n + 2
     assert s.start_at == tuple(starts.get(x, -1) for x in range(2 * n + 2))
     assert s.end_at == tuple(ends.get(x, -1) for x in range(2 * n + 2))
-    assert s.pairs == sorted((i, j) for (i, j), k in kind.items() if i < j and k == OVERLAP)
+    assert list(s.pair_weights) == sorted((i, j) for (i, j), k in kind.items() if i < j and k == OVERLAP)
     for i in range(n):
         assert s.neighbors[i] == tuple(j for j in range(n) if kind.get((i, j)) == OVERLAP)
         assert s.forward(i) == tuple(
@@ -124,7 +138,7 @@ def test_overlap_scan_matches_pairwise_classification(spans):
 @given(span_lists(), st.data())
 def test_interval_set_rejects_one_pair_missing_or_added(spans, data):
     full = IntervalSet.build(spans, pair_weights=1)
-    pairs = full.pairs
+    pairs = list(full.pair_weights)
     if pairs:
         drop = data.draw(st.sampled_from(pairs))
         with pytest.raises(ValueError, match="missing"):
@@ -141,9 +155,9 @@ def test_interval_set_scans_itself_and_spreads_an_int_pair_weight():
     ivs = (Interval(1, 3), Interval(2, 5), Interval(4, 6))
     s = IntervalSet(ivs, 2)
     assert s.pair_weights == {(0, 1): 2, (1, 2): 2}
-    assert s.pairs == [(0, 1), (1, 2)]
+    assert list(s.pair_weights) == [(0, 1), (1, 2)]
     with pytest.raises(TypeError):
-        IntervalSet(ivs, 2, s.pairs)
+        IntervalSet(ivs, 2, list(s.pair_weights))
 
 
 def test_id_of_rejects_an_unknown_interval():
@@ -162,3 +176,13 @@ def test_id_of_rejects_an_unknown_interval():
     for iv in unknown:
         with pytest.raises(ValueError, match="not in the set"):
             s.id_of(iv)
+
+
+@PROPERTY
+@given(weighted_sets(), st.integers(0, 3))
+def test_every_solver_reaches_the_oracle_optimum(s, k):
+    want = brute_force_k_overlap(s, k).weight
+    assert solve_k(s, k).weight == want
+    assert GeneralSolver(s, k).solve().weight == want
+    if k <= 1:
+        assert (solve_k0, solve_k1)[k](s).weight == want

@@ -190,7 +190,8 @@ def test_dms_k_rejects_an_undecided_neighbor():
 
 def test_interval_ids_outside_the_set_are_rejected():
     """An int id must name an interval of the set: -1 would otherwise read
-    the solver's dummy (the whole line) and len(s) would index past the end."""
+    the last interval's tables or the solver's top-level window (the whole
+    line), and len(s) would index past the end."""
     s = random_interval_set(6, 3)
     lam = CapacityVector.initial(s)
     for bad in (-1, len(s)):
@@ -209,9 +210,9 @@ def test_interval_ids_outside_the_set_are_rejected():
 
 
 def test_general_solver_dms_rejects_an_id_outside_the_set():
-    """-1 and len(s) both index the solver's dummy interval, whose window is
-    the whole instance; ``dms`` resolves the id through the set first, as
-    ``dms_k`` does, and takes an ``Interval`` too."""
+    """-1 and len(s) both index the solver's top-level window, whose members
+    are the whole instance; ``dms`` resolves the id through the set first,
+    as ``dms_k`` does, and takes an ``Interval`` too."""
     s = make_set([(1, 2), (3, 4)], [5, 7], 0)
     solver = GeneralSolver(s, 2)
     for bad in (-1, len(s)):
@@ -506,7 +507,7 @@ def test_recovery_mismatch_raises(monkeypatch):
 
     def drop_last_chosen(self, owner, idx, lam, out):
         walk(self, owner, idx, lam, out)
-        if owner == self.dummy:
+        if owner == self.n:
             out.pop()
 
     monkeypatch.setattr(GeneralSolver, "_walk", drop_last_chosen)
@@ -656,7 +657,7 @@ def test_window_members_undecided_and_frontier_decided():
     decided; the memo key holds exactly the positions of F."""
     for solver, owner, idx, lam in _reached_states():
         rest = solver.members[owner][idx:]
-        frontier = set().union(*(solver.nb[r] for r in rest)).difference(rest)
+        frontier = set().union(*(solver.s.neighbors[r] for r in rest)).difference(rest)
         assert all(lam.get(r) is UNDECIDED for r in rest), (owner, idx)
         assert all(lam.get(f) is not UNDECIDED for f in frontier), (owner, idx)
         assert list(solver._key_positions(owner, idx)) == sorted(frontier), (owner, idx)

@@ -210,7 +210,10 @@ def test_live_rows_are_the_undominated_options():
             eng = _Engine(s, k)
             eng.fill_tables()
             for i, live in enumerate(eng.live):
-                row = [(eng.end[o], eng.val[o]) for o in range(eng.optr[i], eng.optr[i + 1])]
+                row = []
+                for o in range(eng.optr[i], eng.optr[i + 1]):
+                    j = eng.mate[o]
+                    row.append((s.right[i if j < 0 else j], eng.val[o]))
                 assert live and set(live) <= set(row), (trial, k, i)
                 for (f, v), (g, w) in zip(live, live[1:]):
                     assert f < g and v < w, (trial, k, i)
@@ -338,7 +341,7 @@ walk = GeneralSolver._walk
 
 def drop_last_chosen(self, owner, idx, lam, out):
     walk(self, owner, idx, lam, out)
-    if owner == self.dummy:
+    if owner == self.n:
         out.pop()
 
 
