@@ -13,6 +13,7 @@ from .model import (
     Interval,
     IntervalSet,
     LayoutInstance,
+    SizeGuardError,
     Solution,
     TwoSidedAssignment,
     chords_cross,

@@ -10,10 +10,11 @@ Subcommands:
                      circle graph.
 * ``bench``       -- experiment harness producing a CSV.
 
-Exit codes: 0 on success, 1 on parse errors, 2 on size guards: the
-brute-force oracle's instance limits, the projection's limit on crossing
-chord pairs (``transform.MAX_OVERLAP_PAIRS``, which keeps a k=1 solve under
-about 1 GiB) and the general-k solver's memo-state limit
+Exit codes: 0 on success, 1 on parse errors, 2 on size guards, the
+subclasses of ``model.SizeGuardError``: the brute-force oracle's instance
+limits, the projection's limit on crossing chord pairs
+(``transform.MAX_OVERLAP_PAIRS``, which keeps a k=1 solve under about 1 GiB)
+and the general-k solver's memo-state limit
 (``solver_general.MAX_MEMO_STATES``, which ends a ``solve`` or ``reduce-mds``
 whose memo would outgrow it).  Diagnostics go to stderr.
 """
@@ -27,11 +28,12 @@ import sys
 from .bench import ExperimentConfig, mean_saved_pct, rows_to_csv, run_experiment
 from .graphio import GraphParseError, dump_intervals, parse_graph_file
 from .hardness import extract_dominating_set, reduce_mds_to_bdmwis
-from .oracle import OracleSizeError, brute_force_two_sided
+from .model import SizeGuardError
+from .oracle import brute_force_two_sided
 from .pipeline import solve_layout
 from .render import layout_stats, render_layout
-from .solver_general import SolverBudgetError, solve_k
-from .transform import EdgeWeightMode, ProjectionSizeError, project_to_intervals
+from .solver_general import solve_k
+from .transform import EdgeWeightMode, project_to_intervals
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -204,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "bench":
             return _cmd_bench(args)
         raise AssertionError(f"unhandled command {args.command!r}")
-    except (OracleSizeError, ProjectionSizeError, SolverBudgetError) as exc:
+    except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (GraphParseError, OSError, ValueError) as exc:

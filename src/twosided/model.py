@@ -16,6 +16,8 @@ This module holds the vocabulary shared by everything else in the package:
   construction and keeps the per-id and per-position tables, the
   left-endpoint order and the overlap relation that every consumer reads
 * :class:`Solution`            -- a selected subset and its objective value
+* :class:`SizeGuardError`      -- the base of the errors that refuse an input
+  too large to solve in bounded memory or time
 
 plus :func:`overlap_kind`, the pairwise classification of two intervals,
 kept as the reference that the set's scan is tested against.  All types
@@ -41,6 +43,13 @@ DISJOINT = "disjoint"
 OVERLAP = "overlap"
 A_NESTS_B = "a_nests_b"
 B_NESTS_A = "b_nests_a"
+
+
+class SizeGuardError(Exception):
+    """An input exceeds a size guard.  Each guard also derives from the
+    builtin error it raised before the base existed: ``OracleSizeError`` and
+    ``ProjectionSizeError`` from ValueError, ``SolverBudgetError`` from
+    RuntimeError.  The command line maps the base to exit code 2."""
 
 
 def canonical_edge(u: int, v: int) -> Edge:
@@ -291,13 +300,15 @@ class IntervalSet:
     tables every consumer reads, as plain attributes rather than fields (the
     constructor, ``repr`` and identity equality ignore them): per id
     ``left``, ``right`` and ``weight``; per position 0..2n+1 ``start_at`` and
-    ``end_at``, the id starting or ending there or -1; ``by_left``, the ids
-    in left-endpoint order, and ``rank``, each id's place in it.  The ids
-    starting inside (left_i, right_i) are the run ``by_left[rank[i] + 1 :
-    run_end[i]]``.  Those ending after right_i are i's forward partners,
-    kept as compressed rows ``partner[ptr[i]:ptr[i + 1]]`` ascending by id;
-    the rest are nested in i.  Every overlapping pair appears once, under
-    its member with the smaller left endpoint.
+    ``end_at``, the id starting or ending there or -1, and ``next_start``,
+    the rank of the first interval starting at or after there, or n if none
+    does; ``by_left``, the ids in left-endpoint order, and ``rank``, each
+    id's place in it.  The ids starting inside (left_i, right_i) are the
+    run ``by_left[rank[i] + 1 : run_end[i]]``.  Those ending after right_i
+    are i's forward partners, kept as compressed rows
+    ``partner[ptr[i]:ptr[i + 1]]`` ascending by id; the rest are nested in
+    i.  Every overlapping pair appears once, under its member with the
+    smaller left endpoint.
     """
 
     intervals: tuple[Interval, ...]
@@ -333,7 +344,10 @@ class IntervalSet:
             start_at[left[i]] = i
             end_at[right[i]] = i
         by_left, rank, run_end = [], [0] * n, [0] * n
+        next_start = [0] * (2 * n + 2)
+        next_start[-1] = n
         for x in range(1, 2 * n + 1):
+            next_start[x] = len(by_left)
             i = start_at[x]
             if i >= 0:
                 rank[i] = len(by_left)
@@ -347,7 +361,8 @@ class IntervalSet:
         self.__dict__.update(
             left=left, right=right, weight=tuple(iv.weight for iv in self.intervals),
             start_at=tuple(start_at), end_at=tuple(end_at), by_left=tuple(by_left),
-            rank=tuple(rank), run_end=tuple(run_end), ptr=tuple(ptr), partner=tuple(partner),
+            rank=tuple(rank), run_end=tuple(run_end), next_start=tuple(next_start),
+            ptr=tuple(ptr), partner=tuple(partner),
         )
 
     @classmethod

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 from .model import (
     IntervalSet,
     LayoutInstance,
+    SizeGuardError,
     Solution,
     TwoSidedAssignment,
     _alternate,
@@ -25,7 +26,7 @@ MAX_ORACLE_EDGES = 16
 MAX_ORACLE_NODES = 20
 
 
-class OracleSizeError(ValueError):
+class OracleSizeError(SizeGuardError, ValueError):
     """Raised when an instance exceeds the brute-force size guard."""
 
 

@@ -67,7 +67,7 @@ from itertools import combinations, product
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .model import Interval, IntervalSet, Solution, solution_weight
+from .model import Interval, IntervalSet, SizeGuardError, Solution, solution_weight
 from .solver_k1 import solve_k0, solve_k1
 
 __all__ = [
@@ -94,7 +94,7 @@ UNLIMITED = math.inf  # the unlimited capacity (interval rejected); tested with 
 MAX_MEMO_STATES = 200_000
 
 
-class SolverBudgetError(RuntimeError):
+class SolverBudgetError(SizeGuardError, RuntimeError):
     """Raised when a general-k solve would exceed ``MAX_MEMO_STATES``."""
 
 

@@ -14,12 +14,28 @@ subproblem values over windows of the line:
 A single value is its weight plus a sweep over the intervals nested in it; a
 pair value adds three independent sweeps over the left, middle and right
 regions the pair cuts out of its window.  A sweep's value depends only on
-its window's right end, so the tables are filled with one shared sweep per
-right end, taking the right ends in ascending order (the schedule of
+its window's right end, and the tables are filled with exactly one sweep per
+interval right end, taking them in ascending order (the schedule of
 Valiente's O(l) maximum-weight independent set algorithm for circle graphs,
-ISAAC 2003): each region is a lookup into the sweep of its right end, and
-every entry a sweep consults ends further left and is already final.  A
-final sweep over the whole line assembles the optimum.
+ISAAC 2003): each region is a lookup into one sweep, and every entry a sweep
+consults ends further left and is already final.  The sweep at the right end
+p of interval q runs with bound p2, the next right end (or 2n + 1), and
+serves every region whose right bound lies in [p, p2):
+
+* ``S_p2`` equals ``S_p`` on (l_q, p]: the two differ only in the options
+  ending at p, q's single and the pairs q closes as a partner, and every one
+  of them starts at or before l_q.  Past p both are 0, as no option ends in
+  (p, p2).
+* ``S_p2`` equals ``S_e`` on x <= e for every start e in (p, p2): no option
+  ends in (p, p2), so both sweeps take the same options.
+
+So the sweep first runs down to l_q + 1, where q's single and the regions
+ending at p read their values; those options are then final and join their
+rows, and the same sweep continues down to the smallest left end among the
+owners of pairs whose partner starts in (p, p2), which read their left
+regions off it.  No option ends before the first right end, so a left region
+ending at a start before it reads 0.  A final sweep over the whole line
+assembles the optimum.
 
 Each interval owns one row of options, the choices a sweep can make at its
 start point: the interval alone first, then at k = 1 the interval with each
@@ -27,26 +43,28 @@ of its forward partners, ascending by partner id; at k = 0 the row holds the
 single only.  Every option carries its own value, a single's or a pair's, so
 one loop serves both k; it ends where its last interval ends.
 
-A sweep walks the integer positions of a window (lo, hi) from right to left;
-at the start point of a window-contained interval it maximizes over skipping
-the interval and taking one option of its row that ends inside the window.
-Its value at position x, ``S_hi[x]``, depends on the right end ``hi`` only,
-never on ``lo``, and it is non-increasing in x.  So an option o' of a row,
-ending at f', never raises a sweep value when another option o of the row
-ends at f < f' and is worth at least as much: o is inside the window
-whenever o' is, and ``val[o] + S[f + 1] >= val[o'] + S[f' + 1]``.  The sweep
-therefore walks only each row's undominated options, kept in ascending end
-order, and stops at the first one that leaves the window.  Options become
-final in ascending end order, so the table fill appends an option to that
-list when its value is final and beats the last one kept; nothing is
-sorted, and every sweep value is the one the whole row would give.
+A sweep walks the interval starts inside a window (lo, hi) from right to
+left, by their rank in ``by_left``; at the start of a window-contained
+interval it maximizes over skipping the interval and taking one option of
+its row that ends inside the window.  Its value at position x, ``S_hi[x]``,
+is its value at the first start at or after x, 0 past the window's last
+start; it depends on the right end ``hi`` only, never on ``lo``, and it is
+non-increasing in x.  So an option o' of a row, ending at f', never raises a
+sweep value when another option o of the row ends at f < f' and is worth at
+least as much: o is inside the window whenever o' is, and
+``val[o] + S[f + 1] >= val[o'] + S[f' + 1]``.  The sweep therefore walks
+only each row's undominated options, kept in ascending end order, and stops
+at the first one that leaves the window.  Options become final in ascending
+end order, so the table fill appends an option to that list when its value
+is final and beats the last one kept; nothing is sorted, and every sweep
+value is the one the whole row would give.
 
 One method, ``_Engine.sweep``, is the only copy of that recurrence, and it
 records no choices: solution recovery walks the final sweep and the sweeps of
 the windows along the optimal decomposition and reads each decision off the
-sweep values -- at a position whose value differs from its right neighbour's,
-the first option of the whole row, in row order, whose value equals it, which
-is the option a sweep over the whole row with a strict ``>`` keeps.  All
+sweep values -- at a start whose value differs from the next start's, the
+first option of the whole row, in row order, whose value equals it, which is
+the option a sweep over the whole row with a strict ``>`` keeps.  All
 arithmetic is exact integer arithmetic on plain lists.
 """
 
@@ -96,82 +114,94 @@ class _Engine:
                 val.append(weight[i] + weight[j] - pw[(i, j) if i < j else (j, i)])
             optr.append(len(mate))
         self.live = [[] for _ in range(n)]
-        self.s_buf = [0] * (2 * n + 2)
+        self.s_buf = [0] * (n + 1)
 
-    def sweep(self, lo: int, hi: int) -> int:
+    def sweep(self, lo: int, hi: int, top: int | None = None) -> int:
         """Evaluate one sweep over the open window (lo, hi); returns S[lo + 1].
 
-        ``start_at[x]`` is the interval starting at position x (or -1).
-        Fills ``s_buf[lo + 1 : hi + 1]``; values for positions outside the
-        window are stale leftovers from earlier calls and are never read.
-        ``S[x]`` is the best of copying ``S[x + 1]`` and taking one option of
-        the interval starting at x that ends inside the window.  Only the
-        row's undominated options, ``live[a]`` in ascending end order, are
-        tried, and the walk stops at the first one that ends at or after
-        ``hi``; the value is the same as over the whole row.
+        ``s_buf[r]`` is the sweep value at the start of rank r in
+        ``by_left``, so ``S[x]`` is ``s_buf[next_start[x]]``.  Fills
+        ``s_buf`` for the ranks ``next_start[lo + 1]`` up to
+        ``next_start[hi]``, whose entry is the 0 past the window's last
+        start; entries outside that run are stale leftovers from earlier
+        calls and are never read.  Given ``top``, the sweep resumes one that
+        has filled the ranks from ``top`` up and continues down to lo.
+
+        ``S`` at a start is the best of copying the next start's value and
+        taking one option of the interval starting there that ends inside
+        the window.  Only the row's undominated options, ``live[a]`` in
+        ascending end order, are tried, and the walk stops at the first one
+        that ends at or after ``hi``; the value is the same as over the
+        whole row.
         """
-        start_at, live, s_buf = self.s.start_at, self.live, self.s_buf
-        s_buf[hi] = 0
-        for x in range(hi - 1, lo, -1):
-            best = s_buf[x + 1]
-            a = start_at[x]
-            if a >= 0:
-                for f, v in live[a]:
-                    if f >= hi:
-                        break
-                    v += s_buf[f + 1]
-                    if v > best:
-                        best = v
-            s_buf[x] = best
-        return s_buf[lo + 1]
+        next_start, by_left, live, s_buf = self.s.next_start, self.s.by_left, self.live, self.s_buf
+        if top is None:
+            top = next_start[hi]
+            s_buf[top] = 0
+        best = s_buf[top]
+        for r in range(top - 1, next_start[lo + 1] - 1, -1):
+            for f, v in live[by_left[r]]:
+                if f >= hi:
+                    break
+                v += s_buf[next_start[f + 1]]
+                if v > best:
+                    best = v
+            s_buf[r] = best
+        return best
 
     def fill_tables(self) -> None:
-        """Fill ``val`` and ``live`` in place.
+        """Fill ``val`` and ``live`` in place, with one sweep per right end.
 
-        ``end_at[x]`` is the interval ending at position x (or -1).  A pair
-        option of interval [c, d] with its partner [e, f] has
-        c < e < d < f.  For each right end ``hi``, ascending, one sweep runs
-        from ``hi`` down to the smallest left end needed there, and every
-        entry reads its regions off it:
+        A pair option of interval [c, d] with its partner [e, f] has
+        c < e < d < f.  For the interval q = [l_q, p], by ascending right
+        end p, with p2 the next right end (or 2n + 1), one sweep with bound
+        p2 runs down to l_q + 1, and the entries read their regions off it
+        (see the module docstring for why that is ``S`` of the region's own
+        right end):
 
-        * a single i with r_i = hi adds ``S_hi[l_i + 1]``;
-        * a pair adds ``S_e[c + 1]`` at hi = e, ``S_d[e + 1]`` at hi = d and
-          ``S_f[d + 1]`` at hi = f, where it is final.
+        * q's single adds ``S[l_q + 1]``, q's pairs their middle regions
+          ``S[e + 1]`` and the pairs with partner q their right regions
+          ``S[d + 1]``; these options are final now and join their rows'
+          ``live`` if they beat the last one kept there;
+        * the same sweep then continues down to the smallest left end among
+          the owners of the pairs whose partner starts in (p, p2), and those
+          pairs add their left regions ``S[c + 1]``.
 
-        An option joins its row's ``live`` at the hi where it finishes, if
-        it beats the last one kept there, so a sweep at hi reads only final
-        options, all ending before hi; a pair's ``val`` holds a partial sum
-        only while hi <= f, before it can join.
+        A sweep at p reads only final options, all ending at or before p; a
+        pair's ``val`` holds a partial sum until its f, before it can join.
         """
         start_at, end_at, left, right = self.s.start_at, self.s.end_at, self.s.left, self.s.right
+        next_start = self.s.next_start
         optr, mate, back, live = self.optr, self.mate, self.back, self.live
         s_buf, val, sweep = self.s_buf, self.val, self.sweep
-        for hi in range(1, len(start_at) - 1):
-            i = end_at[hi]
-            if i >= 0:
-                lo = left[i]
-            else:
-                pairs = back[start_at[hi]]
-                if not pairs:
-                    continue
-                lo = hi
-                for _, a in pairs:
-                    if left[a] < lo:
-                        lo = left[a]
-            inner = sweep(lo, hi)
-            if i < 0:
-                for o, a in pairs:
-                    val[o] += s_buf[left[a] + 1]
+        # p2 walks the positions; pending gathers the pairs whose partner
+        # starts after p, the right end of q, and a right end or 2n + 1 at
+        # p2 closes q's sweep.  Pairs gathered before the first right end
+        # keep a left region of 0.
+        q, pending = -1, []
+        for p2 in range(1, len(start_at)):
+            j = start_at[p2]
+            if j >= 0:
+                pending += back[j]
                 continue
-            o = optr[i]
-            val[o] += inner
-            live[i].append((hi, val[o]))
-            for o in range(o + 1, optr[i + 1]):
-                val[o] += s_buf[left[mate[o]] + 1]
-            for o, a in back[i]:
-                v = val[o] = val[o] + s_buf[right[a] + 1]
-                if v > live[a][-1][1]:
-                    live[a].append((hi, v))
+            if q >= 0:
+                lq, p = left[q], right[q]
+                o = optr[q]
+                val[o] += sweep(lq, p2)
+                live[q].append((p, val[o]))
+                for o in range(o + 1, optr[q + 1]):
+                    val[o] += s_buf[next_start[left[mate[o]] + 1]]
+                for o, a in back[q]:
+                    v = val[o] = val[o] + s_buf[next_start[right[a] + 1]]
+                    if v > live[a][-1][1]:
+                        live[a].append((p, v))
+                if pending:
+                    lo = min(left[a] for _, a in pending)
+                    if lo < lq:
+                        sweep(lo, p2, next_start[lq + 1])
+                    for o, a in pending:
+                        val[o] += s_buf[next_start[left[a] + 1]]
+            q, pending = end_at[p2], []
 
     def solve(self) -> tuple[int, list[int]]:
         self.fill_tables()
@@ -182,50 +212,51 @@ class _Engine:
         """Ids of an optimal set, read off the sweeps of the windows along
         the optimal decomposition.  Expects ``s_buf`` to hold the sweep of
         the whole line, as ``solve`` leaves it."""
-        S, left, right = self.s_buf, self.s.left, self.s.right
+        S, left, right, next_start = self.s_buf, self.s.left, self.s.right, self.s.next_start
         chosen: list[int] = []
         windows: list[tuple[int, int]] = []
         lo, hi = 0, 2 * self.n + 1
         while True:
-            x = lo + 1
-            while x < hi:
-                if S[x] == S[x + 1]:
-                    x += 1
+            r, top = next_start[lo + 1], next_start[hi]
+            while r < top:
+                if S[r] == S[r + 1]:
+                    r += 1
                     continue
-                i, j = self._option_at(x, hi)
+                i, j = self._option_at(r, hi)
                 c, d = left[i], right[i]
                 chosen.append(i)
                 if j < 0:
                     windows.append((c, d))
-                    x = d + 1
+                    r = next_start[d + 1]
                 else:
                     e, f = left[j], right[j]
                     chosen.append(j)
                     windows.append((c, e))
                     windows.append((e, d))
                     windows.append((d, f))
-                    x = f + 1
+                    r = next_start[f + 1]
             if not windows:
                 return chosen
             lo, hi = windows.pop()
             self.sweep(lo, hi)
 
-    def _option_at(self, x: int, hi: int) -> tuple[int, int]:
-        """The option the sweep of a window ending at ``hi`` took at ``x``
-        when it did not copy ``S[x + 1]``, as ``(i, mate)``: ``(i, -1)`` for
-        the single i, ``(i, j)`` for the pair of i and its partner j.  The
-        whole row is scanned, dominated options too, in row order, and the
-        first option whose value equals ``S[x]`` is taken: the choice a sweep
-        over the whole row with a strict ``>`` makes."""
-        S, right, mate = self.s_buf, self.s.right, self.mate
-        i = self.s.start_at[x]
-        if i >= 0:
-            for o in range(self.optr[i], self.optr[i + 1]):
-                j = mate[o]
-                f = right[i if j < 0 else j]
-                if f < hi and self.val[o] + S[f + 1] == S[x]:
-                    return i, j
-        raise AssertionError(f"no option at position {x} reaches the sweep value {S[x]}")
+    def _option_at(self, r: int, hi: int) -> tuple[int, int]:
+        """The option the sweep of a window ending at ``hi`` took at the
+        start of rank ``r`` when it did not copy the next start's value, as
+        ``(i, mate)``: ``(i, -1)`` for the single i, ``(i, j)`` for the pair
+        of i and its partner j.  The whole row is scanned, dominated options
+        too, in row order, and the first option whose value equals
+        ``S[r]`` is taken: the choice a sweep over the whole row with a
+        strict ``>`` makes."""
+        S, right, mate, next_start = self.s_buf, self.s.right, self.mate, self.s.next_start
+        i = self.s.by_left[r]
+        for o in range(self.optr[i], self.optr[i + 1]):
+            j = mate[o]
+            f = right[i if j < 0 else j]
+            if f < hi and self.val[o] + S[next_start[f + 1]] == S[r]:
+                return i, j
+        x = self.s.left[i]
+        raise AssertionError(f"no option at position {x} reaches the sweep value {S[r]}")
 
 
 @dataclass(frozen=True)
@@ -258,11 +289,8 @@ def _window_value(eng: _Engine, table: Dms1Table, lo: int, hi: int) -> int:
     lacks one of them.  A row whose interval leaves the window gets an empty
     list, so no row keeps what an earlier call loaded.
     """
-    start_at, right = eng.s.start_at, eng.s.right
-    for x in range(lo + 1, hi):
-        a = start_at[x]
-        if a < 0:
-            continue
+    by_left, next_start, right = eng.s.by_left, eng.s.next_start, eng.s.right
+    for a in by_left[next_start[lo + 1] : next_start[hi]]:
         row = eng.live[a] = []
         if right[a] >= hi:
             continue

@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .model import IntervalSet, LayoutInstance
+from .model import IntervalSet, LayoutInstance, SizeGuardError
 
 # A whole k=1 `twosided solve` peaks at about 380 B per crossing chord pair
 # (maxrss 152 MiB at P = 372,636 and 277 MiB at P = 727,981, 16 MiB for a
@@ -36,7 +36,7 @@ from .model import IntervalSet, LayoutInstance
 MAX_OVERLAP_PAIRS = 2_800_000
 
 
-class ProjectionSizeError(ValueError):
+class ProjectionSizeError(SizeGuardError, ValueError):
     """The layout has more crossing chord pairs than ``MAX_OVERLAP_PAIRS``."""
 
 

@@ -296,6 +296,27 @@ def test_cli_overlap_pair_limit_is_exit_2(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_size_guards_share_one_base_and_keep_their_builtin_bases():
+    """The three size guards derive from ``SizeGuardError``, which ``main``
+    maps to exit 2, and each still from the builtin error it raised before:
+    an ``except ValueError`` or ``except RuntimeError`` caller catches it as
+    it did."""
+    from twosided.model import SizeGuardError
+    from twosided.oracle import OracleSizeError
+    from twosided.solver_general import SolverBudgetError
+    from twosided.transform import ProjectionSizeError
+
+    for guard, builtin in (
+        (OracleSizeError, ValueError),
+        (ProjectionSizeError, ValueError),
+        (SolverBudgetError, RuntimeError),
+    ):
+        for base in (SizeGuardError, builtin):
+            with pytest.raises(base):
+                raise guard("too large")
+    assert not issubclass(SizeGuardError, (ValueError, RuntimeError))
+
+
 def test_cli_bench_failure_is_exit_1(capsys):
     """An instance that cannot be generated stops the run: no CSV and no
     summary, exit code 1 and a one-line diagnostic."""

@@ -1,5 +1,5 @@
-"""Both dynamic programs' outputs and the dominating-set reduction's
-instances, pinned as sha256 digests.
+"""Both dynamic programs' outputs, the k<=1 pipeline's layouts and the
+dominating-set reduction's instances, pinned as sha256 digests.
 
 A refactor of either DP that keeps every optimum, every recovered set and
 every table entry keeps these digests; any change in tie-breaking or in a
@@ -18,8 +18,10 @@ from twosided.bench import generate_random_biconnected, random_interval_set
 from twosided.cli import main
 from twosided.graphio import format_graph
 from twosided.hardness import reduce_mds_to_bdmwis
+from twosided.pipeline import solve_layout
 from twosided.solver_general import GeneralSolver
 from twosided.solver_k1 import compute_dms1, solve_k0, solve_k1
+from twosided.transform import EdgeWeightMode
 
 
 def _digest(records) -> str:
@@ -37,6 +39,17 @@ def _k01_records():
         yield seed, sorted(table.single.items()), sorted(table.pair.items())
         for sol in (solve_k0(s), solve_k1(s)):
             yield sol.weight, sorted(sol.chosen), sorted(sol.overlap_pairs)
+
+
+def _layout_records():
+    for n in range(8, 61, 2):
+        for seed in range(3):
+            instance = generate_random_biconnected(n, round(2.6 * n), seed)
+            for mode in EdgeWeightMode:
+                for k in (0, 1):
+                    r = solve_layout(instance, k, mode)
+                    yield n, seed, mode.name, k, r.solution.weight, sorted(r.assignment.exterior)
+                    yield r.interior, r.exterior
 
 
 def _general_records():
@@ -91,6 +104,17 @@ def test_k01_dp_outputs_are_pinned():
     chosen sets and overlapping pairs on 600 random interval sets."""
     assert _digest(_k01_records()) == (
         "0b517152f2336cf26dec8006fc6fa68688298344e975ca20f279e80f668bbf29"
+    )
+
+
+def test_k01_layout_outputs_are_pinned():
+    """``solve_layout`` weights, sorted exterior sets and interior/exterior
+    crossing counts at k=0/1 in both weight modes on the projections of
+    ``generate_random_biconnected(n, round(2.6 * n), seed)``, n = 8..60 in
+    steps of 2, seeds 0..2: layouts denser in overlapping pairs than the
+    random interval sets above."""
+    assert _digest(_layout_records()) == (
+        "752526911762c5bd6c3eef0f46ba02915221dee58b8a7f0bab11c958a5403c4d"
     )
 
 

@@ -123,6 +123,12 @@ def test_overlap_scan_matches_pairwise_classification(spans):
     assert len(s.start_at) == len(s.end_at) == 2 * n + 2
     assert s.start_at == tuple(starts.get(x, -1) for x in range(2 * n + 2))
     assert s.end_at == tuple(ends.get(x, -1) for x in range(2 * n + 2))
+    assert s.by_left == tuple(sorted(range(n), key=lambda i: ivs[i].left))
+    assert all(s.by_left[s.rank[i]] == i for i in range(n))
+    assert s.next_start == tuple(
+        min((s.rank[i] for i in range(n) if ivs[i].left >= x), default=n)
+        for x in range(2 * n + 2)
+    )
     assert list(s.pair_weights) == sorted((i, j) for (i, j), k in kind.items() if i < j and k == OVERLAP)
     for i in range(n):
         assert s.neighbors[i] == tuple(j for j in range(n) if kind.get((i, j)) == OVERLAP)

@@ -164,38 +164,114 @@ def reference_sweep(s, eng, lo, hi):
     return S[lo + 1]
 
 
+def check_fill(s, k, tag):
+    """Assert that every entry of the fill equals its own window's sweep
+    (``reference_sweep``) evaluated on the finished table: a single is its
+    window's sweep plus its weight, a pair the three-region formula.
+    Returns the number of entries checked."""
+    eng = _Engine(s, k)
+    eng.fill_tables()
+
+    def sweep(lo, hi):
+        return reference_sweep(s, eng, lo, hi)
+
+    checked = 0
+    for i, iv in enumerate(s.intervals):
+        assert eng.val[eng.optr[i]] == sweep(iv.left, iv.right) + iv.weight, (tag, i)
+        checked += 1
+        partners = [eng.mate[o] for o in range(eng.optr[i] + 1, eng.optr[i + 1])]
+        assert partners == (list(s.forward(i)) if k else []), (tag, i)
+        for o in range(eng.optr[i] + 1, eng.optr[i + 1]):
+            j = eng.mate[o]
+            a, b = iv, s.intervals[j]
+            assert a.left < b.left < a.right < b.right
+            want = (
+                sweep(a.left, b.left) + sweep(b.left, a.right) + sweep(a.right, b.right)
+                + a.weight + b.weight - s.pair_weight(i, j)
+            )
+            assert eng.val[o] == want, (tag, i, j)
+            checked += 1
+    return checked
+
+
 def test_fill_matches_window_by_window_sweeps():
     """Every entry of the one-sweep-per-right-end fill equals its own
-    window's sweep (``reference_sweep``) evaluated on the finished table: a
-    single is its window's sweep plus its weight, a pair the three-region
-    formula."""
+    window's sweep on 300 random interval sets (``check_fill``)."""
     checked = 0
     for trial in range(300):
         rng = random.Random(5000 + trial)
         s = random_interval_set(rng.randint(1, 16), rng)
         for k in (0, 1):
-            eng = _Engine(s, k)
-            eng.fill_tables()
-
-            def sweep(lo, hi):
-                return reference_sweep(s, eng, lo, hi)
-
-            for i, iv in enumerate(s.intervals):
-                assert eng.val[eng.optr[i]] == sweep(iv.left, iv.right) + iv.weight, (trial, i)
-                checked += 1
-                partners = [eng.mate[o] for o in range(eng.optr[i] + 1, eng.optr[i + 1])]
-                assert partners == (list(s.forward(i)) if k else []), (trial, i)
-                for o in range(eng.optr[i] + 1, eng.optr[i + 1]):
-                    j = eng.mate[o]
-                    a, b = iv, s.intervals[j]
-                    assert a.left < b.left < a.right < b.right
-                    want = (
-                        sweep(a.left, b.left) + sweep(b.left, a.right) + sweep(a.right, b.right)
-                        + a.weight + b.weight - s.pair_weight(i, j)
-                    )
-                    assert eng.val[o] == want, (trial, i, j)
-                    checked += 1
+            checked += check_fill(s, k, (trial, k))
     assert checked > 3000
+
+
+def count_sweeps(monkeypatch):
+    """Wrap ``_Engine.sweep`` to count fresh and resumed sweeps and the
+    ranks their loops step over."""
+    counts = {"fresh": 0, "resumed": 0, "steps": 0}
+    sweep = _Engine.sweep
+
+    def counting(self, lo, hi, top=None):
+        counts["resumed" if top is not None else "fresh"] += 1
+        first = self.s.next_start[hi] if top is None else top
+        counts["steps"] += max(0, first - self.s.next_start[lo + 1])
+        return sweep(self, lo, hi, top)
+
+    monkeypatch.setattr(_Engine, "sweep", counting)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "spans, weights, resumed",
+    [
+        # [2,4] starts before the first right end: the pair's left region
+        # (1, 2) is empty and reads 0
+        ([(1, 3), (2, 4)], [3, 2], 0),
+        # [4,8] and [5,9] start between the right ends 3 and 6; their
+        # owners are [2,6] (both) and [4,8]
+        ([(1, 3), (2, 6), (4, 8), (5, 9), (7, 10)], [2, 3, 4, 2, 5], 0),
+        # [5,9] starts between the right ends 3 and 6, and its owner [1,7]
+        # starts left of the ending [2,3]: the sweep at 3 resumes past 2, and
+        # the left region (1, 5) takes [2,3], final only at 3
+        ([(1, 7), (2, 3), (4, 6), (5, 9), (8, 10)], [4, 3, 2, 5, 1], 1),
+    ],
+)
+def test_fill_hand_built_schedules(monkeypatch, spans, weights, resumed):
+    """The one-sweep-per-right-end fill on hand-built sets that reach each
+    case of its schedule matches the window-by-window reference."""
+    s = make_set(spans, weights, 1)
+    counts = count_sweeps(monkeypatch)
+    for k in (0, 1):
+        counts.update(fresh=0, resumed=0)
+        check_fill(s, k, (spans, k))
+        assert counts["fresh"] == len(s)
+        assert counts["resumed"] == (resumed if k else 0)
+
+
+def test_fill_sweeps_once_per_right_end(monkeypatch):
+    """The fill makes exactly one fresh sweep per right end and steps over
+    under 0.35 times the positions of the schedule that sweeps every window
+    (lo, hi) position by position with a second sweep at each partner's
+    start (38,706 ranks against 127,583 positions on this instance)."""
+    from twosided.bench import generate_random_biconnected
+    from twosided.transform import EdgeWeightMode, project_to_intervals
+
+    instance = generate_random_biconnected(120, 312, seed=424242)
+    s = project_to_intervals(instance, EdgeWeightMode.IGNORE_SHIFTED).interval_set
+    positions = 0
+    for hi in range(1, 2 * len(s) + 1):
+        i = s.end_at[hi]
+        if i >= 0:
+            positions += hi - s.left[i] - 1
+        else:
+            owners = [a for a in range(len(s)) if s.start_at[hi] in s.forward(a)]
+            if owners:
+                positions += hi - min(s.left[a] for a in owners) - 1
+    counts = count_sweeps(monkeypatch)
+    _Engine(s, 1).fill_tables()
+    assert counts["fresh"] == len(s)
+    assert counts["steps"] < 0.35 * positions, (counts, positions)
 
 
 def test_live_rows_are_the_undominated_options():
@@ -333,7 +409,7 @@ _Engine._backtrack = backtrack
 eng = _Engine(s, 1)
 eng.fill_tables()
 eng.sweep(0, 2 * len(s) + 1)
-eng.s_buf[1] += 1
+eng.s_buf[s.next_start[1]] += 1
 raises("no option at position 1", lambda: eng._backtrack())
 
 walk = GeneralSolver._walk
