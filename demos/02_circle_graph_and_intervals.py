@@ -15,6 +15,7 @@ from twosided import (
     overlap_kind,
     project_to_intervals,
 )
+from twosided.model import overlap_pairs_within
 
 inst = LayoutInstance.build(
     range(1, 5), [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3), (2, 4)]
@@ -22,7 +23,8 @@ inst = LayoutInstance.build(
 proj = project_to_intervals(inst, EdgeWeightMode.IGNORE_SHIFTED)
 s = proj.interval_set
 print(f"C4 plus both diagonals: {len(s)} circle-graph nodes")
-print(f"links (crossing chord pairs): {dict(s.pair_weights)}")
+links = sorted(overlap_pairs_within(range(len(s)), s))
+print(f"links (crossing chord pairs): {dict((p, s.pair_weight(*p)) for p in links)}")
 print(f"node weights (degrees): {tuple(iv.weight for iv in s.intervals)}")
 
 print("\ninterval representation (id left right weight / pair lines):")

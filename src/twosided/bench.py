@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .model import IntervalSet, LayoutInstance
+from .model import IntervalSet, LayoutInstance, canonical_edge, overlap_pairs_within
 from .pipeline import solve_layout
 from .transform import EdgeWeightMode
 
@@ -51,8 +52,8 @@ def random_interval_set(
         for i in range(n)
     ]
     weights = [rng.randint(0, max_weight) for _ in range(n)]
-    skeleton = IntervalSet.build(spans, weights, 0)
-    pair_weights = {key: rng.randint(0, max_pair_weight) for key in skeleton.pair_weights}
+    pairs = sorted(overlap_pairs_within(range(n), IntervalSet.build(spans, weights, 0)))
+    pair_weights = {key: rng.randint(0, max_pair_weight) for key in pairs}
     return IntervalSet.build(spans, weights, pair_weights)
 
 
@@ -99,12 +100,21 @@ def generate_random_biconnected(n: int, m: int, seed: int) -> LayoutInstance:
     rng = random.Random(seed)
     perm = list(range(1, n + 1))
     rng.shuffle(perm)
-    cycle = {
-        (min(a, b), max(a, b))
-        for a, b in zip(perm, perm[1:] + perm[:1])
-    }
-    candidates = sorted(set(combinations(range(1, n + 1), 2)) - cycle)
-    chords = rng.sample(candidates, m - n)
+    cycle = {canonical_edge(a, b) for a, b in zip(perm, perm[1:] + perm[:1])}
+    # Chord idx is the idx-th non-cycle pair (a, b), a < b, in lexicographic
+    # order, found without listing the O(n^2) pairs: row a's non-cycle pairs
+    # start at index first[a - 1], and b steps over the row's cycle pairs.
+    skip: list[list[int]] = [[] for _ in range(n + 1)]
+    for a, b in sorted(cycle):
+        skip[a].append(b)
+    first = list(accumulate((n - a - len(skip[a]) for a in range(1, n)), initial=0))
+    chords = []
+    for idx in rng.sample(range(first[-1]), m - n):
+        a = bisect_right(first, idx)
+        b = a + 1 + idx - first[a - 1]
+        for c in skip[a]:
+            b += c <= b
+        chords.append((a, b))
     edges = sorted(cycle) + sorted(chords)
     instance = LayoutInstance.build(range(1, n + 1), edges)
     if not _is_biconnected(instance):

@@ -14,7 +14,7 @@ Interval dumps (debugging / oracle interchange): one line per interval
 
 from __future__ import annotations
 
-from .model import Interval, IntervalSet, LayoutInstance
+from .model import Interval, IntervalSet, LayoutInstance, overlap_pairs_within
 
 MAX_VERTICES = 10**6
 
@@ -87,7 +87,8 @@ def dump_intervals(s: IntervalSet) -> str:
         f"{i} {iv.left} {iv.right} {iv.weight}" for i, iv in enumerate(s.intervals)
     ]
     lines.extend(
-        f"pair {i} {j} {w}" for (i, j), w in sorted(s.pair_weights.items())
+        f"pair {i} {j} {s.pair_weight(i, j)}"
+        for i, j in sorted(overlap_pairs_within(range(len(s)), s))
     )
     return "\n".join(lines) + "\n" if lines else ""
 

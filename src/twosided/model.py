@@ -288,13 +288,11 @@ def overlap_kind(a: Interval, b: Interval) -> str:
 class IntervalSet:
     """A normalized interval representation of a weighted circle graph.
 
-    The 2n endpoints are exactly {1, ..., 2n}; ``pair_weights`` carries one
-    entry per properly overlapping pair (keyed by the interval indices in
-    ``intervals``, smaller index first), or is one integer applied to every
-    overlapping pair; after construction it is always a mapping, and its
-    keys are the overlapping pairs (i, j), i < j, in lexicographic order
-    when the set spread an integer.  Interval ids are positions in
-    ``intervals``.
+    The 2n endpoints are exactly {1, ..., 2n}.  Interval ids are positions
+    in ``intervals``.  ``pair_weights`` is one integer, the weight of every
+    properly overlapping pair, kept as given; or a mapping with one entry
+    per overlapping pair, keyed by its ids smaller first.  Read a pair's
+    weight through :meth:`pair_weight`.
 
     Construction scans the endpoints once, left to right, and keeps the
     tables every consumer reads, as plain attributes rather than fields (the
@@ -316,13 +314,11 @@ class IntervalSet:
 
     def __post_init__(self) -> None:
         self._scan()
-        pairs = [(i, j) for i, nb in enumerate(self.neighbors) for j in nb if j > i]
         if isinstance(self.pair_weights, int):
             if self.pair_weights < 0:
                 raise ValueError("pair weights must be non-negative")
-            object.__setattr__(self, "pair_weights", dict.fromkeys(pairs, self.pair_weights))
             return
-        expected = set(pairs)
+        expected = overlap_pairs_within(range(len(self)), self)
         got = set(self.pair_weights)
         if got != expected:
             raise ValueError(
@@ -387,7 +383,10 @@ class IntervalSet:
         return iter(self.intervals)
 
     def pair_weight(self, i: int, j: int) -> int:
-        return self.pair_weights[canonical_edge(i, j)]
+        """Weight of the pair of ids i and j, given in either order; the
+        pair must overlap (an int weight answers for any pair unchecked)."""
+        pw = self.pair_weights
+        return pw if isinstance(pw, int) else pw[(i, j) if i < j else (j, i)]
 
     def id_of(self, interval: Interval | int) -> int:
         """Id of an interval given by its id or by its endpoints."""
@@ -439,7 +438,7 @@ def solution_weight(chosen: Iterable[int], s: IntervalSet) -> int:
     weights minus the weights of the overlapping pairs inside it."""
     ids = set(chosen)
     pairs = overlap_pairs_within(ids, s)
-    return sum(s.weight[i] for i in ids) - sum(s.pair_weights[p] for p in pairs)
+    return sum(s.weight[i] for i in ids) - sum(s.pair_weight(i, j) for i, j in pairs)
 
 
 @dataclass(frozen=True)

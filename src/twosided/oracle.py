@@ -40,27 +40,19 @@ def brute_force_k_overlap(s: IntervalSet, k: int) -> Solution:
     n = len(s)
     if n > MAX_ORACLE_INTERVALS:
         raise OracleSizeError(f"{n} intervals exceed the oracle guard of {MAX_ORACLE_INTERVALS}")
-    masks = [0] * n
-    for (i, j) in s.pair_weights:
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
-    weights = [iv.weight for iv in s.intervals]
+    masks = [sum(1 << j for j in nb) for nb in s.neighbors]
 
     best_weight = 0
     best_ids: tuple[int, ...] = ()
     for size in range(0, n + 1):
         for ids in combinations(range(n), size):
-            mask = 0
-            for i in ids:
-                mask |= 1 << i
+            mask = sum(1 << i for i in ids)
             if any(bin(masks[i] & mask).count("1") > k for i in ids):
                 continue
-            total = sum(weights[i] for i in ids)
-            for a in range(len(ids)):
-                for b in range(a + 1, len(ids)):
-                    key = (ids[a], ids[b])
-                    if key in s.pair_weights:
-                        total -= s.pair_weights[key]
+            total = sum(s.weight[i] for i in ids)
+            for a, b in combinations(ids, 2):
+                if masks[a] >> b & 1:
+                    total -= s.pair_weight(a, b)
             if total > best_weight or (total == best_weight and ids < best_ids):
                 best_weight = total
                 best_ids = ids
@@ -95,18 +87,14 @@ def brute_force_two_sided(
     best_counts = (0, 0)
     for size in range(0, m + 1):
         for ext in combinations(range(m), size):
-            ext_mask = 0
-            for i in ext:
-                ext_mask |= 1 << i
+            ext_mask = sum(1 << i for i in ext)
             if any(bin(cross_mask[i] & ext_mask).count("1") > k for i in ext):
                 continue
             exterior_crossings = sum(bin(cross_mask[i] & ext_mask).count("1") for i in ext) // 2
             interior_ids = [i for i in range(m) if not (ext_mask >> i) & 1]
-            interior_crossings = 0
-            for a in range(len(interior_ids)):
-                for b in range(a + 1, len(interior_ids)):
-                    if (cross_mask[interior_ids[a]] >> interior_ids[b]) & 1:
-                        interior_crossings += 1
+            interior_crossings = sum(
+                cross_mask[a] >> b & 1 for a, b in combinations(interior_ids, 2)
+            )
             objective = (
                 interior_crossings
                 if mode is EdgeWeightMode.COUNT_SHIFTED

@@ -202,7 +202,7 @@ class GeneralSolver:
         pair that becomes fully selected.
         """
         s, k = self.s, self.k
-        nb, left, weight, pw = s.neighbors, s.left, s.weight, s.pair_weights
+        nb, left, weight, pw = s.neighbors, s.left, s.weight, s.pair_weight
         forced: list[int] = []
         fresh: list[int] = []
         for m in nb[j]:
@@ -233,10 +233,10 @@ class GeneralSolver:
                             if m == j or m in extra:
                                 used += 1
                                 if x < m:
-                                    delta -= pw[x, m]
+                                    delta -= pw(x, m)
                         elif st is not UNLIMITED:
                             used += 1
-                            delta -= pw[(x, m) if x < m else (m, x)]
+                            delta -= pw(x, m)
                             ml, mr = state[m]
                             if left[x] < left[m]:
                                 ml -= 1

@@ -100,7 +100,7 @@ class _Engine:
     def __init__(self, s: IntervalSet, k: int):
         self.s = s
         self.n = n = len(s)
-        weight, pw = s.weight, s.pair_weights
+        weight, pw = s.weight, s.pair_weight
         self.optr = optr = [0]
         self.mate, self.val = mate, val = [], []
         # back[j]: (option, row owner) of every pair whose partner is j.
@@ -111,7 +111,7 @@ class _Engine:
             for j in (s.forward(i) if k else ()):
                 back[j].append((len(mate), i))
                 mate.append(j)
-                val.append(weight[i] + weight[j] - pw[(i, j) if i < j else (j, i)])
+                val.append(weight[i] + weight[j] - pw(i, j))
             optr.append(len(mate))
         self.live = [[] for _ in range(n)]
         self.s_buf = [0] * (n + 1)

@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 from .model import IntervalSet, LayoutInstance, SizeGuardError
 
-# A whole k=1 `twosided solve` peaks at about 380 B per crossing chord pair
-# (maxrss 152 MiB at P = 372,636 and 277 MiB at P = 727,981, 16 MiB for a
-# 20-edge graph; random layouts of 1500 and 2100 edges, Python 3.11), so
-# this limit keeps a solve under about 1 GiB.
+# A whole k=1 `twosided solve` peaks at about 210 B per crossing chord pair
+# (maxrss 90 MiB at P = 372,636 and 158 MiB at P = 727,981, 16 MiB for a
+# 20-edge graph; `generate_random_biconnected(1000, 1500)` and (1400, 2100),
+# seed 1, Python 3.11), so this limit keeps a solve under about 600 MiB.
 MAX_OVERLAP_PAIRS = 2_800_000
 
 

@@ -29,6 +29,7 @@ from twosided.model import (
     Solution,
     TwoSidedAssignment,
     count_crossings,
+    overlap_pairs_within,
 )
 from twosided.oracle import (
     brute_force_k_overlap,
@@ -50,11 +51,10 @@ def audit(sol: Solution, s: IntervalSet, k: int) -> None:
     recomputed = sum(s.intervals[i].weight for i in ids)
     for a in range(len(ids)):
         for b in range(a + 1, len(ids)):
-            key = (ids[a], ids[b])
-            if key in s.pair_weights:
+            if ids[b] in s.neighbors[ids[a]]:
                 deg[ids[a]] += 1
                 deg[ids[b]] += 1
-                recomputed -= s.pair_weights[key]
+                recomputed -= s.pair_weight(ids[a], ids[b])
     assert all(d <= k for d in deg.values()), "overlap degree exceeds k"
     assert recomputed == sol.weight, "reported weight disagrees with recomputation"
     assert sol.k == k
@@ -173,7 +173,7 @@ def test_criterion_4_hardness_round_trip():
         audit(sol, red.intervals, red.k)
         AUDITED["count"] += 1
         dom = extract_dominating_set(sol, red)
-        want = brute_force_min_dominating_set(n, list(s.pair_weights))
+        want = brute_force_min_dominating_set(n, sorted(overlap_pairs_within(range(n), s)))
         adj = {i: set(s.neighbors[i]) for i in range(n)}
         for v in range(n):
             assert v in dom or (adj[v] & dom), trial

@@ -2,8 +2,10 @@ import dataclasses
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -47,6 +49,29 @@ def test_generator_determinism():
     assert a.edges == b.edges and a.order == b.order
     c = generate_random_biconnected(12, 20, seed=78)
     assert c.edges != a.edges
+
+
+def test_generator_draws_the_chords_of_the_sorted_pair_list():
+    """The chords are those that sampling the sorted list of non-cycle
+    vertex pairs draws, from sparse to complete graphs."""
+    for n, m, seed in ((3, 3, 0), (6, 15, 1), (9, 20, 2), (30, 60, 3), (40, 104, 11)):
+        rng = random.Random(seed)
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        cycle = {tuple(sorted(e)) for e in zip(perm, perm[1:] + perm[:1])}
+        pairs = sorted(set(itertools.combinations(range(1, n + 1), 2)) - cycle)
+        want = sorted(cycle) + sorted(rng.sample(pairs, m - n))
+        assert list(generate_random_biconnected(n, m, seed).edges) == want
+
+
+def test_generator_memory_does_not_grow_with_the_vertex_pairs():
+    tracemalloc.start()
+    try:
+        generate_random_biconnected(800, 1200, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def test_generator_rejects_infeasible():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import make_set
 from twosided.bench import random_interval_set
 from twosided.hardness import extract_dominating_set, reduce_mds_to_bdmwis
-from twosided.model import IntervalSet, Solution
+from twosided.model import IntervalSet, Solution, overlap_pairs_within
 from twosided.oracle import brute_force_min_dominating_set
 from twosided.solver_general import solve_k
 
@@ -64,7 +64,7 @@ def test_reduced_instance_is_valid_interval_set(rng):
         for i in range(red.n_original):
             assert len(s.neighbors[i]) == red.k + 1
         assert all(iv.weight == 1 for iv in s.intervals)
-        assert all(w == 0 for w in s.pair_weights.values())
+        assert s.pair_weights == 0
 
 
 def test_extract_rejects_infeasible_solution():
@@ -92,7 +92,7 @@ def test_round_trip_optimality(rng):
         red = reduce_mds_to_bdmwis(g)
         sol = solve_k(red.intervals, red.k)
         dom = extract_dominating_set(sol, red)
-        want = brute_force_min_dominating_set(n, list(g.pair_weights))
+        want = brute_force_min_dominating_set(n, sorted(overlap_pairs_within(range(n), g)))
         adj = {i: set(g.neighbors[i]) for i in range(n)}
         for v in range(n):
             assert v in dom or (adj[v] & dom)

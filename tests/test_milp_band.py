@@ -14,14 +14,14 @@ np = pytest.importorskip("numpy")
 optimize = pytest.importorskip("scipy.optimize")
 
 from twosided.bench import generate_random_biconnected  # noqa: E402
-from twosided.model import IntervalSet  # noqa: E402
+from twosided.model import IntervalSet, overlap_pairs_within  # noqa: E402
 from twosided.pipeline import solve_layout  # noqa: E402
 from twosided.transform import EdgeWeightMode, project_to_intervals  # noqa: E402
 
 
 def optimum_milp(s: IntervalSet, k: int) -> int:
     m = len(s)
-    pairs = sorted(s.pair_weights)
+    pairs = sorted(overlap_pairs_within(range(m), s))
     nvar = m + len(pairs)
     deg_rows = np.zeros((m, nvar))
     deg = np.array([len(s.neighbors[i]) for i in range(m)], dtype=float)
@@ -34,7 +34,7 @@ def optimum_milp(s: IntervalSet, k: int) -> int:
         for p, (i, j) in enumerate(pairs):
             pair_rows[p, [i, j, m + p]] = (-1.0, -1.0, 1.0)
         constraints.append(optimize.LinearConstraint(pair_rows, -1.0, np.inf))
-    cost = np.array([-float(w) for w in s.weight] + [float(s.pair_weights[p]) for p in pairs])
+    cost = np.array([-float(w) for w in s.weight] + [float(s.pair_weight(*p)) for p in pairs])
     integrality = np.concatenate([np.ones(m), np.zeros(len(pairs))])
     res = optimize.milp(cost, constraints=constraints, integrality=integrality,
                         bounds=optimize.Bounds(0.0, 1.0), options={"mip_rel_gap": 0.0})

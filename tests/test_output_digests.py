@@ -18,6 +18,7 @@ from twosided.bench import generate_random_biconnected, random_interval_set
 from twosided.cli import main
 from twosided.graphio import format_graph
 from twosided.hardness import reduce_mds_to_bdmwis
+from twosided.model import overlap_pairs_within
 from twosided.pipeline import solve_layout
 from twosided.solver_general import GeneralSolver
 from twosided.solver_k1 import compute_dms1, solve_k0, solve_k1
@@ -67,7 +68,7 @@ def _reduction_records():
         s = red.intervals
         yield seed, red.k, red.n_original, sorted(red.leaf_parent.items())
         yield [(iv.left, iv.right) for iv in s], [iv.weight for iv in s]
-        yield sorted(s.pair_weights.items())
+        yield [(p, s.pair_weight(*p)) for p in sorted(overlap_pairs_within(range(len(s)), s))]
 
 
 def _cli_records(tmp_path, capsys):

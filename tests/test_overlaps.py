@@ -22,6 +22,7 @@ from twosided.model import (
     count_crossings,
     crossings_per_chord,
     overlap_kind,
+    overlap_pairs_within,
 )
 from twosided.oracle import brute_force_k_overlap
 from twosided.render import layout_stats
@@ -63,7 +64,8 @@ def weighted_sets(draw):
     """Interval sets of up to 12 intervals, weights 0-9, pair weights 0-3."""
     spans = draw(span_lists())
     weights = draw(st.lists(st.integers(0, 9), min_size=len(spans), max_size=len(spans)))
-    pairs = IntervalSet.build(spans, pair_weights=0).pair_weights
+    skeleton = IntervalSet.build(spans, pair_weights=0)
+    pairs = sorted(overlap_pairs_within(range(len(spans)), skeleton))
     return IntervalSet.build(spans, weights, {p: draw(st.integers(0, 3)) for p in pairs})
 
 
@@ -102,9 +104,9 @@ def test_crossing_count_matches_pair_loop(case):
 def test_projection_pairs_are_the_crossing_chords(inst, mode):
     s = project_to_intervals(inst, mode).interval_set
     links = crossing_pairs(inst, inst.edge_ids())
-    assert set(s.pair_weights) == links
-    assert list(s.pair_weights) == sorted(links)  # lexicographic insertion order
-    assert set(s.pair_weights.values()) <= {mode.value}
+    assert overlap_pairs_within(inst.edge_ids(), s) == links
+    assert s.pair_weights == mode.value  # the int is kept
+    assert all(s.pair_weight(i, j) == s.pair_weight(j, i) == mode.value for i, j in links)
     assert [iv.weight for iv in s.intervals] == degrees(links, inst.edge_ids())
 
 
@@ -129,7 +131,8 @@ def test_overlap_scan_matches_pairwise_classification(spans):
         min((s.rank[i] for i in range(n) if ivs[i].left >= x), default=n)
         for x in range(2 * n + 2)
     )
-    assert list(s.pair_weights) == sorted((i, j) for (i, j), k in kind.items() if i < j and k == OVERLAP)
+    assert s.pair_weights == 1
+    assert overlap_pairs_within(range(n), s) == {(i, j) for (i, j), k in kind.items() if i < j and k == OVERLAP}
     for i in range(n):
         assert s.neighbors[i] == tuple(j for j in range(n) if kind.get((i, j)) == OVERLAP)
         assert s.forward(i) == tuple(
@@ -144,26 +147,39 @@ def test_overlap_scan_matches_pairwise_classification(spans):
 @given(span_lists(), st.data())
 def test_interval_set_rejects_one_pair_missing_or_added(spans, data):
     full = IntervalSet.build(spans, pair_weights=1)
-    pairs = list(full.pair_weights)
+    pairs = sorted(overlap_pairs_within(range(len(spans)), full))
     if pairs:
         drop = data.draw(st.sampled_from(pairs))
         with pytest.raises(ValueError, match="missing"):
             IntervalSet(full.intervals, {p: 1 for p in pairs if p != drop})
     n = len(spans)
-    others = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in full.pair_weights]
+    others = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in pairs]
     if others:
         extra = data.draw(st.sampled_from(others))
         with pytest.raises(ValueError, match="spurious"):
-            IntervalSet(full.intervals, {**full.pair_weights, extra: 1})
+            IntervalSet(full.intervals, {**dict.fromkeys(pairs, 1), extra: 1})
 
 
-def test_interval_set_scans_itself_and_spreads_an_int_pair_weight():
+def test_interval_set_scans_itself_and_keeps_an_int_pair_weight():
     ivs = (Interval(1, 3), Interval(2, 5), Interval(4, 6))
     s = IntervalSet(ivs, 2)
-    assert s.pair_weights == {(0, 1): 2, (1, 2): 2}
-    assert list(s.pair_weights) == [(0, 1), (1, 2)]
+    assert s.pair_weights == 2
+    assert overlap_pairs_within(range(3), s) == {(0, 1), (1, 2)}
+    assert [s.pair_weight(i, j) for i, j in ((0, 1), (1, 0), (1, 2), (2, 1))] == [2] * 4
     with pytest.raises(TypeError):
-        IntervalSet(ivs, 2, list(s.pair_weights))
+        IntervalSet(ivs, 2, [(0, 1), (1, 2)])
+
+
+def test_pair_weight_reads_a_mapping_in_either_id_order_and_refuses_negatives():
+    ivs = (Interval(1, 3), Interval(2, 5), Interval(4, 6))
+    s = IntervalSet(ivs, {(0, 1): 3, (1, 2): 0})
+    assert (s.pair_weight(0, 1), s.pair_weight(1, 0)) == (3, 3)
+    assert (s.pair_weight(1, 2), s.pair_weight(2, 1)) == (0, 0)
+    assert IntervalSet.build([(1, 3), (2, 4)], pair_weights={(1, 0): 4}).pair_weight(0, 1) == 4
+    with pytest.raises(ValueError, match="non-negative"):
+        IntervalSet(ivs, -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        IntervalSet(ivs, {(0, 1): 1, (1, 2): -1})
 
 
 def test_id_of_rejects_an_unknown_interval():

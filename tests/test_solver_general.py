@@ -7,7 +7,7 @@ import pytest
 from conftest import make_set
 from twosided import solver_general
 from twosided.bench import generate_random_biconnected, random_interval_set
-from twosided.model import LayoutInstance, solution_weight
+from twosided.model import LayoutInstance, overlap_pairs_within, solution_weight
 from twosided.oracle import brute_force_k_overlap
 from twosided.solver_general import (
     UNDECIDED,
@@ -407,7 +407,7 @@ def test_structured_shapes_vs_oracle():
         spans = _renumber(spans, jitter)
         weights = [rng.randint(0, 9) for _ in spans]
         skeleton = make_set(spans, weights, 0)
-        pw = {key: rng.randint(0, 3) for key in skeleton.pair_weights}
+        pw = {key: rng.randint(0, 3) for key in sorted(overlap_pairs_within(range(len(spans)), skeleton))}
         s = make_set(spans, weights, pw)
         for k in (0, 1, 2, 3):
             got = solve_k(s, k, force_general=True)

@@ -1,11 +1,17 @@
 import random
+import tracemalloc
 
 import pytest
 
 from conftest import random_layout
+from twosided.bench import generate_random_biconnected
 from twosided.graphio import dump_intervals, parse_intervals
-from twosided.model import IntervalSet, LayoutInstance, chords_cross, overlap_kind
+from twosided.model import IntervalSet, LayoutInstance, chords_cross, overlap_kind, overlap_pairs_within
 from twosided.transform import EdgeWeightMode, project_to_intervals
+
+
+def links_of(s: IntervalSet) -> frozenset[tuple[int, int]]:
+    return overlap_pairs_within(range(len(s)), s)
 
 
 def c4_with_diagonals() -> LayoutInstance:
@@ -19,8 +25,8 @@ def test_circle_graph_c4_with_diagonals():
     for mode in EdgeWeightMode:
         s = project_to_intervals(inst, mode).interval_set
         assert len(s) == 6
-        assert set(s.pair_weights) == {(4, 5)}  # only the two diagonals cross
-        assert s.pair_weights[(4, 5)] == mode.value
+        assert links_of(s) == {(4, 5)}  # only the two diagonals cross
+        assert s.pair_weights == mode.value
         assert tuple(iv.weight for iv in s.intervals) == (0, 0, 0, 0, 1, 1)
         assert s.max_degree == 1
 
@@ -29,7 +35,7 @@ def test_circle_graph_star_has_no_links():
     star = LayoutInstance.build(range(1, 5), [(1, 2), (1, 3), (1, 4)])
     s = project_to_intervals(star, EdgeWeightMode.COUNT_SHIFTED).interval_set
     assert len(s) == 3
-    assert not s.pair_weights
+    assert not links_of(s)
     assert tuple(iv.weight for iv in s.intervals) == (0, 0, 0)
 
 
@@ -38,7 +44,7 @@ def test_circle_graph_single_edge():
     s = project_to_intervals(inst, EdgeWeightMode.IGNORE_SHIFTED).interval_set
     assert len(s) == 1
     assert tuple(iv.weight for iv in s.intervals) == (0,)
-    assert not s.pair_weights
+    assert not links_of(s)
 
 
 def test_link_count_equals_all_interior_crossings(rng):
@@ -50,7 +56,7 @@ def test_link_count_equals_all_interior_crossings(rng):
         inst = random_layout(rng, n, m)
         s = project_to_intervals(inst, EdgeWeightMode.COUNT_SHIFTED).interval_set
         interior, _ = count_crossings(inst, TwoSidedAssignment.from_exterior(inst, ()))
-        assert len(s.pair_weights) == interior
+        assert len(links_of(s)) == interior
 
 
 def test_projection_star_is_overlap_free():
@@ -61,13 +67,13 @@ def test_projection_star_is_overlap_free():
     for a in range(3):
         for b in range(a + 1, 3):
             assert overlap_kind(ivs[a], ivs[b]) != "overlap"
-    assert not proj.interval_set.pair_weights
+    assert not links_of(proj.interval_set)
 
 
 def test_projection_crossing_chords_overlap():
     inst = LayoutInstance.build(range(1, 5), [(1, 3), (2, 4)])
     proj = project_to_intervals(inst)
-    assert set(proj.interval_set.pair_weights) == {(0, 1)}
+    assert links_of(proj.interval_set) == {(0, 1)}
 
 
 def test_projection_empty_graph():
@@ -93,8 +99,8 @@ def test_projection_fidelity_random(rng):
         for mode in EdgeWeightMode:
             proj = project_to_intervals(inst, mode)
             s = proj.interval_set
-            assert set(s.pair_weights) == links
-            assert all(s.pair_weights[k] == mode.value for k in s.pair_weights)
+            assert links_of(s) == links
+            assert s.pair_weights == mode.value
             for i, iv in enumerate(s.intervals):
                 assert iv.weight == degree[i]
             # endpoint completeness is enforced by the IntervalSet invariant;
@@ -108,7 +114,21 @@ def test_projection_determinism(rng):
     a = project_to_intervals(inst)
     b = project_to_intervals(inst)
     assert a.interval_set.intervals == b.interval_set.intervals
-    assert dict(a.interval_set.pair_weights) == dict(b.interval_set.pair_weights)
+    assert links_of(a.interval_set) == links_of(b.interval_set)
+    assert a.interval_set.pair_weights == b.interval_set.pair_weights
+
+
+def test_projection_keeps_few_bytes_per_overlapping_pair():
+    """The uniform pair weight stays one int instead of one entry per pair."""
+    inst = generate_random_biconnected(200, 520, seed=1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        s = project_to_intervals(inst).interval_set
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert kept < 60 * len(s.partner), f"{kept / len(s.partner):.0f} B per pair"
 
 
 def test_interval_dump_round_trip():
@@ -117,7 +137,7 @@ def test_interval_dump_round_trip():
     text = dump_intervals(s)
     back = parse_intervals(text)
     assert back.intervals == s.intervals
-    assert dict(back.pair_weights) == dict(s.pair_weights)
+    assert back.pair_weights == {p: s.pair_weight(*p) for p in links_of(s)}
     lines = text.strip().splitlines()
     assert lines[0].split() == ["0"] + [str(x) for x in
                                         (s.intervals[0].left, s.intervals[0].right, s.intervals[0].weight)]
