@@ -47,13 +47,19 @@ each fresh joiner, an undecided neighbor of j and so a member of R, its own
 neighbors.  The steps after it stay inside the same positions, and j's own
 window sees R and the neighbors of j.  R's states are always undecided, so
 the value is a function of F's states, and the memo key is (owner, idx,
-states of F in ascending id order), with F's ids built once per (owner,
-idx).
+states of F in ascending id order), with F's ids built for every idx of a
+window in one backward pass over its members.
+
+A solve keeps one state dict.  A step writes its decisions into it and
+undoes its writes before the enumeration moves on, so a recursion level
+holds its step's undo record, not a copy of the state.  An undone entry may
+stay as ``None``, which reads as undecided.
 
 The memo is bounded: a solve that would store more than ``MAX_MEMO_STATES``
 values raises ``SolverBudgetError``.  Solution recovery replays the
-maximizing decisions.  The top-level window is owner n = len(s), whose
-members are every interval in left-endpoint order.
+maximizing decisions into the same state, leaving each chosen step
+written.  The top-level window is owner n = len(s), whose members are every
+interval in left-endpoint order.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ import sys
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -87,10 +93,14 @@ UNDECIDED = None  # the undecided capacity (no decision made about the interval)
 UNLIMITED = math.inf  # the unlimited capacity (interval rejected); tested with ``is``
 
 # Largest number of memoized values one solve may store.  Near the limit a
-# solve stores a state every 44-48 us and holds 200-400 bytes per state,
-# so it fails after about 10 s and 40-80 MB.  The bytes carry over to other
-# machines; the seconds were measured on one 2-core Xeon VM (CPython 3.11)
-# only and scale with its speed, since the limit counts states, not time.
+# solve stores a state every 33-48 us and holds 250-400 bytes per state,
+# so it fails after 7-10 s and 40-80 MB (93 MiB peak RSS at k=2 on
+# generate_random_biconnected(40, 104, seed=11)).  Beside the memo a solve
+# holds one state and a few frames per member of its deepest window: a
+# crossing-free layout of 29,999 edges, one window, peaks at 70 MiB.  The
+# bytes carry over to other machines; the seconds were measured on one
+# 2-core Xeon VM (CPython 3.11) only and scale with its speed, since the
+# limit counts states, not time.
 MAX_MEMO_STATES = 200_000
 
 
@@ -177,29 +187,37 @@ class GeneralSolver:
         self.member_lefts = [[s.left[j] for j in lst] for lst in self.members]
 
         self.f_memo: dict = {}
-        # (owner, idx) -> memo key positions, see _key_positions.
+        # owner -> memo key positions of every idx, see _key_positions.
         self.key_positions: dict = {}
 
     # -- state helpers ------------------------------------------------------
 
-    def _key_positions(self, owner: int, idx: int) -> tuple[int, ...]:
-        """The positions keying the window value of (owner, idx): the ids
-        of the frontier N(R) minus R in ascending order, with R =
-        members[idx:]."""
-        rest, nb = self.members[owner][idx:], self.s.neighbors
-        return tuple(sorted(set().union(*(nb[r] for r in rest)).difference(rest)))
+    def _key_positions(self, owner: int) -> list[tuple[int, ...]]:
+        """The positions keying the window values of owner, one tuple per
+        idx: the ids of the frontier N(R) minus R in ascending order, with
+        R = members[idx:].  One backward pass over the members."""
+        nb = self.s.neighbors
+        rest: set[int] = set()
+        frontier: set[int] = set()
+        out = []
+        for r in reversed(self.members[owner]):
+            rest.add(r)
+            frontier.discard(r)
+            frontier.update(x for x in nb[r] if x not in rest)
+            out.append(tuple(sorted(frontier)))
+        return out[::-1]
 
-    def _successors(
-        self, lam: Mapping[int, object], j: int
-    ) -> Iterator[tuple[dict, int, tuple[int, ...]]]:
+    def _successors(self, lam: dict, j: int) -> Iterator[tuple[int, tuple[int, ...]]]:
         """All legal ways of committing the undecided interval ``j`` under
         ``lam``.
 
-        Yields (updated state dict, weight delta, chosen neighbor ids) in
-        deterministic order: chosen sets by size then lexicographic ids,
-        budget splits ascending.  The delta adds the fresh joiners' weights
-        (the window value adds j's own) and subtracts the weight of every
-        pair that becomes fully selected.
+        Each step is written into ``lam`` while it is yielded, as (weight
+        delta, chosen neighbor ids), and undone before the next chosen set;
+        a caller that stops early keeps the last step written.  Order is
+        deterministic: chosen sets by size then lexicographic ids, budget
+        splits ascending.  The delta adds the fresh joiners' weights (the
+        window value adds j's own) and subtracts the weight of every pair
+        that becomes fully selected.
         """
         s, k = self.s, self.k
         nb, left, weight, pw = s.neighbors, s.left, s.weight, s.pair_weight
@@ -213,12 +231,16 @@ class GeneralSolver:
                 forced.append(m)
         if len(forced) > k:
             return
+        undecided = (j, *fresh)
         for size in range(min(k - len(forced), len(fresh)) + 1):
             for extra in combinations(fresh, size):
-                state = {**lam, j: (0, 0)}
+                # The step's writes and what they overwrite, applied once
+                # known: every read below sees the state before the step.
+                writes = {j: (0, 0)}
+                undo = dict.fromkeys(undecided)
                 for m in fresh:
                     if m not in extra:
-                        state[m] = UNLIMITED
+                        writes[m] = UNLIMITED
                 delta = sum(weight[x] for x in extra)
                 budgets = []
                 legal = True
@@ -237,36 +259,37 @@ class GeneralSolver:
                         elif st is not UNLIMITED:
                             used += 1
                             delta -= pw(x, m)
-                            ml, mr = state[m]
+                            undo[m] = st
+                            ml, mr = writes.get(m, st)
                             if left[x] < left[m]:
                                 ml -= 1
                             else:
                                 mr -= 1
-                            state[m] = (ml, mr)
+                            writes[m] = (ml, mr)
                             legal = legal and ml >= 0 and mr >= 0
                     if x != j:
                         budgets.append(k - used)
                 if not legal or min(budgets, default=0) < 0:
                     continue
+                lam.update(writes)
                 chosen = (*forced, *extra)
                 for alphas in product(*(range(b + 1) for b in budgets)):
-                    lam2 = dict(state) if extra else state  # one split: no copy
                     for x, b, a in zip(extra, budgets, alphas):
-                        lam2[x] = (a, b - a)
-                    yield lam2, delta, chosen
+                        lam[x] = (a, b - a)
+                    yield delta, chosen
+                lam.update(undo)
 
     # -- value recursion ----------------------------------------------------
 
-    def _window_value(self, owner: int, idx: int, lam: Mapping[int, object]) -> int:
+    def _window_value(self, owner: int, idx: int, lam: dict) -> int:
         """Best completion of owner's window from member index ``idx`` on."""
         members = self.members[owner]
         if idx >= len(members):
             return 0
-        where = (owner, idx)
-        ids = self.key_positions.get(where)
+        ids = self.key_positions.get(owner)
         if ids is None:
-            ids = self.key_positions[where] = self._key_positions(owner, idx)
-        key = (owner, idx, *map(lam.get, ids))
+            ids = self.key_positions[owner] = self._key_positions(owner)
+        key = (owner, idx, *map(lam.get, ids[idx]))
         hit = self.f_memo.get(key)
         if hit is not None:
             return hit
@@ -279,30 +302,28 @@ class GeneralSolver:
         self.f_memo[key] = value
         return value
 
-    def _decide(
-        self, owner: int, idx: int, lam: Mapping[int, object]
-    ) -> tuple[int, tuple[int, Mapping[int, object], tuple[int, ...] | None]]:
+    def _decide(self, owner: int, idx: int, lam: dict) -> tuple[int, int]:
         """Options for the undecided member ``idx`` of owner's window: reject
         it or commit it through one of its successors.  Returns the best
-        value and the first option reaching it, as ``(next index, next
-        state, chosen)``; ``chosen`` is None unless committed."""
+        value and the first option reaching it: -1 for reject, otherwise the
+        successor's place in the enumeration.  ``lam`` is left as found."""
         j = self.members[owner][idx]
         right, weight = self.s.right, self.s.weight
-        lam_rej = dict(lam)
-        lam_rej[j] = UNLIMITED
-        best = self._window_value(owner, idx + 1, lam_rej)
-        action = (idx + 1, lam_rej, None)
+        lam[j] = UNLIMITED
+        best = self._window_value(owner, idx + 1, lam)
+        lam[j] = UNDECIDED
+        action = -1
         nidx = bisect_right(self.member_lefts[owner], right[j], lo=idx)
-        for lam2, delta, chosen in self._successors(lam, j):
+        for place, (delta, _chosen) in enumerate(self._successors(lam, j)):
             v = (
                 delta
                 + weight[j]
-                + self._window_value(j, 0, lam2)
-                + self._window_value(owner, nidx, lam2)
+                + self._window_value(j, 0, lam)
+                + self._window_value(owner, nidx, lam)
             )
             if v > best:
                 best = v
-                action = (nidx, lam2, chosen)
+                action = place
         return best, action
 
     # -- public entry points ------------------------------------------------
@@ -342,17 +363,21 @@ class GeneralSolver:
         return Solution.recovered(chosen, self.s, self.k, value)
 
     def _walk(self, owner: int, idx: int, lam: dict, out: list[int]) -> None:
-        """Replay the maximizing decisions, collecting chosen intervals."""
+        """Replay the maximizing decisions into ``lam``, collecting chosen ids."""
         members = self.members[owner]
         while idx < len(members):
             j = members[idx]
-            _best, (nidx, lam2, chosen) = self._decide(owner, idx, lam)
-            if chosen is not None:
-                out.append(j)
-                out.extend(x for x in chosen if lam.get(x) is None)
-                self._walk(j, 0, lam2, out)
-            lam = lam2
-            idx = nidx
+            action = self._decide(owner, idx, lam)[1]
+            if action < 0:
+                lam[j] = UNLIMITED
+                idx += 1
+                continue
+            fresh = [m for m in self.s.neighbors[j] if lam.get(m) is None]
+            _delta, chosen = next(islice(self._successors(lam, j), action, None))
+            out.append(j)
+            out.extend(x for x in chosen if x in fresh)
+            self._walk(j, 0, lam, out)
+            idx = bisect_right(self.member_lefts[owner], self.s.right[j], lo=idx)
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +429,16 @@ def legal_successors(
         state = "a rejected" if st is UNLIMITED else "an already committed"
         raise ValueError(f"cannot commit {state} interval")
 
+    # The solver writes each step into one state; copy it at each yield.
+    state = dict(lam.states)
+    steps = (
+        ({x: st for x, st in state.items() if st is not UNDECIDED}, delta, chosen)
+        for delta, chosen in GeneralSolver(s, k)._successors(state, i)
+    )
     return [
-        LegalSuccessor(CapacityVector(s, MappingProxyType(state)), frozenset(chosen), delta)
-        for state, delta, chosen in GeneralSolver(s, k)._successors(lam.states, i)
-        if Solution.from_chosen(_selected(state), s, k).max_overlap_degree() <= k
+        LegalSuccessor(CapacityVector(s, MappingProxyType(states)), frozenset(chosen), delta)
+        for states, delta, chosen in steps
+        if Solution.from_chosen(_selected(states), s, k).max_overlap_degree() <= k
     ]
 
 

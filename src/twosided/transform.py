@@ -131,6 +131,10 @@ def _check_alternation(instance: LayoutInstance, s: IntervalSet, crossing: int) 
                 raise AssertionError(f"projection broke the intersection graph at edges {x},{y}")
     if crossing != len(s.partner):
         raise AssertionError(f"{len(s.partner)} overlapping pairs for {crossing} crossing chord pairs")
-    for e, (c, nb) in enumerate(zip(instance.crossings_per_edge, s.neighbors)):
-        if c != len(nb):
-            raise AssertionError(f"edge {e} crosses {c} chords but overlaps {len(nb)} intervals")
+    # Overlap degree: the forward row's length plus the rows listing the id.
+    degree = [b - a for a, b in zip(s.ptr, s.ptr[1:])]
+    for j in s.partner:
+        degree[j] += 1
+    for e, (c, d) in enumerate(zip(instance.crossings_per_edge, degree)):
+        if c != d:
+            raise AssertionError(f"edge {e} crosses {c} chords but overlaps {d} intervals")

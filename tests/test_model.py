@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import complete_graph, make_set, random_layout
+from twosided.bench import generate_random_biconnected, random_interval_set
 from twosided.model import (
     A_NESTS_B,
     DISJOINT,
@@ -14,8 +15,11 @@ from twosided.model import (
     chords_cross,
     count_crossings,
     overlap_kind,
+    overlap_pairs_within,
     solution_weight,
 )
+from twosided.pipeline import solve_layout
+from twosided.transform import EdgeWeightMode
 
 
 # -- chords_cross -----------------------------------------------------------
@@ -196,3 +200,29 @@ def test_solution_weight():
     assert solution_weight([], s) == 0
     assert solution_weight([0], s) == 3
     assert solution_weight([0, 1], s) == 6
+
+
+def test_overlap_pairs_within_matches_the_neighbor_rows(rng):
+    """The pairs read off the forward rows are the pairs the neighbor rows
+    give, for random subsets of random sets."""
+    for trial in range(60):
+        s = random_interval_set(rng.randint(0, 14), random.Random(7300 + trial))
+        for _ in range(4):
+            ids = {i for i in range(len(s)) if rng.random() < 0.6}
+            want = frozenset((i, j) for i in ids for j in s.neighbors[i] if j > i and j in ids)
+            assert overlap_pairs_within(ids, s) == want, trial
+
+
+def test_k1_solve_layout_leaves_the_neighbor_rows_unbuilt(monkeypatch):
+    """The projection's degree check and the recovered solution's pairs
+    read the forward rows, so a k<=1 solve never builds ``neighbors``."""
+
+    def unbuilt(self):
+        raise AssertionError("a k<=1 solve built IntervalSet.neighbors")
+
+    monkeypatch.setattr(IntervalSet, "neighbors", property(unbuilt))
+    layout = generate_random_biconnected(30, 78, seed=424242)
+    for k in (0, 1):
+        for mode in EdgeWeightMode:
+            # k=1 recovers overlapping pairs, so the pair read is exercised.
+            assert bool(solve_layout(layout, k, mode).solution.overlap_pairs) == (k == 1)

@@ -1,9 +1,13 @@
 import functools
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import twosided
 from conftest import make_set
 from twosided import solver_general
 from twosided.bench import generate_random_biconnected, random_interval_set
@@ -519,14 +523,14 @@ def test_recovery_mismatch_raises(monkeypatch):
 # -- memo key and memo budget --------------------------------------------------
 
 
-class _ReadLog(dict):
-    """A state that logs every id passed to ``get``, ``[]`` or ``in``.
-    ``dict(log)`` copies it without reading ids one by one (a dict subclass
-    that keeps dict's own iteration is copied as a dict)."""
+class _AccessLog(dict):
+    """A state that logs every id passed to ``get``, ``[]`` or ``in`` as
+    read, and every id set through ``[] =`` or ``update`` as written."""
 
     def __init__(self, state):
         super().__init__(state)
         self.read: set[int] = set()
+        self.written: set[int] = set()
 
     def get(self, i, default=None):
         self.read.add(i)
@@ -540,6 +544,21 @@ class _ReadLog(dict):
         self.read.add(i)
         return super().__contains__(i)
 
+    def __setitem__(self, i, st):
+        self.written.add(i)
+        super().__setitem__(i, st)
+
+    def update(self, other):
+        other = dict(other)
+        self.written.update(other)
+        super().update(other)
+
+
+def _decided(lam):
+    """The decided entries of a solver state (an undone entry stays as
+    None, which reads as undecided)."""
+    return {x: st for x, st in lam.items() if st is not UNDECIDED}
+
 
 class _StateLog(GeneralSolver):
     """Records every (owner, idx, state) the value recursion is asked for."""
@@ -550,7 +569,8 @@ class _StateLog(GeneralSolver):
 
     def _window_value(self, owner, idx, lam):
         if idx < len(self.members[owner]):
-            self.seen.setdefault((owner, idx, frozenset(lam.items())), (owner, idx, dict(lam)))
+            state = _decided(lam)
+            self.seen.setdefault((owner, idx, frozenset(state.items())), (owner, idx, state))
         return super()._window_value(owner, idx, lam)
 
 
@@ -560,7 +580,7 @@ class _FullKey(GeneralSolver):
     def _window_value(self, owner, idx, lam):
         if idx >= len(self.members[owner]):
             return 0
-        key = (owner, idx, frozenset(lam.items()))
+        key = (owner, idx, frozenset(_decided(lam).items()))
         if key not in self.f_memo:
             self.f_memo[key] = self._decide(owner, idx, lam)[0]
         return self.f_memo[key]
@@ -660,26 +680,25 @@ def test_window_members_undecided_and_frontier_decided():
         frontier = set().union(*(solver.s.neighbors[r] for r in rest)).difference(rest)
         assert all(lam.get(r) is UNDECIDED for r in rest), (owner, idx)
         assert all(lam.get(f) is not UNDECIDED for f in frontier), (owner, idx)
-        assert list(solver._key_positions(owner, idx)) == sorted(frontier), (owner, idx)
+        assert list(solver._key_positions(owner)[idx]) == sorted(frontier), (owner, idx)
     assert len(_reached_states()) > 2000
 
 
 def test_memo_key_covers_every_read_and_write():
-    """One decision step at a reachable (owner, idx, state) reads and writes
-    only the positions its memo key holds and the window's remaining
+    """One decision step at a reachable (owner, idx, state), the reject
+    step and every successor with the recursion below them, reads and
+    writes only the positions its memo key holds and the window's remaining
     members R, whose states are always undecided there (see the test
-    above), so the key decides the value."""
+    above), so the key decides the value.  It leaves the state as found."""
     checked = 0
     for solver, owner, idx, lam in _reached_states():
         rest = solver.members[owner][idx:]
-        allowed = set(solver._key_positions(owner, idx)).union(rest)
-        j = rest[0]
-        rec = _ReadLog(lam)
-        solver._decide(owner, idx, rec)[0]
+        allowed = set(solver._key_positions(owner)[idx]).union(rest)
+        rec = _AccessLog(lam)
+        solver._decide(owner, idx, rec)
         assert rec.read <= allowed, (owner, idx, rec.read - allowed)
-        for lam2, _, _ in solver._successors(lam, j):
-            written = {x for x in lam2.keys() | lam.keys() if lam2.get(x) != lam.get(x)}
-            assert written <= allowed, (owner, idx, written - allowed)
+        assert rec.written <= allowed, (owner, idx, rec.written - allowed)
+        assert _decided(rec) == lam, (owner, idx)
         checked += 1
     assert checked > 2000, checked
 
@@ -719,7 +738,7 @@ def test_memo_states_regression():
         solver = GeneralSolver(s, k)
         solver.solve()
         assert len(solver.f_memo) < before / 2, (k, len(solver.f_memo))
-    keyed = sum(len(solver.key_positions[key[:2]]) for key in solver.f_memo)
+    keyed = sum(len(solver.key_positions[key[0]][key[1]]) for key in solver.f_memo)
     assert keyed < 0.7 * 1_838_481, keyed
 
 
@@ -735,3 +754,62 @@ def test_memo_budget_raises(monkeypatch):
     assert sys.getrecursionlimit() == limit
     monkeypatch.setattr(solver_general, "MAX_MEMO_STATES", need)
     assert solve_k(s, 3).chosen == chosen
+
+
+# -- memory on long windows ----------------------------------------------------
+
+
+def _weight_and_peak_rss_mib(body):
+    """Run ``body``, which sets ``weight``, in a fresh interpreter and return
+    (weight, peak RSS in MiB).  The peak is the child's ``VmHWM``, the high
+    water mark of its own address space: Linux carries the parent's mark
+    into a child's ``ru_maxrss`` across exec, so that would report the test
+    process's peak.  tracemalloc would slow the solve many times over."""
+    src = str(Path(twosided.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    tail = (
+        "\nhwm = next(ln for ln in open('/proc/self/status') if ln.startswith('VmHWM:'))"
+        "\nprint(weight, int(hwm.split()[1]) // 1024)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", body + tail], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    weight, mib = map(int, proc.stdout.split())
+    return weight, mib
+
+
+linux_only = pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+
+
+@linux_only
+def test_memory_of_a_long_crossing_free_window():
+    """A cycle on 4,000 vertices plus the chords (i, i+2) for odd i has
+    m = 5,999 edges and no crossing, so ``solve_k`` runs the general solver
+    at k=0 on one window of every interval, 5,999 members deep.  With one
+    state per solve the peak RSS stays under 120 MiB; a state copied at
+    every level peaked at 691 MiB."""
+    weight, mib = _weight_and_peak_rss_mib(
+        "from twosided import LayoutInstance, solve_layout\n"
+        "n = 4000\n"
+        "edges = [(i, i % n + 1) for i in range(1, n + 1)] + [(i, i + 2) for i in range(1, n - 1, 2)]\n"
+        "weight = solve_layout(LayoutInstance.build(range(1, n + 1), edges), 2).solution.weight\n"
+    )
+    assert (weight, mib < 120) == (0, True), mib
+
+
+@linux_only
+def test_memory_of_a_long_chain_at_k2():
+    """The chain of spans (2i, 2i + 3), each overlapping the next, with
+    endpoints ranked to 1..6,000: 3,000 intervals in one window, solved at
+    k=2, keep the peak RSS under 80 MiB (187 MiB with a copied state)."""
+    weight, mib = _weight_and_peak_rss_mib(
+        "from twosided.model import IntervalSet\n"
+        "from twosided.solver_general import GeneralSolver\n"
+        "m = 3000\n"
+        "spans = [(2 * i, 2 * i + 3) for i in range(m)]\n"
+        "rank = {p: r for r, p in enumerate(sorted(p for span in spans for p in span), 1)}\n"
+        "s = IntervalSet.build([(rank[a], rank[b]) for a, b in spans], [1] * m, 1)\n"
+        "weight = GeneralSolver(s, 2).solve().weight\n"
+    )
+    assert (weight, mib < 80) == (1500, True), mib
