@@ -58,31 +58,40 @@ def random_interval_set(
 
 
 def _is_biconnected(instance: LayoutInstance) -> bool:
-    n = instance.n_vertices
-    if n < 3:
+    """At least 3 vertices, connected and without a cut vertex: one
+    iterative depth-first search with low links, O(n + m).  A non-root
+    vertex p cuts the graph when a child's subtree reaches no vertex found
+    before p; the root does when it has two children.  The tree edge back
+    to p may count toward the low link: it reaches p itself, not before."""
+    if instance.n_vertices < 3:
         return False
-    adj: dict[int, set[int]] = {v: set() for v in instance.vertices}
+    adj: dict[int, list[int]] = {v: [] for v in instance.vertices}
     for u, v in instance.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-
-    def connected_without(skip: int | None) -> bool:
-        verts = [v for v in instance.vertices if v != skip]
-        if not verts:
-            return True
-        seen = {verts[0]}
-        stack = [verts[0]]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y != skip and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == len(verts)
-
-    if not connected_without(None):
-        return False
-    return all(connected_without(v) for v in instance.vertices)
+        adj[u].append(v)
+        adj[v].append(u)
+    root = instance.vertices[0]
+    disc = {root: 0}
+    low = {root: 0}
+    root_children = 0
+    stack = [(root, root, iter(adj[root]))]
+    while stack:
+        x, parent, todo = stack[-1]
+        for y in todo:
+            if y not in disc:
+                disc[y] = low[y] = len(disc)
+                stack.append((y, x, iter(adj[y])))
+                break
+            low[x] = min(low[x], disc[y])
+        else:
+            stack.pop()
+            if x == root:
+                continue
+            if parent == root:
+                root_children += 1
+            elif low[x] >= disc[parent]:
+                return False
+            low[parent] = min(low[parent], low[x])
+    return len(disc) == instance.n_vertices and root_children == 1
 
 
 def generate_random_biconnected(n: int, m: int, seed: int) -> LayoutInstance:
@@ -172,7 +181,9 @@ def run_experiment(
     """One row per generated instance; the first instance that fails raises.
 
     ``clock`` defaults to ``time.perf_counter``; pass a constant function for
-    byte-stable timing columns.
+    byte-stable timing columns.  The three solves of a row share the graph's
+    one interval projection: ``time_k0_ms`` includes it, and the two k=1
+    times do not.
     """
     tick = clock if clock is not None else time.perf_counter
     # One untimed tiny solve, so that first-call costs (lazy imports, cold

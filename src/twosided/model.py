@@ -292,7 +292,8 @@ class IntervalSet:
     in ``intervals``.  ``pair_weights`` is one integer, the weight of every
     properly overlapping pair, kept as given; or a mapping with one entry
     per overlapping pair, keyed by its ids smaller first.  Read a pair's
-    weight through :meth:`pair_weight`.
+    weight through :meth:`pair_weight`; :meth:`with_pair_weight` gives the
+    same set under another int weight without scanning it again.
 
     Construction scans the endpoints once, left to right, and keeps the
     tables every consumer reads, as plain attributes rather than fields (the
@@ -375,6 +376,18 @@ class IntervalSet:
         if not isinstance(pair_weights, int):
             pair_weights = {canonical_edge(*k): v for k, v in pair_weights.items()}
         return cls(ivs, pair_weights)
+
+    def with_pair_weight(self, w: int) -> "IntervalSet":
+        """This set with every overlapping pair weighing the int ``w``: the
+        set itself if that is its weight, else a copy that shares every
+        table (and any cached property) instead of scanning again."""
+        if w < 0:
+            raise ValueError("pair weights must be non-negative")
+        if self.pair_weights == w:
+            return self
+        copy = object.__new__(IntervalSet)
+        copy.__dict__.update(self.__dict__, pair_weights=w)
+        return copy
 
     def __len__(self) -> int:
         return len(self.intervals)

@@ -15,7 +15,10 @@ shared-vertex chords nest instead of crossing, which keeps the intersection
 graph unchanged.  The projection is purely combinatorial; no geometry is
 involved.  The interval set scans its own overlap relation, and one
 independent check ties it to chord alternation and, edge by edge, to the
-weights.
+weights.  Only the pair weight depends on the mode, so each layout is
+scanned and checked once, on its first projection; the checked set is kept
+while the layout lives, and every later projection, in either mode and for
+any k, returns it with the mode's pair weight and the same tables.
 
 A layout with more than ``MAX_OVERLAP_PAIRS`` crossing chord pairs is
 refused with :class:`ProjectionSizeError` before anything of its size is
@@ -25,14 +28,15 @@ allocated: the pair count is known from the layout's crossing counts alone.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass
 
 from .model import IntervalSet, LayoutInstance, SizeGuardError
 
-# A whole k=1 `twosided solve` peaks at about 210 B per crossing chord pair
-# (maxrss 90 MiB at P = 372,636 and 158 MiB at P = 727,981, 16 MiB for a
+# A whole k=1 `twosided solve` peaks at about 190 B per crossing chord pair
+# (VmHWM 85 MiB at P = 372,636 and 147 MiB at P = 727,981, 16 MiB for a
 # 20-edge graph; `generate_random_biconnected(1000, 1500)` and (1400, 2100),
-# seed 1, Python 3.11), so this limit keeps a solve under about 600 MiB.
+# seed 1, Python 3.11), so this limit keeps a solve under about 530 MiB.
 MAX_OVERLAP_PAIRS = 2_800_000
 
 
@@ -68,6 +72,11 @@ class ProjectionResult:
     interval_set: IntervalSet
 
 
+# The checked projection of each layout, weak-keyed so that it lives as long
+# as its layout and no longer.
+_SCANS: weakref.WeakKeyDictionary[LayoutInstance, IntervalSet] = weakref.WeakKeyDictionary()
+
+
 def project_to_intervals(
     instance: LayoutInstance,
     mode: EdgeWeightMode = EdgeWeightMode.COUNT_SHIFTED,
@@ -81,11 +90,21 @@ def project_to_intervals(
     comes first; chords sharing the vertex then nest rather than cross.
 
     Two intervals overlap iff the corresponding chords cross, and each weighs
-    its crossing count; every call checks both, the count edge by edge
-    (:func:`_check_alternation`), and raises AssertionError when one fails.
-    Raises :class:`ProjectionSizeError`, before the slots are sorted, when
-    the layout has more than ``MAX_OVERLAP_PAIRS`` crossing chord pairs.
+    its crossing count.  None of that depends on the mode, so it is computed
+    once per layout and kept while the layout lives: the first call scans
+    the slots into an :class:`IntervalSet`, checks both facts, the count edge
+    by edge (:func:`_check_alternation`), raising AssertionError when one
+    fails, and keeps the checked set; every call returns it carrying
+    ``mode.value`` as its pair weight, sharing its tables
+    (:meth:`~twosided.model.IntervalSet.with_pair_weight`).  Raises
+    :class:`ProjectionSizeError`, before the slots are sorted, when the
+    layout has more than ``MAX_OVERLAP_PAIRS`` crossing chord pairs.  A
+    refused layout, or one that fails the check, keeps nothing, so the next
+    call raises again.
     """
+    s = _SCANS.get(instance)
+    if s is not None:
+        return ProjectionResult(s.with_pair_weight(mode.value))
     crossing = sum(instance.crossings_per_edge) // 2
     if crossing > MAX_OVERLAP_PAIRS:
         raise ProjectionSizeError(
@@ -109,6 +128,7 @@ def project_to_intervals(
         slots[eid].append(slot)
     s = IntervalSet.build(slots, instance.crossings_per_edge, mode.value)
     _check_alternation(instance, s, crossing)
+    _SCANS[instance] = s
     return ProjectionResult(s)
 
 

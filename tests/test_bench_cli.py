@@ -21,7 +21,7 @@ from twosided.bench import (
 )
 from twosided.cli import main
 from twosided.graphio import format_graph
-from twosided.model import TwoSidedAssignment, count_crossings
+from twosided.model import LayoutInstance, TwoSidedAssignment, count_crossings
 from twosided.transform import EdgeWeightMode
 from twosided.bench import _is_biconnected
 
@@ -41,6 +41,61 @@ def test_generator_density_regime():
     assert inst.n_edges == 52
     assert _is_biconnected(inst)
     assert len({tuple(e) for e in inst.edges}) == 52
+
+
+def biconnected_by_vertex_deletion(instance) -> bool:
+    """The definition: at least 3 vertices, connected, and connected after
+    deleting any one vertex; n + 1 graph searches."""
+    adj = {v: set() for v in instance.vertices}
+    for u, v in instance.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+
+    def connected_without(skip) -> bool:
+        verts = [v for v in instance.vertices if v != skip]
+        seen = {verts[0]}
+        stack = [verts[0]]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y != skip and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return len(seen) == len(verts)
+
+    n = instance.n_vertices
+    return n >= 3 and connected_without(None) and all(map(connected_without, instance.vertices))
+
+
+def test_biconnectivity_check_matches_vertex_deletion():
+    """The one-search check agrees with the definition on random small
+    graphs: uniform edge subsets (mostly disconnected or with cut
+    vertices), cycles plus chords, and two such blocks glued at a vertex."""
+    rng = random.Random(5)
+    verdicts = []
+    for _ in range(600):
+        n = rng.randint(1, 9)
+        vertices = list(range(1, n + 1))
+        pairs = list(itertools.combinations(vertices, 2))
+        kind = rng.randrange(3)
+        if kind == 0 or n < 5:
+            edges = [p for p in pairs if rng.random() < rng.random()]
+        else:
+            cut = rng.randint(3, n - 2) if kind == 2 else n
+            blocks = [vertices[:cut], vertices[cut - 1:]] if kind == 2 else [vertices]
+            edges = set()
+            for block in blocks:
+                ring = rng.sample(block, len(block))
+                edges |= {tuple(sorted(e)) for e in zip(ring, ring[1:] + ring[:1])}
+                inner = list(itertools.combinations(sorted(block), 2))
+                edges |= set(rng.sample(inner, rng.randint(0, len(inner) // 2)))
+            edges = sorted(edges)
+        order = rng.sample(vertices, n)
+        inst = LayoutInstance.build(vertices, edges, order)
+        want = biconnected_by_vertex_deletion(inst)
+        assert _is_biconnected(inst) == want, (n, edges)
+        verdicts.append((kind, want))
+    for kind, want in ((0, False), (0, True), (1, True), (2, False)):
+        assert verdicts.count((kind, want)) >= 20, (kind, want, verdicts.count((kind, want)))
 
 
 def test_generator_determinism():

@@ -1,5 +1,7 @@
+import gc
 import random
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -131,6 +133,65 @@ def test_projection_keeps_few_bytes_per_overlapping_pair():
     assert kept < 60 * len(s.partner), f"{kept / len(s.partner):.0f} B per pair"
 
 
+def test_every_projection_of_a_layout_shares_one_checked_scan(monkeypatch):
+    """The scan and its check run once per layout; each projection, in
+    either mode, reads the same tables and carries its mode's pair
+    weight."""
+    from twosided import transform
+
+    checks = []
+    check = transform._check_alternation
+    monkeypatch.setattr(transform, "_check_alternation", lambda *args: checks.append(1) or check(*args))
+    inst = generate_random_biconnected(12, 30, seed=4)
+    sets = [project_to_intervals(inst, mode).interval_set
+            for mode in (*EdgeWeightMode, *EdgeWeightMode)]
+    assert len(checks) == 1
+    assert [s.pair_weights for s in sets] == [1, 2, 1, 2]
+    first = sets[0]
+    for s in sets:
+        assert s.partner is first.partner and s.by_left is first.by_left
+        assert s.intervals is first.intervals and s.weight is first.weight
+        assert s.pair_weight(*next(iter(links_of(s)))) == s.pair_weights
+    other = generate_random_biconnected(12, 30, seed=4)
+    assert project_to_intervals(other).interval_set.partner is not first.partner
+    assert len(checks) == 2
+
+
+def test_with_pair_weight_shares_the_tables_and_refuses_a_negative_weight():
+    s = IntervalSet.build([(1, 3), (2, 4)], [1, 1], 2)
+    assert s.with_pair_weight(2) is s
+    t = s.with_pair_weight(0)
+    assert (t.pair_weights, s.pair_weights) == (0, 2)
+    assert t.partner is s.partner and t.intervals is s.intervals
+    with pytest.raises(ValueError, match="non-negative"):
+        s.with_pair_weight(-1)
+
+
+def test_the_kept_scan_does_not_keep_its_layout_alive():
+    inst = generate_random_biconnected(10, 20, seed=2)
+    s = project_to_intervals(inst).interval_set
+    ref = weakref.ref(inst)
+    del inst
+    gc.collect()
+    assert ref() is None
+    assert len(s) == 20
+
+
+def test_a_refused_layout_keeps_no_scan(monkeypatch):
+    """A layout over the pair limit raises on every call, and solves once
+    the limit admits it."""
+    from twosided import transform
+
+    inst = generate_random_biconnected(8, 16, seed=3)
+    pairs = sum(inst.crossings_per_edge) // 2
+    monkeypatch.setattr(transform, "MAX_OVERLAP_PAIRS", pairs - 1)
+    for _ in range(2):
+        with pytest.raises(transform.ProjectionSizeError):
+            project_to_intervals(inst)
+    monkeypatch.setattr(transform, "MAX_OVERLAP_PAIRS", pairs)
+    assert len(project_to_intervals(inst).interval_set.partner) == pairs
+
+
 def test_interval_dump_round_trip():
     inst = c4_with_diagonals()
     s = project_to_intervals(inst, EdgeWeightMode.IGNORE_SHIFTED).interval_set
@@ -155,8 +216,10 @@ def test_interval_dump_round_trip():
 def test_projection_check_raises_on_a_wrong_overlap_relation(monkeypatch, edges, scanned, message):
     build = IntervalSet.build
     monkeypatch.setattr(IntervalSet, "build", lambda spans, *args: build(scanned, *args))
-    with pytest.raises(AssertionError, match=message):
-        project_to_intervals(LayoutInstance.build(range(1, 5), edges))
+    inst = LayoutInstance.build(range(1, 5), edges)
+    for mode in EdgeWeightMode:  # a layout that fails the check keeps nothing
+        with pytest.raises(AssertionError, match=message):
+            project_to_intervals(inst, mode)
 
 
 def test_projection_check_compares_each_edge_with_its_overlap_degree():
