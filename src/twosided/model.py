@@ -450,9 +450,7 @@ def overlap_pairs_within(chosen: Iterable[int], s: IntervalSet) -> frozenset[Pai
 def solution_weight(chosen: Iterable[int], s: IntervalSet) -> int:
     """Objective value of a chosen interval subset: the sum of its interval
     weights minus the weights of the overlapping pairs inside it."""
-    ids = set(chosen)
-    pairs = overlap_pairs_within(ids, s)
-    return sum(s.weight[i] for i in ids) - sum(s.pair_weight(i, j) for i, j in pairs)
+    return Solution.from_chosen(chosen, s, 0).weight  # k does not enter the weight
 
 
 @dataclass(frozen=True)
@@ -473,7 +471,9 @@ class Solution:
     @classmethod
     def from_chosen(cls, chosen: Iterable[int], s: IntervalSet, k: int) -> "Solution":
         ids = frozenset(chosen)
-        return cls(ids, solution_weight(ids, s), overlap_pairs_within(ids, s), k)
+        pairs = overlap_pairs_within(ids, s)
+        weight = sum(s.weight[i] for i in ids) - sum(s.pair_weight(i, j) for i, j in pairs)
+        return cls(ids, weight, pairs, k)
 
     @classmethod
     def recovered(cls, chosen: Iterable[int], s: IntervalSet, k: int, value: int) -> "Solution":

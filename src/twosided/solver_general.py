@@ -50,6 +50,26 @@ the value is a function of F's states, and the memo key is (owner, idx,
 states of F in ascending id order), with F's ids built for every idx of a
 window in one backward pass over its members.
 
+The solver lists only the budget splits that can matter.  Inside the DP
+every fresh joiner x of a step at member j crosses j from the right,
+left[j] < left[x] < right[j] < right[x]: an undecided neighbor crossing j
+from the left would be an earlier member of the window, decided by the
+window's earlier steps (or j would lie inside a committed earlier member
+and be skipped), or would cross the owner and have been decided by the
+owner's step.  x's left share pays only for later joiners that start
+before x and overlap it; after the step these are undecided intervals
+starting inside j, so intervals nested in j.  A left share above cap(j, x),
+the number of intervals nested in j that overlap x, therefore leaves j's
+window worth what the cap leaves it, and the continuation, with a smaller
+right share, worth no more.  The split with each share lowered to its cap
+comes earlier in the ascending order, so a split above a cap is never the
+first maximizer: clamping each joiner's left share at its cap keeps the
+optimum, the chosen set and every tie choice, and ``_walk`` replays the
+same clamped enumeration.  It also bounds the splits per joiner by its
+degree, however large k is.  ``legal_successors`` lists steps under any
+caller's vector, where a fresh neighbor may cross from the left, so it
+lists every split, k - used + 1 per fresh joiner.
+
 A solve keeps one state dict.  A step writes its decisions into it and
 undoes its writes before the enumeration moves on, so a recursion level
 holds its step's undo record, not a copy of the state.  An undone entry may
@@ -189,6 +209,8 @@ class GeneralSolver:
         self.f_memo: dict = {}
         # owner -> memo key positions of every idx, see _key_positions.
         self.key_positions: dict = {}
+        # interval -> left-share cap of each neighbor, see _left_caps.
+        self.left_caps: dict = {}
 
     # -- state helpers ------------------------------------------------------
 
@@ -207,9 +229,23 @@ class GeneralSolver:
             out.append(tuple(sorted(frontier)))
         return out[::-1]
 
-    def _successors(self, lam: dict, j: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    def _left_caps(self, j: int) -> dict[int, int]:
+        """The most left share each neighbor x of ``j`` can use when it
+        joins at j's step: the number of intervals nested in j that overlap
+        x.  This holds for a neighbor crossing j from the right, the only
+        kind the DP's steps meet undecided (see the module docstring)."""
+        s = self.s
+        nb, left, right = s.neighbors, s.left, s.right
+        lo, hi = left[j], right[j]
+        return {x: sum(1 for y in nb[x] if lo < left[y] and right[y] < hi) for x in nb[j]}
+
+    def _successors(
+        self, lam: dict, j: int, caps: Mapping[int, int] | None = None
+    ) -> Iterator[tuple[int, tuple[int, ...]]]:
         """All legal ways of committing the undecided interval ``j`` under
-        ``lam``.
+        ``lam``, a fresh joiner x taking a left share of at most ``caps[x]``
+        (by default the solver's ``_left_caps(j)``; a cap of k lists every
+        split).
 
         Each step is written into ``lam`` while it is yielded, as (weight
         delta, chosen neighbor ids), and undone before the next chosen set;
@@ -220,6 +256,10 @@ class GeneralSolver:
         that becomes fully selected.
         """
         s, k = self.s, self.k
+        if caps is None:
+            caps = self.left_caps.get(j)
+            if caps is None:
+                caps = self.left_caps[j] = self._left_caps(j)
         nb, left, weight, pw = s.neighbors, s.left, s.weight, s.pair_weight
         forced: list[int] = []
         fresh: list[int] = []
@@ -273,7 +313,8 @@ class GeneralSolver:
                     continue
                 lam.update(writes)
                 chosen = (*forced, *extra)
-                for alphas in product(*(range(b + 1) for b in budgets)):
+                shares = (range(min(b, caps[x]) + 1) for x, b in zip(extra, budgets))
+                for alphas in product(*shares):
                     for x, b, a in zip(extra, budgets, alphas):
                         lam[x] = (a, b - a)
                     yield delta, chosen
@@ -420,7 +461,9 @@ def legal_successors(
     step is legal only if its vector is still k-overlap: every committed
     interval overlaps at most k committed intervals (a caller's budgets may
     allow more).  Enumeration order is deterministic: neighbor subsets by
-    size then lexicographic ids, budget splits ascending.
+    size then lexicographic ids, budget splits ascending.  Every split is
+    listed, so a fresh joiner with budget b gives b + 1 steps: the count
+    grows linearly in k, however large (the solver's own steps cap it).
     """
     _check_set(lam, s)
     i = s.id_of(interval)
@@ -430,10 +473,12 @@ def legal_successors(
         raise ValueError(f"cannot commit {state} interval")
 
     # The solver writes each step into one state; copy it at each yield.
+    # A cap of k on every neighbor's left share lists every split.
     state = dict(lam.states)
+    uncapped = dict.fromkeys(s.neighbors[i], k)
     steps = (
         ({x: st for x, st in state.items() if st is not UNDECIDED}, delta, chosen)
-        for delta, chosen in GeneralSolver(s, k)._successors(state, i)
+        for delta, chosen in GeneralSolver(s, k)._successors(state, i, uncapped)
     )
     return [
         LegalSuccessor(CapacityVector(s, MappingProxyType(states)), frozenset(chosen), delta)

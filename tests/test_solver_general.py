@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -754,6 +755,84 @@ def test_memo_budget_raises(monkeypatch):
     assert sys.getrecursionlimit() == limit
     monkeypatch.setattr(solver_general, "MAX_MEMO_STATES", need)
     assert solve_k(s, 3).chosen == chosen
+
+
+def test_left_share_caps_shrink_the_memo():
+    """Capping each fresh joiner's left share at the intervals nested in the
+    committed one that overlap it stores under 0.8 times the 104,140 states
+    of 12/30 at k=3 and under 0.7 times the 142,756 of 16/40 at k=2 (76,798
+    and 87,999 with the caps)."""
+    for (n, m), k, before, share in (((12, 30), 3, 104_140, 0.8), ((16, 40), 2, 142_756, 0.7)):
+        layout = generate_random_biconnected(n, m, seed=424242)
+        solver = GeneralSolver(project_to_intervals(layout).interval_set, k)
+        solver.solve()
+        assert len(solver.f_memo) < share * before, (n, m, k, len(solver.f_memo))
+
+
+class _Uncapped(GeneralSolver):
+    """Reference: every budget split of every fresh joiner (a left-share
+    cap of k is no cap)."""
+
+    def _left_caps(self, j):
+        return dict.fromkeys(self.s.neighbors[j], self.k)
+
+
+def _decision(solver, owner, idx, state):
+    """The value a decision at ``state`` reaches and the step it keeps:
+    None for reject, else the step's delta, chosen ids and written state."""
+    lam = dict(state)
+    value, action = solver._decide(owner, idx, lam)
+    if action < 0:
+        return value, None
+    j = solver.members[owner][idx]
+    delta, chosen = next(islice(solver._successors(lam, j), action, None))
+    return value, (delta, chosen, _decided(lam))
+
+
+def test_left_share_caps_keep_every_decision(rng):
+    """On random sets with per-pair weights, the capped solve and the
+    enumeration of every split give the same weight and chosen set, and at
+    every state the capped recursion decides they reach the same value
+    through the same step."""
+    checked = shrunk = 0
+    for trial in range(60):
+        s = random_interval_set(rng.randint(4, 11), random.Random(6100 + trial))
+        for k in (2, 3):
+            capped, uncapped = _StateLog(s, k), _Uncapped(s, k)
+            got, want = capped.solve(), uncapped.solve()
+            assert (got.weight, got.chosen) == (want.weight, want.chosen), (trial, k)
+            shrunk += len(capped.f_memo) < len(uncapped.f_memo)
+            for owner, idx, state in list(capped.seen.values()):
+                assert _decision(capped, owner, idx, state) == _decision(
+                    uncapped, owner, idx, state
+                ), (trial, k, owner, idx)
+                checked += 1
+    assert checked > 2000 and shrunk > 20, (checked, shrunk)
+
+
+def test_solver_steps_do_not_grow_with_k(monkeypatch):
+    """A fresh joiner's left share is capped by the intervals nested in the
+    committed one that overlap it, so the splits of a step do not grow with
+    k: on C4 with diagonals at k = 10^5 every ``_successors`` call of a
+    solve yields at most 2 steps (uncapped, a call whose joiner has budget
+    b yields b + 2), and the solution is the one at k = 1.
+    ``legal_successors`` lists every split, so its count stays linear in k."""
+    layout = LayoutInstance.build(range(1, 5), [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3), (2, 4)])
+    s = project_to_intervals(layout).interval_set
+    counts = []
+    successors = GeneralSolver._successors
+
+    def counted(self, lam, j, caps=None):
+        counts.append(0)
+        for step in successors(self, lam, j, caps):
+            counts[-1] += 1
+            yield step
+
+    monkeypatch.setattr(GeneralSolver, "_successors", counted)
+    big, small = GeneralSolver(s, 10**5).solve(), GeneralSolver(s, 1).solve()
+    assert counts and max(counts) <= 2, counts
+    assert (big.weight, big.chosen) == (small.weight, small.chosen)
+    assert len(legal_successors(CapacityVector.initial(s), 4, s, 10**3)) == 1_001
 
 
 # -- memory on long windows ----------------------------------------------------
