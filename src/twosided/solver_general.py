@@ -31,7 +31,7 @@ once, at the moment its later member joins.
 
 Values dms^k(I, lambda) -- the best completion of I's window under basic
 capacities lambda -- are computed member by member in left-endpoint order.
-The memo rests on one fact.  When the recursion reaches member idx of a
+The memo rests on one fact.  When the evaluation reaches member idx of a
 window, every interval of its remaining members R = members[idx:] is
 undecided and every interval of their frontier F = N(R) minus R is decided:
 
@@ -64,34 +64,34 @@ window worth what the cap leaves it, and the continuation, with a smaller
 right share, worth no more.  The split with each share lowered to its cap
 comes earlier in the ascending order, so a split above a cap is never the
 first maximizer: clamping each joiner's left share at its cap keeps the
-optimum, the chosen set and every tie choice, and ``_walk`` replays the
-same clamped enumeration.  It also bounds the splits per joiner by its
-degree, however large k is.  ``legal_successors`` lists steps under any
-caller's vector, where a fresh neighbor may cross from the left, so it
-lists every split, k - used + 1 per fresh joiner.
+optimum, the chosen set and every tie choice, and ``_walk`` reads its
+decisions off the same clamped enumeration.  It also bounds the splits per
+joiner by its degree, however large k is.  ``legal_successors`` lists steps
+under any caller's vector, where a fresh neighbor may cross from the left,
+so it lists every split, k - used + 1 per fresh joiner.
 
-A solve keeps one state dict.  A step writes its decisions into it and
-undoes its writes before the enumeration moves on, so a recursion level
-holds its step's undo record, not a copy of the state.  An undone entry may
-stay as ``None``, which reads as undecided.
+A solve keeps one state dict and runs on one explicit stack, not on the
+interpreter's, so no window depth rests on the recursion limit.  A step
+writes its decisions into the state and undoes its writes before the
+enumeration moves on, so a stack entry holds its step's undo record, not a
+copy of the state.  An undone entry may stay as ``None``, which reads as
+undecided.
 
 The memo is bounded: a solve that would store more than ``MAX_MEMO_STATES``
-values raises ``SolverBudgetError``.  Solution recovery replays the
-maximizing decisions into the same state, leaving each chosen step
-written.  The top-level window is owner n = len(s), whose members are every
-interval in left-endpoint order.
+values raises ``SolverBudgetError``.  Solution recovery reads each decision
+back off the memoized values and writes it into the same state, leaving
+each chosen step written.  The top-level window is owner n = len(s), whose
+members are every interval in left-endpoint order.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_right
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Generator, Iterator, Mapping
 
 from .model import Interval, IntervalSet, SizeGuardError, Solution, solution_weight
 from .solver_k1 import solve_k0, solve_k1
@@ -116,8 +116,8 @@ UNLIMITED = math.inf  # the unlimited capacity (interval rejected); tested with 
 # solve stores a state every 33-48 us and holds 250-400 bytes per state,
 # so it fails after 7-10 s and 40-80 MB (93 MiB peak RSS at k=2 on
 # generate_random_biconnected(40, 104, seed=11)).  Beside the memo a solve
-# holds one state and a few frames per member of its deepest window: a
-# crossing-free layout of 29,999 edges, one window, peaks at 70 MiB.  The
+# holds one state and one stack entry per member of its deepest window: the
+# chain (2i, 2i + 3) of 29,998 intervals, one window, peaks at 67 MiB.  The
 # bytes carry over to other machines; the seconds were measured on one
 # 2-core Xeon VM (CPython 3.11) only and scale with its speed, since the
 # limit counts states, not time.
@@ -320,65 +320,62 @@ class GeneralSolver:
                     yield delta, chosen
                 lam.update(undo)
 
-    # -- value recursion ----------------------------------------------------
+    # -- window values ------------------------------------------------------
 
     def _window_value(self, owner: int, idx: int, lam: dict) -> int:
-        """Best completion of owner's window from member index ``idx`` on."""
-        members = self.members[owner]
-        if idx >= len(members):
-            return 0
-        ids = self.key_positions.get(owner)
-        if ids is None:
-            ids = self.key_positions[owner] = self._key_positions(owner)
-        key = (owner, idx, *map(lam.get, ids[idx]))
-        hit = self.f_memo.get(key)
-        if hit is not None:
-            return hit
-        value = self._decide(owner, idx, lam)[0]
-        if len(self.f_memo) >= MAX_MEMO_STATES:
-            raise SolverBudgetError(
-                f"the general-k solve (k={self.k}, {self.n} intervals) exceeds "
-                f"the limit of {MAX_MEMO_STATES} memo states"
-            )
-        self.f_memo[key] = value
-        return value
+        """Best completion of owner's window from member index ``idx`` on.
+        Only a memo miss pushes a frame (``_decide``) with its key; a
+        finished frame's value is memoized and sent to the frame below."""
+        members, f_memo, stack = self.members, self.f_memo, []
+        while True:
+            value = 0
+            if idx < len(members[owner]):
+                ids = self.key_positions.get(owner)
+                if ids is None:
+                    ids = self.key_positions[owner] = self._key_positions(owner)
+                key = (owner, idx, *map(lam.get, ids[idx]))
+                value = f_memo.get(key)
+                if value is None:
+                    frame = self._decide(owner, idx, lam)
+                    stack.append((frame, key))
+                    owner, idx = next(frame)
+                    continue
+            while stack:
+                frame, key = stack[-1]
+                try:
+                    owner, idx = frame.send(value)
+                    break
+                except StopIteration as done:
+                    value = done.value
+                stack.pop()
+                if len(f_memo) >= MAX_MEMO_STATES:
+                    raise SolverBudgetError(
+                        f"the general-k solve (k={self.k}, {self.n} intervals) exceeds "
+                        f"the limit of {MAX_MEMO_STATES} memo states"
+                    )
+                f_memo[key] = value
+            else:
+                return value
 
-    def _decide(self, owner: int, idx: int, lam: dict) -> tuple[int, int]:
-        """Options for the undecided member ``idx`` of owner's window: reject
-        it or commit it through one of its successors.  Returns the best
-        value and the first option reaching it: -1 for reject, otherwise the
-        successor's place in the enumeration.  ``lam`` is left as found."""
+    def _decide(self, owner: int, idx: int, lam: dict) -> Generator[tuple[int, int], int, int]:
+        """Frame of the undecided member ``idx`` of owner's window: reject it
+        or commit it through a successor.  Yields each (owner, idx) whose
+        value it needs under ``lam`` as it stands, is sent that value, and
+        returns the best (a strict ``>`` keeps the first maximizer).  ``lam``
+        is left as found."""
         j = self.members[owner][idx]
         right, weight = self.s.right, self.s.weight
         lam[j] = UNLIMITED
-        best = self._window_value(owner, idx + 1, lam)
+        best = yield owner, idx + 1
         lam[j] = UNDECIDED
-        action = -1
         nidx = bisect_right(self.member_lefts[owner], right[j], lo=idx)
-        for place, (delta, _chosen) in enumerate(self._successors(lam, j)):
-            v = (
-                delta
-                + weight[j]
-                + self._window_value(j, 0, lam)
-                + self._window_value(owner, nidx, lam)
-            )
+        for delta, _chosen in self._successors(lam, j):
+            v = delta + weight[j] + (yield j, 0) + (yield owner, nidx)
             if v > best:
                 best = v
-                action = place
-        return best, action
+        return best
 
     # -- public entry points ------------------------------------------------
-
-    @contextmanager
-    def _deep_recursion(self) -> Iterator[None]:
-        """Raise the recursion limit to what a window of every interval
-        needs (a few frames per member), and restore it afterwards."""
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, 4 * self.n + 1000))
-        try:
-            yield
-        finally:
-            sys.setrecursionlimit(old_limit)
 
     def dms(self, interval: Interval | int, lam: Mapping[int, object]) -> int:
         """dms^k of one interval under basic capacities ``lam`` (the
@@ -392,33 +389,40 @@ class GeneralSolver:
         if any(lam.get(m) is UNDECIDED for m in nb):
             raise ValueError("the capacity vector leaves a neighbor of the interval undecided")
         basic = {m: lam[m] for m in nb}
-        with self._deep_recursion():
-            value = self._window_value(i, 0, basic)
-        return self.s.weight[i] + value
+        return self.s.weight[i] + self._window_value(i, 0, basic)
 
     def solve(self) -> Solution:
         chosen: list[int] = []
-        with self._deep_recursion():
-            value = self._window_value(self.n, 0, {})
-            self._walk(self.n, 0, {}, chosen)
+        value = self._window_value(self.n, 0, {})
+        self._walk(self.n, 0, {}, chosen)
         return Solution.recovered(chosen, self.s, self.k, value)
 
     def _walk(self, owner: int, idx: int, lam: dict, out: list[int]) -> None:
-        """Replay the maximizing decisions into ``lam``, collecting chosen ids."""
-        members = self.members[owner]
-        while idx < len(members):
-            j = members[idx]
-            action = self._decide(owner, idx, lam)[1]
-            if action < 0:
-                lam[j] = UNLIMITED
-                idx += 1
+        """Replay the maximizing decisions into ``lam``, collecting chosen
+        ids, each read back off the memoized values: reject when the reject
+        value is the window's, else the first successor reaching it, as in
+        ``_decide``.  A committed member's window goes before its owner's rest."""
+        s, wv = self.s, self._window_value
+        work = [(owner, idx, wv(owner, idx, lam))]
+        while work:
+            owner, idx, best = work.pop()
+            if idx >= len(self.members[owner]):
                 continue
-            fresh = [m for m in self.s.neighbors[j] if lam.get(m) is None]
-            _delta, chosen = next(islice(self._successors(lam, j), action, None))
+            j = self.members[owner][idx]
+            lam[j] = UNLIMITED
+            if wv(owner, idx + 1, lam) == best:
+                work.append((owner, idx + 1, best))
+                continue
+            lam[j] = UNDECIDED
+            fresh = [m for m in s.neighbors[j] if lam.get(m) is None]
+            nidx = bisect_right(self.member_lefts[owner], s.right[j], lo=idx)
+            for delta, chosen in self._successors(lam, j):
+                inner, rest = wv(j, 0, lam), wv(owner, nidx, lam)
+                if delta + s.weight[j] + inner + rest == best:
+                    break  # the step stays written
             out.append(j)
             out.extend(x for x in chosen if x in fresh)
-            self._walk(j, 0, lam, out)
-            idx = bisect_right(self.member_lefts[owner], self.s.right[j], lo=idx)
+            work += [(owner, nidx, rest), (j, 0, inner)]
 
 
 # ---------------------------------------------------------------------------
@@ -520,18 +524,19 @@ def dms_k(interval: Interval | int, lam: CapacityVector, s: IntervalSet, k: int)
 def solve_k(s: IntervalSet, k: int, force_general: bool = False) -> Solution:
     """Exact max-weight k-overlap set.
 
-    Delegates to the specialized k<=1 solver unless ``force_general`` is set
-    (the general path is asymptotically and practically slower there).  The
-    general path runs at min(k, max overlap degree): a budget above the
-    degree never binds, and capping it keeps every chosen set legal and
-    every tie won by the same first split, so the solution is the same and
-    any k above the degree costs what the degree costs.
+    Runs at min(k, max overlap degree): a budget above the degree never
+    binds, and capping it keeps every chosen set legal and every tie won by
+    the same first split, so the solution is the same and any k above the
+    degree costs what the degree costs.  A capped budget of at most 1 goes
+    to the specialized k<=1 solver unless ``force_general`` is set (the
+    general path is asymptotically and practically slower there); k <= 1
+    goes there before the degree is read, so it never builds neighbors.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    if not force_general:
-        if k == 0:
-            return solve_k0(s)
-        if k == 1:
-            return solve_k1(s)
-    return replace(GeneralSolver(s, min(k, s.max_degree)).solve(), k=k)
+    if k <= 1 and not force_general:
+        return solve_k1(s) if k else solve_k0(s)
+    cap = min(k, s.max_degree)
+    if cap <= 1 and not force_general:
+        return replace(solve_k1(s) if cap else solve_k0(s), k=k)
+    return replace(GeneralSolver(s, cap).solve(), k=k)

@@ -3,7 +3,6 @@ import os
 import random
 import subprocess
 import sys
-from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -260,6 +259,29 @@ def test_dms_k_on_a_wide_window_raises_and_restores_the_recursion_limit():
     assert sys.getrecursionlimit() == limit
 
 
+def _chain(m):
+    """The spans (2i, 2i + 3) for i < m, each overlapping the next, with
+    endpoints ranked to 1..2m, weight 1 and pair weight 1: one window of m
+    members and largest overlap degree 2."""
+    spans = [(2 * i, 2 * i + 3) for i in range(m)]
+    rank = {p: r for r, p in enumerate(sorted(p for span in spans for p in span), 1)}
+    return make_set([(rank[a], rank[b]) for a, b in spans], [1] * m, 1)
+
+
+def test_a_window_deeper_than_the_recursion_limit_leaves_the_limit_alone(monkeypatch):
+    """A window of 3,000 members, past the default recursion limit, solves
+    at k=2 without changing the recursion limit: the window values run on
+    one explicit stack."""
+    s = _chain(3000)
+    assert s.max_degree == 2 and len(s) > sys.getrecursionlimit()
+
+    def refuse(limit):
+        raise AssertionError(f"the solve set the recursion limit to {limit}")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    assert solve_k(s, 2).weight == 1500
+
+
 def test_dms_k_memo_purity():
     s = make_set([(1, 6), (2, 4), (3, 5)], [1, 2, 2], 1)
     lam = CapacityVector.initial(s).replace(s.intervals[0], (2, 2))
@@ -470,11 +492,12 @@ def test_monotone_in_k_with_ceiling(rng):
 def test_solve_k_caps_the_budget_at_the_largest_overlap_degree(monkeypatch):
     """A budget above the largest overlap degree never binds: any such k
     enumerates the successors of k = degree and returns its solution, under
-    the k asked for.  Uncapped, k = 10^4 on C4 with diagonals (degree 1)
-    yields 30,021 successors against 24."""
-    layout = LayoutInstance.build(range(1, 5), [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3), (2, 4)])
-    s = project_to_intervals(layout).interval_set
-    assert s.max_degree == 1
+    the k asked for.  With neither this cap nor the left-share caps, k = 10^4
+    on a 5-cycle with the chords (1, 3), (2, 4), (3, 5) (degree 2) yields
+    60,020 successors against 28."""
+    edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 3), (2, 4), (3, 5)]
+    s = project_to_intervals(LayoutInstance.build(range(1, 6), edges)).interval_set
+    assert s.max_degree == 2
     yields = 0
     successors = GeneralSolver._successors
 
@@ -485,11 +508,24 @@ def test_solve_k_caps_the_budget_at_the_largest_overlap_degree(monkeypatch):
             yield step
 
     monkeypatch.setattr(GeneralSolver, "_successors", counted)
-    at_degree = solve_k(s, 1, force_general=True)
+    at_degree = solve_k(s, 2)
     want, yields = yields, 0
     big = solve_k(s, 10**4)
     assert yields == want
     assert (big.weight, big.chosen, big.k) == (at_degree.weight, at_degree.chosen, 10**4)
+
+
+def test_nested_chords_at_k2_take_the_k1_path():
+    """The chords (i, 2m + 1 - i) are pairwise nested and cross nothing, so
+    ``solve_k`` runs them at min(k, degree) = 0 on the k<=1 path; the
+    general solver stores about m^2 / 2 states on them and refuses m = 700
+    at k=2."""
+    m = 700
+    chords = [(i, 2 * m + 1 - i) for i in range(1, m + 1)]
+    s = project_to_intervals(LayoutInstance.build(range(1, 2 * m + 1), chords)).interval_set
+    assert s.max_degree == 0
+    sol = solve_k(s, 2)
+    assert (sol.weight, sol.k) == (0, 2)
 
 
 def test_capped_solve_k_returns_the_uncapped_solution(rng):
@@ -561,29 +597,58 @@ def _decided(lam):
     return {x: st for x, st in lam.items() if st is not UNDECIDED}
 
 
+def _run_frame(frame, window_value):
+    """Run a ``_decide`` frame to its value, answering each (owner, idx) it
+    yields with ``window_value(owner, idx)``."""
+    value = None
+    while True:
+        try:
+            request = frame.send(value)
+        except StopIteration as done:
+            return done.value
+        value = window_value(*request)
+
+
 class _StateLog(GeneralSolver):
-    """Records every (owner, idx, state) the value recursion is asked for."""
+    """Records every (owner, idx, state) a window value is asked for: on
+    entry to the evaluation, and at each request a frame yields, with the
+    state as it stands at the yield."""
 
     def __init__(self, s, k):
         super().__init__(s, k)
         self.seen: dict = {}
 
-    def _window_value(self, owner, idx, lam):
+    def _log(self, owner, idx, lam):
         if idx < len(self.members[owner]):
             state = _decided(lam)
             self.seen.setdefault((owner, idx, frozenset(state.items())), (owner, idx, state))
+
+    def _window_value(self, owner, idx, lam):
+        self._log(owner, idx, lam)
         return super()._window_value(owner, idx, lam)
+
+    def _decide(self, owner, idx, lam):
+        frame, value = super()._decide(owner, idx, lam), None
+        while True:
+            try:
+                request = frame.send(value)
+            except StopIteration as done:
+                return done.value
+            self._log(*request, lam)
+            value = yield request
 
 
 class _FullKey(GeneralSolver):
-    """Reference: the same recursion, memoized on the whole state."""
+    """Reference: the same frames run by recursion, memoized on the whole
+    state."""
 
     def _window_value(self, owner, idx, lam):
         if idx >= len(self.members[owner]):
             return 0
         key = (owner, idx, frozenset(_decided(lam).items()))
         if key not in self.f_memo:
-            self.f_memo[key] = self._decide(owner, idx, lam)[0]
+            frame = self._decide(owner, idx, lam)
+            self.f_memo[key] = _run_frame(frame, lambda o, i: self._window_value(o, i, lam))
         return self.f_memo[key]
 
 
@@ -686,8 +751,8 @@ def test_window_members_undecided_and_frontier_decided():
 
 
 def test_memo_key_covers_every_read_and_write():
-    """One decision step at a reachable (owner, idx, state), the reject
-    step and every successor with the recursion below them, reads and
+    """One decision frame at a reachable (owner, idx, state), the reject
+    step and every successor with the window values they request, reads and
     writes only the positions its memo key holds and the window's remaining
     members R, whose states are always undecided there (see the test
     above), so the key decides the value.  It leaves the state as found."""
@@ -696,7 +761,7 @@ def test_memo_key_covers_every_read_and_write():
         rest = solver.members[owner][idx:]
         allowed = set(solver._key_positions(owner)[idx]).union(rest)
         rec = _AccessLog(lam)
-        solver._decide(owner, idx, rec)
+        _run_frame(solver._decide(owner, idx, rec), lambda o, i: solver._window_value(o, i, rec))
         assert rec.read <= allowed, (owner, idx, rec.read - allowed)
         assert rec.written <= allowed, (owner, idx, rec.written - allowed)
         assert _decided(rec) == lam, (owner, idx)
@@ -778,22 +843,20 @@ class _Uncapped(GeneralSolver):
 
 
 def _decision(solver, owner, idx, state):
-    """The value a decision at ``state`` reaches and the step it keeps:
-    None for reject, else the step's delta, chosen ids and written state."""
-    lam = dict(state)
-    value, action = solver._decide(owner, idx, lam)
-    if action < 0:
-        return value, None
-    j = solver.members[owner][idx]
-    delta, chosen = next(islice(solver._successors(lam, j), action, None))
-    return value, (delta, chosen, _decided(lam))
+    """The value the window reaches from ``state`` and the steps it keeps
+    from there: the ids the walk chooses, in order, and the state its
+    steps leave written."""
+    lam, out = dict(state), []
+    value = solver._window_value(owner, idx, lam)
+    solver._walk(owner, idx, lam, out)
+    return value, out, _decided(lam)
 
 
 def test_left_share_caps_keep_every_decision(rng):
     """On random sets with per-pair weights, the capped solve and the
-    enumeration of every split give the same weight and chosen set, and at
-    every state the capped recursion decides they reach the same value
-    through the same step."""
+    enumeration of every split give the same weight and chosen set, and
+    from every state the capped solve reaches they reach the same value
+    through the same steps."""
     checked = shrunk = 0
     for trial in range(60):
         s = random_interval_set(rng.randint(4, 11), random.Random(6100 + trial))
@@ -864,15 +927,17 @@ linux_only = pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/sel
 @linux_only
 def test_memory_of_a_long_crossing_free_window():
     """A cycle on 4,000 vertices plus the chords (i, i+2) for odd i has
-    m = 5,999 edges and no crossing, so ``solve_k`` runs the general solver
-    at k=0 on one window of every interval, 5,999 members deep.  With one
+    m = 5,999 edges and no crossing, so ``solve_k`` with ``force_general``
+    runs the general solver at k=0 on one window of every interval, 5,999
+    members deep.  With one
     state per solve the peak RSS stays under 120 MiB; a state copied at
     every level peaked at 691 MiB."""
     weight, mib = _weight_and_peak_rss_mib(
         "from twosided import LayoutInstance, solve_layout\n"
         "n = 4000\n"
         "edges = [(i, i % n + 1) for i in range(1, n + 1)] + [(i, i + 2) for i in range(1, n - 1, 2)]\n"
-        "weight = solve_layout(LayoutInstance.build(range(1, n + 1), edges), 2).solution.weight\n"
+        "layout = LayoutInstance.build(range(1, n + 1), edges)\n"
+        "weight = solve_layout(layout, 2, force_general=True).solution.weight\n"
     )
     assert (weight, mib < 120) == (0, True), mib
 
