@@ -46,9 +46,21 @@ A step at member j reads and writes only R and F: j's neighbors, and for
 each fresh joiner, an undecided neighbor of j and so a member of R, its own
 neighbors.  The steps after it stay inside the same positions, and j's own
 window sees R and the neighbors of j.  R's states are always undecided, so
-the value is a function of F's states, and the memo key is (owner, idx,
-states of F in ascending id order), with F's ids built for every idx of a
-window in one backward pass over its members.
+the value is a function of R and F's states.
+
+The key names R without the owner.  Let j = members[idx].  Every member
+starts after its owner's left end, so R = {x : left[x] >= left[j],
+right[x] < right[owner]}, and the R of the owners containing j are nested
+by right end: (j, |R|) names R.  A reject moves to the next member of R, and
+a commit reads j's own window and jumps to the first member of R starting
+after right[j], so one value serves every window whose remaining members
+are R.  Only members of R can still stab a committed x in F: a joiner
+starting left of x spends x's left budget, one starting right of it the
+right.  A side's budget at or above the number of members of R that
+overlap x from that side never binds, so it is keyed lowered to that
+count; a rejected state is keyed as it is.  The memo key is (j, |R|,
+clamped states of F in ascending id order), with F's ids and counts built
+for every idx of a window in one backward pass over its members.
 
 The solver lists only the budget splits that can matter.  Inside the DP
 every fresh joiner x of a step at member j crosses j from the right,
@@ -113,14 +125,16 @@ UNDECIDED = None  # the undecided capacity (no decision made about the interval)
 UNLIMITED = math.inf  # the unlimited capacity (interval rejected); tested with ``is``
 
 # Largest number of memoized values one solve may store.  Near the limit a
-# solve stores a state every 33-48 us and holds 250-400 bytes per state,
-# so it fails after 7-10 s and 40-80 MB (93 MiB peak RSS at k=2 on
-# generate_random_biconnected(40, 104, seed=11)).  Beside the memo a solve
-# holds one state and one stack entry per member of its deepest window: the
-# chain (2i, 2i + 3) of 29,998 intervals, one window, peaks at 67 MiB.  The
-# bytes carry over to other machines; the seconds were measured on one
-# 2-core Xeon VM (CPython 3.11) only and scale with its speed, since the
-# limit counts states, not time.
+# solve stores a state every 40-56 us and holds 280-380 bytes per state,
+# so it fails after 8-12 s and 55-75 MB (10.5-11.7 s and 87 MiB peak RSS at
+# k=2 on generate_random_biconnected(40, 104, seed=11)).  A solve that ends
+# just under the limit can take longer: (14, 34, seed=7) at k=3 stores
+# 192,380 states in 16 s.  Beside the memo a solve holds one state and one
+# stack entry per member of its deepest window: the chain (2i, 2i + 3) of
+# 29,998 intervals, one window, peaks at 69 MiB.  The bytes carry over to
+# other machines; the seconds were measured on one 2-core Xeon VM (CPython
+# 3.11) only and scale with its speed, since the limit counts states, not
+# time.
 MAX_MEMO_STATES = 200_000
 
 
@@ -188,6 +202,25 @@ class LegalSuccessor:
 # ---------------------------------------------------------------------------
 
 
+class _Clamp(dict):
+    """The memo key's form of a frontier state, for a position that the
+    window's remaining members overlap ``cap[0]`` times from the left and
+    ``cap[1]`` times from the right: a committed budget with each side
+    lowered to its cap, UNLIMITED as it is.  Budgets are filled on first
+    read."""
+
+    def __init__(self, cap: tuple[int, int]):
+        super().__init__({UNLIMITED: UNLIMITED})
+        self.cap = cap
+
+    def __missing__(self, st: tuple[int, int]) -> tuple[int, int]:
+        out = self[st] = (min(st[0], self.cap[0]), min(st[1], self.cap[1]))
+        return out
+
+
+_clamped = _Clamp.__getitem__
+
+
 class GeneralSolver:
     """Capacity-vector dynamic program over one instance and one k.
 
@@ -207,8 +240,11 @@ class GeneralSolver:
         self.member_lefts = [[s.left[j] for j in lst] for lst in self.members]
 
         self.f_memo: dict = {}
-        # owner -> memo key positions of every idx, see _key_positions.
+        # owner -> memo key positions of every idx, and beside it the clamp
+        # of each position, see _key_positions.
         self.key_positions: dict = {}
+        self.key_caps: dict = {}
+        self.clamps: dict[tuple[int, int], _Clamp] = {}
         # interval -> left-share cap of each neighbor, see _left_caps.
         self.left_caps: dict = {}
 
@@ -217,16 +253,32 @@ class GeneralSolver:
     def _key_positions(self, owner: int) -> list[tuple[int, ...]]:
         """The positions keying the window values of owner, one tuple per
         idx: the ids of the frontier N(R) minus R in ascending order, with
-        R = members[idx:].  One backward pass over the members."""
-        nb = self.s.neighbors
+        R = members[idx:].  The same backward pass over the members counts,
+        for each position x, the members of R that overlap x from the left
+        and from the right, and stores the matching ``_Clamp`` of each
+        position in ``key_caps[owner]``."""
+        s, clamps = self.s, self.clamps
+        nb, left = s.neighbors, s.left
         rest: set[int] = set()
-        frontier: set[int] = set()
-        out = []
+        sides: dict[int, list[int]] = {}  # frontier id -> [from the left, from the right]
+        out, caps = [], []
         for r in reversed(self.members[owner]):
             rest.add(r)
-            frontier.discard(r)
-            frontier.update(x for x in nb[r] if x not in rest)
-            out.append(tuple(sorted(frontier)))
+            sides.pop(r, None)
+            for x in nb[r]:
+                if x not in rest:
+                    sides.setdefault(x, [0, 0])[left[r] > left[x]] += 1
+            frontier = sorted(sides)
+            out.append(tuple(frontier))
+            row = []
+            for x in frontier:
+                cap = tuple(sides[x])
+                clamp = clamps.get(cap)
+                if clamp is None:
+                    clamp = clamps[cap] = _Clamp(cap)
+                row.append(clamp)
+            caps.append(tuple(row))
+        self.key_caps[owner] = caps[::-1]
         return out[::-1]
 
     def _left_caps(self, j: int) -> dict[int, int]:
@@ -329,11 +381,13 @@ class GeneralSolver:
         members, f_memo, stack = self.members, self.f_memo, []
         while True:
             value = 0
-            if idx < len(members[owner]):
+            window = members[owner]
+            if idx < len(window):
                 ids = self.key_positions.get(owner)
                 if ids is None:
                     ids = self.key_positions[owner] = self._key_positions(owner)
-                key = (owner, idx, *map(lam.get, ids[idx]))
+                states = map(_clamped, self.key_caps[owner][idx], map(lam.get, ids[idx]))
+                key = (window[idx], len(window) - idx, *states)
                 value = f_memo.get(key)
                 if value is None:
                     frame = self._decide(owner, idx, lam)

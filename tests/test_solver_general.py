@@ -804,7 +804,7 @@ def test_memo_states_regression():
         solver = GeneralSolver(s, k)
         solver.solve()
         assert len(solver.f_memo) < before / 2, (k, len(solver.f_memo))
-    keyed = sum(len(solver.key_positions[key[0]][key[1]]) for key in solver.f_memo)
+    keyed = sum(len(key) - 2 for key in solver.f_memo)
     assert keyed < 0.7 * 1_838_481, keyed
 
 
@@ -871,6 +871,82 @@ def test_left_share_caps_keep_every_decision(rng):
                 ), (trial, k, owner, idx)
                 checked += 1
     assert checked > 2000 and shrunk > 20, (checked, shrunk)
+
+
+class _OwnerKey(GeneralSolver):
+    """Reference: the same frames run by recursion, memoized on (owner, idx,
+    states of F) with every budget as it stands."""
+
+    def _window_value(self, owner, idx, lam):
+        if idx >= len(self.members[owner]):
+            return 0
+        ids = self.key_positions.get(owner)
+        if ids is None:
+            ids = self.key_positions[owner] = self._key_positions(owner)
+        key = (owner, idx, *map(lam.get, ids[idx]))
+        if key not in self.f_memo:
+            frame = self._decide(owner, idx, lam)
+            self.f_memo[key] = _run_frame(frame, lambda o, i: self._window_value(o, i, lam))
+        return self.f_memo[key]
+
+
+def test_suffix_key_and_budget_clamp_keep_every_decision(rng):
+    """On random sets with per-pair weights, the memo keyed on the remaining
+    members with clamped frontier budgets and the memo keyed on the window's
+    owner with the budgets as they stand give the same weight and chosen
+    set, and from every state the solve reaches they reach the same value
+    through the same steps.  The clamp lowers a budget in some of those
+    states, so both halves of the key are exercised."""
+    checked = shrunk = clamped = 0
+    for trial in range(60):
+        s = random_interval_set(rng.randint(4, 11), random.Random(7100 + trial))
+        for k in (2, 3):
+            suffix, reference = _StateLog(s, k), _OwnerKey(s, k)
+            got, want = suffix.solve(), reference.solve()
+            assert (got.weight, got.chosen) == (want.weight, want.chosen), (trial, k)
+            shrunk += len(suffix.f_memo) < len(reference.f_memo)
+            for owner, idx, state in list(suffix.seen.values()):
+                raw = [state.get(x) for x in suffix.key_positions[owner][idx]]
+                clamps = suffix.key_caps[owner][idx]
+                clamped += any(c[st] != st for c, st in zip(clamps, raw))
+                assert _decision(suffix, owner, idx, state) == _decision(
+                    reference, owner, idx, state
+                ), (trial, k, owner, idx)
+                checked += 1
+    assert checked > 2000 and shrunk > 20 and clamped > 100, (checked, shrunk, clamped)
+
+
+def test_suffix_key_and_budget_clamp_shrink_the_memo():
+    """Keying each window value on the remaining members instead of the
+    window's owner, with each committed frontier budget clamped to what
+    those members can still take, stores under 0.5 times the 87,999 states
+    of 16/40 at k=2 and under 0.6 times the 76,798 of 12/30 at k=3 (41,772
+    and 40,831 with both)."""
+    for (n, m), k, before, share in (((16, 40), 2, 87_999, 0.5), ((12, 30), 3, 76_798, 0.6)):
+        layout = generate_random_biconnected(n, m, seed=424242)
+        solver = GeneralSolver(project_to_intervals(layout).interval_set, k)
+        solver.solve()
+        assert len(solver.f_memo) < share * before, (n, m, k, len(solver.f_memo))
+
+
+def _nested_and_chain(m):
+    """m pairwise nested intervals (i, 2m + 1 - i) and, right of them, the
+    chain (2m+1, 2m+3), (2m+2, 2m+5), (2m+4, 2m+6) of overlap degree 2;
+    every weight and pair weight is 1, so the optimum is m + 2."""
+    spans = [(i, 2 * m + 1 - i) for i in range(1, m + 1)]
+    spans += [(2 * m + 1, 2 * m + 3), (2 * m + 2, 2 * m + 5), (2 * m + 4, 2 * m + 6)]
+    return make_set(spans, [1] * len(spans), 1)
+
+
+def test_nested_windows_store_each_suffix_once():
+    """600 nested intervals beside a chain of degree 2 reach the general
+    solver at k=2.  Each remaining suffix is stored once, not once per
+    enclosing window, so the memo holds at most 2m + 10 states (180,304
+    when keyed on the window's owner)."""
+    m = 600
+    solver = GeneralSolver(_nested_and_chain(m), 2)
+    assert solver.solve().weight == m + 2
+    assert len(solver.f_memo) <= 2 * m + 10, len(solver.f_memo)
 
 
 def test_solver_steps_do_not_grow_with_k(monkeypatch):
