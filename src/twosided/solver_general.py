@@ -48,19 +48,19 @@ neighbors.  The steps after it stay inside the same positions, and j's own
 window sees R and the neighbors of j.  R's states are always undecided, so
 the value is a function of R and F's states.
 
-The key names R without the owner.  Let j = members[idx].  Every member
-starts after its owner's left end, so R = {x : left[x] >= left[j],
-right[x] < right[owner]}, and the R of the owners containing j are nested
-by right end: (j, |R|) names R.  A reject moves to the next member of R, and
-a commit reads j's own window and jumps to the first member of R starting
-after right[j], so one value serves every window whose remaining members
-are R.  Only members of R can still stab a committed x in F: a joiner
-starting left of x spends x's left budget, one starting right of it the
-right.  A side's budget at or above the number of members of R that
-overlap x from that side never binds, so it is keyed lowered to that
-count; a rejected state is keyed as it is.  The memo key is (j, |R|,
-clamped states of F in ascending id order), with F's ids and counts built
-for every idx of a window in one backward pass over its members.
+The key names R without the owner.  Let j be R's first member.  Every member
+starts after its owner's left end, so R = {x : left[x] >= left[j], right[x]
+< right[owner]}, and the R of the owners containing j are nested by right
+end: the handle (j, |R|) names R.  A reject moves to the next member of R,
+and a commit reads j's own window and jumps to the first member of R
+starting after right[j], so one value serves every window whose remaining
+members are R.  Only members of R can still stab a committed x in F: a
+joiner starting left of x spends x's left budget, one starting right of it
+the right.  A side's budget at or above the number of members of R that
+overlap x from that side never binds, so it is keyed lowered to that count;
+a rejected state is keyed as it is.  The memo key is (j, |R|, clamped states
+of F in ascending id order).  A handle's one record holds F's ids, their
+clamps and the two handles moved to.
 
 The solver lists only the budget splits that can matter.  Inside the DP
 every fresh joiner x of a step at member j crosses j from the right,
@@ -129,12 +129,12 @@ UNLIMITED = math.inf  # the unlimited capacity (interval rejected); tested with 
 # so it fails after 8-12 s and 55-75 MB (10.5-11.7 s and 87 MiB peak RSS at
 # k=2 on generate_random_biconnected(40, 104, seed=11)).  A solve that ends
 # just under the limit can take longer: (14, 34, seed=7) at k=3 stores
-# 192,380 states in 16 s.  Beside the memo a solve holds one state and one
-# stack entry per member of its deepest window: the chain (2i, 2i + 3) of
-# 29,998 intervals, one window, peaks at 69 MiB.  The bytes carry over to
-# other machines; the seconds were measured on one 2-core Xeon VM (CPython
-# 3.11) only and scale with its speed, since the limit counts states, not
-# time.
+# 192,380 states in 16 s.  Beside the memo a solve holds one state, one
+# record per suffix of remaining members and one stack entry per member of
+# its deepest window: the chain (2i, 2i + 3) of 29,998 intervals, one
+# window, peaks at 71 MiB.  The bytes carry over to other machines; the
+# seconds were measured on one 2-core Xeon VM (CPython 3.11) only and scale
+# with its speed, since the limit counts states, not time.
 MAX_MEMO_STATES = 200_000
 
 
@@ -233,43 +233,43 @@ class GeneralSolver:
             raise ValueError("k must be non-negative")
         self.s = s
         self.k = k
-        self.n = n = len(s)
-
-        # Strictly nested members per owner, sorted by left endpoint.
-        self.members = [s.nested(i) for i in range(n)] + [list(s.by_left)]
-        self.member_lefts = [[s.left[j] for j in lst] for lst in self.members]
+        self.n = len(s)
 
         self.f_memo: dict = {}
-        # owner -> memo key positions of every idx, and beside it the clamp
-        # of each position, see _key_positions.
-        self.key_positions: dict = {}
-        self.key_caps: dict = {}
+        # suffix handle (j, |R|) -> record, owner -> window handle; see _window.
+        self.suffixes: dict[tuple[int, int], tuple] = {}
+        self.windows: dict[int, tuple[int, int] | None] = {}
         self.clamps: dict[tuple[int, int], _Clamp] = {}
         # interval -> left-share cap of each neighbor, see _left_caps.
         self.left_caps: dict = {}
 
     # -- state helpers ------------------------------------------------------
 
-    def _key_positions(self, owner: int) -> list[tuple[int, ...]]:
-        """The positions keying the window values of owner, one tuple per
-        idx: the ids of the frontier N(R) minus R in ascending order, with
-        R = members[idx:].  The same backward pass over the members counts,
-        for each position x, the members of R that overlap x from the left
-        and from the right, and stores the matching ``_Clamp`` of each
-        position in ``key_caps[owner]``."""
-        s, clamps = self.s, self.clamps
-        nb, left = s.neighbors, s.left
+    def _window(self, owner: int) -> tuple[int, int] | None:
+        """The handle of owner's whole window, None if it has no members (a
+        record's handles use None for no member left).  The first call fills
+        every missing suffix record in one backward pass over the members."""
+        windows = self.windows
+        if owner in windows:
+            return windows[owner]
+        s, suffixes, clamps = self.s, self.suffixes, self.clamps
+        nb, left, right = s.neighbors, s.left, s.right
+        members = list(s.by_left) if owner == self.n else s.nested(owner)
+        size = len(members)
+        chain: list = [None]  # chain[c]: the handle of the last c members
         rest: set[int] = set()
         sides: dict[int, list[int]] = {}  # frontier id -> [from the left, from the right]
-        out, caps = [], []
-        for r in reversed(self.members[owner]):
+        for count, r in enumerate(reversed(members), 1):
             rest.add(r)
             sides.pop(r, None)
             for x in nb[r]:
                 if x not in rest:
                     sides.setdefault(x, [0, 0])[left[r] > left[x]] += 1
+            h = (r, count)
+            chain.append(h)
+            if h in suffixes:
+                continue
             frontier = sorted(sides)
-            out.append(tuple(frontier))
             row = []
             for x in frontier:
                 cap = tuple(sides[x])
@@ -277,9 +277,10 @@ class GeneralSolver:
                 if clamp is None:
                     clamp = clamps[cap] = _Clamp(cap)
                 row.append(clamp)
-            caps.append(tuple(row))
-        self.key_caps[owner] = caps[::-1]
-        return out[::-1]
+            at = bisect_right(members, right[r], lo=size - count, key=left.__getitem__)
+            suffixes[h] = (tuple(frontier), tuple(row), chain[count - 1], chain[size - at])
+        windows[owner] = chain[-1]
+        return chain[-1]
 
     def _left_caps(self, j: int) -> dict[int, int]:
         """The most left share each neighbor x of ``j`` can use when it
@@ -374,30 +375,26 @@ class GeneralSolver:
 
     # -- window values ------------------------------------------------------
 
-    def _window_value(self, owner: int, idx: int, lam: dict) -> int:
-        """Best completion of owner's window from member index ``idx`` on.
-        Only a memo miss pushes a frame (``_decide``) with its key; a
-        finished frame's value is memoized and sent to the frame below."""
-        members, f_memo, stack = self.members, self.f_memo, []
+    def _window_value(self, h: tuple[int, int] | None, lam: dict) -> int:
+        """Best completion of a window from suffix handle ``h`` on (0 for
+        None).  Only a memo miss pushes a frame (``_decide``) with its key;
+        a finished frame's value is memoized and sent to the frame below."""
+        suffixes, f_memo, stack = self.suffixes, self.f_memo, []
         while True:
             value = 0
-            window = members[owner]
-            if idx < len(window):
-                ids = self.key_positions.get(owner)
-                if ids is None:
-                    ids = self.key_positions[owner] = self._key_positions(owner)
-                states = map(_clamped, self.key_caps[owner][idx], map(lam.get, ids[idx]))
-                key = (window[idx], len(window) - idx, *states)
+            if h is not None:
+                ids, clamps, _, _ = suffixes[h]
+                key = (*h, *map(_clamped, clamps, map(lam.get, ids)))
                 value = f_memo.get(key)
                 if value is None:
-                    frame = self._decide(owner, idx, lam)
+                    frame = self._decide(h, lam)
                     stack.append((frame, key))
-                    owner, idx = next(frame)
+                    h = next(frame)
                     continue
             while stack:
                 frame, key = stack[-1]
                 try:
-                    owner, idx = frame.send(value)
+                    h = frame.send(value)
                     break
                 except StopIteration as done:
                     value = done.value
@@ -411,20 +408,21 @@ class GeneralSolver:
             else:
                 return value
 
-    def _decide(self, owner: int, idx: int, lam: dict) -> Generator[tuple[int, int], int, int]:
-        """Frame of the undecided member ``idx`` of owner's window: reject it
-        or commit it through a successor.  Yields each (owner, idx) whose
-        value it needs under ``lam`` as it stands, is sent that value, and
-        returns the best (a strict ``>`` keeps the first maximizer).  ``lam``
-        is left as found."""
-        j = self.members[owner][idx]
-        right, weight = self.s.right, self.s.weight
+    def _decide(self, h: tuple[int, int], lam: dict) -> Generator[tuple[int, int] | None, int, int]:
+        """Frame of the first member j of the suffix with handle ``h``:
+        reject it or commit it through a successor.  Yields each handle
+        whose value it needs under ``lam`` as it stands, is sent that value,
+        and returns the best (a strict ``>`` keeps the first maximizer).
+        ``lam`` is left as found."""
+        j = h[0]
+        _, _, reject, commit = self.suffixes[h]
+        weight = self.s.weight
         lam[j] = UNLIMITED
-        best = yield owner, idx + 1
+        best = yield reject
         lam[j] = UNDECIDED
-        nidx = bisect_right(self.member_lefts[owner], right[j], lo=idx)
+        window = self._window(j)
         for delta, _chosen in self._successors(lam, j):
-            v = delta + weight[j] + (yield j, 0) + (yield owner, nidx)
+            v = delta + weight[j] + (yield window) + (yield commit)
             if v > best:
                 best = v
         return best
@@ -443,40 +441,42 @@ class GeneralSolver:
         if any(lam.get(m) is UNDECIDED for m in nb):
             raise ValueError("the capacity vector leaves a neighbor of the interval undecided")
         basic = {m: lam[m] for m in nb}
-        return self.s.weight[i] + self._window_value(i, 0, basic)
+        return self.s.weight[i] + self._window_value(self._window(i), basic)
 
     def solve(self) -> Solution:
         chosen: list[int] = []
-        value = self._window_value(self.n, 0, {})
-        self._walk(self.n, 0, {}, chosen)
+        top = self._window(self.n)
+        value = self._window_value(top, {})
+        self._walk(top, {}, chosen)
         return Solution.recovered(chosen, self.s, self.k, value)
 
-    def _walk(self, owner: int, idx: int, lam: dict, out: list[int]) -> None:
+    def _walk(self, h: tuple[int, int] | None, lam: dict, out: list[int]) -> None:
         """Replay the maximizing decisions into ``lam``, collecting chosen
         ids, each read back off the memoized values: reject when the reject
         value is the window's, else the first successor reaching it, as in
         ``_decide``.  A committed member's window goes before its owner's rest."""
-        s, wv = self.s, self._window_value
-        work = [(owner, idx, wv(owner, idx, lam))]
+        s, wv, suffixes = self.s, self._window_value, self.suffixes
+        work = [(h, wv(h, lam))]
         while work:
-            owner, idx, best = work.pop()
-            if idx >= len(self.members[owner]):
+            h, best = work.pop()
+            if h is None:
                 continue
-            j = self.members[owner][idx]
+            j = h[0]
+            _, _, reject, commit = suffixes[h]
             lam[j] = UNLIMITED
-            if wv(owner, idx + 1, lam) == best:
-                work.append((owner, idx + 1, best))
+            if wv(reject, lam) == best:
+                work.append((reject, best))
                 continue
             lam[j] = UNDECIDED
             fresh = [m for m in s.neighbors[j] if lam.get(m) is None]
-            nidx = bisect_right(self.member_lefts[owner], s.right[j], lo=idx)
+            window = self._window(j)
             for delta, chosen in self._successors(lam, j):
-                inner, rest = wv(j, 0, lam), wv(owner, nidx, lam)
+                inner, rest = wv(window, lam), wv(commit, lam)
                 if delta + s.weight[j] + inner + rest == best:
                     break  # the step stays written
             out.append(j)
             out.extend(x for x in chosen if x in fresh)
-            work += [(owner, nidx, rest), (j, 0, inner)]
+            work += [(commit, rest), (window, inner)]
 
 
 # ---------------------------------------------------------------------------

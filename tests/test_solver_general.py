@@ -546,9 +546,9 @@ def test_solve_k_empty_and_bad_k():
 def test_recovery_mismatch_raises(monkeypatch):
     walk = GeneralSolver._walk
 
-    def drop_last_chosen(self, owner, idx, lam, out):
-        walk(self, owner, idx, lam, out)
-        if owner == self.n:
+    def drop_last_chosen(self, h, lam, out):
+        walk(self, h, lam, out)
+        if h == self.windows[self.n]:
             out.pop()
 
     monkeypatch.setattr(GeneralSolver, "_walk", drop_last_chosen)
@@ -598,57 +598,75 @@ def _decided(lam):
 
 
 def _run_frame(frame, window_value):
-    """Run a ``_decide`` frame to its value, answering each (owner, idx) it
-    yields with ``window_value(owner, idx)``."""
+    """Run a ``_decide`` frame to its value, answering each suffix handle it
+    yields with ``window_value(handle)``."""
     value = None
     while True:
         try:
             request = frame.send(value)
         except StopIteration as done:
             return done.value
-        value = window_value(*request)
+        value = window_value(request)
+
+
+def _open_every_window(solver):
+    """Fill the record of every suffix of every window, the top level's
+    included, so that any handle of the instance can be evaluated."""
+    for owner in range(solver.n + 1):
+        solver._window(owner)
+    return solver
+
+
+def _remaining(solver, h):
+    """The remaining members R that handle ``h`` names, read by following
+    reject handles."""
+    rest = []
+    while h is not None:
+        rest.append(h[0])
+        h = solver.suffixes[h][2]
+    return rest
 
 
 class _StateLog(GeneralSolver):
-    """Records every (owner, idx, state) a window value is asked for: on
-    entry to the evaluation, and at each request a frame yields, with the
-    state as it stands at the yield."""
+    """Records every (handle, state) a window value is asked for: on entry
+    to the evaluation, and at each request a frame yields, with the state
+    as it stands at the yield."""
 
     def __init__(self, s, k):
         super().__init__(s, k)
         self.seen: dict = {}
 
-    def _log(self, owner, idx, lam):
-        if idx < len(self.members[owner]):
+    def _log(self, h, lam):
+        if h is not None:
             state = _decided(lam)
-            self.seen.setdefault((owner, idx, frozenset(state.items())), (owner, idx, state))
+            self.seen.setdefault((h, frozenset(state.items())), (h, state))
 
-    def _window_value(self, owner, idx, lam):
-        self._log(owner, idx, lam)
-        return super()._window_value(owner, idx, lam)
+    def _window_value(self, h, lam):
+        self._log(h, lam)
+        return super()._window_value(h, lam)
 
-    def _decide(self, owner, idx, lam):
-        frame, value = super()._decide(owner, idx, lam), None
+    def _decide(self, h, lam):
+        frame, value = super()._decide(h, lam), None
         while True:
             try:
                 request = frame.send(value)
             except StopIteration as done:
                 return done.value
-            self._log(*request, lam)
+            self._log(request, lam)
             value = yield request
 
 
 class _FullKey(GeneralSolver):
-    """Reference: the same frames run by recursion, memoized on the whole
-    state."""
+    """Reference: the same frames run by recursion, memoized on the handle
+    and the whole state."""
 
-    def _window_value(self, owner, idx, lam):
-        if idx >= len(self.members[owner]):
+    def _window_value(self, h, lam):
+        if h is None:
             return 0
-        key = (owner, idx, frozenset(_decided(lam).items()))
+        key = (h, frozenset(_decided(lam).items()))
         if key not in self.f_memo:
-            frame = self._decide(owner, idx, lam)
-            self.f_memo[key] = _run_frame(frame, lambda o, i: self._window_value(o, i, lam))
+            frame = self._decide(h, lam)
+            self.f_memo[key] = _run_frame(frame, lambda g: self._window_value(g, lam))
         return self.f_memo[key]
 
 
@@ -718,7 +736,7 @@ def test_replace_with_float_infinity_is_unlimited():
 
 @functools.cache
 def _reached_states():
-    """(solver, owner, idx, state) for every distinct state a solve reaches
+    """(solver, handle, state) for every distinct state a solve reaches
     and every state ``dms`` reaches from vectors that decide every neighbor
     of the interval, on 40 random sets at k = 2 and 3."""
     out = []
@@ -729,42 +747,41 @@ def _reached_states():
             log = _StateLog(s, k)
             log.solve()
             for i in range(len(s)):
-                if log.members[i] and s.neighbors[i]:
+                if s.nested(i) and s.neighbors[i]:
                     for vec in _caller_vectors(s, k, i, rng, 3, decided=True):
                         log.dms(i, vec.states)
-            checker = GeneralSolver(s, k)
-            out.extend((checker, owner, idx, lam) for owner, idx, lam in log.seen.values())
+            checker = _open_every_window(GeneralSolver(s, k))
+            out.extend((checker, h, lam) for h, lam in log.seen.values())
     return out
 
 
 def test_window_members_undecided_and_frontier_decided():
-    """At every reached (owner, idx, state) the window's remaining members R
+    """At every reached (handle, state) the window's remaining members R
     are undecided and their frontier F, the neighbors of R outside R, is
     decided; the memo key holds exactly the positions of F."""
-    for solver, owner, idx, lam in _reached_states():
-        rest = solver.members[owner][idx:]
+    for solver, h, lam in _reached_states():
+        rest = _remaining(solver, h)
         frontier = set().union(*(solver.s.neighbors[r] for r in rest)).difference(rest)
-        assert all(lam.get(r) is UNDECIDED for r in rest), (owner, idx)
-        assert all(lam.get(f) is not UNDECIDED for f in frontier), (owner, idx)
-        assert list(solver._key_positions(owner)[idx]) == sorted(frontier), (owner, idx)
+        assert all(lam.get(r) is UNDECIDED for r in rest), h
+        assert all(lam.get(f) is not UNDECIDED for f in frontier), h
+        assert list(solver.suffixes[h][0]) == sorted(frontier), h
     assert len(_reached_states()) > 2000
 
 
 def test_memo_key_covers_every_read_and_write():
-    """One decision frame at a reachable (owner, idx, state), the reject
+    """One decision frame at a reachable (handle, state), the reject
     step and every successor with the window values they request, reads and
     writes only the positions its memo key holds and the window's remaining
     members R, whose states are always undecided there (see the test
     above), so the key decides the value.  It leaves the state as found."""
     checked = 0
-    for solver, owner, idx, lam in _reached_states():
-        rest = solver.members[owner][idx:]
-        allowed = set(solver._key_positions(owner)[idx]).union(rest)
+    for solver, h, lam in _reached_states():
+        allowed = set(solver.suffixes[h][0]).union(_remaining(solver, h))
         rec = _AccessLog(lam)
-        _run_frame(solver._decide(owner, idx, rec), lambda o, i: solver._window_value(o, i, rec))
-        assert rec.read <= allowed, (owner, idx, rec.read - allowed)
-        assert rec.written <= allowed, (owner, idx, rec.written - allowed)
-        assert _decided(rec) == lam, (owner, idx)
+        _run_frame(solver._decide(h, rec), lambda g: solver._window_value(g, rec))
+        assert rec.read <= allowed, (h, rec.read - allowed)
+        assert rec.written <= allowed, (h, rec.written - allowed)
+        assert _decided(rec) == lam, h
         checked += 1
     assert checked > 2000, checked
 
@@ -779,7 +796,7 @@ def test_dms_k_caller_vectors_match_full_state_memo():
         for k in (2, 3):
             shared = GeneralSolver(s, k)
             for i in range(len(s)):
-                if not (shared.members[i] and s.neighbors[i]):
+                if not (s.nested(i) and s.neighbors[i]):
                     continue
                 for vec in _caller_vectors(s, k, i, rng, 4, decided=True):
                     want = _FullKey(s, k).dms(i, vec.states)
@@ -842,13 +859,13 @@ class _Uncapped(GeneralSolver):
         return dict.fromkeys(self.s.neighbors[j], self.k)
 
 
-def _decision(solver, owner, idx, state):
+def _decision(solver, h, state):
     """The value the window reaches from ``state`` and the steps it keeps
     from there: the ids the walk chooses, in order, and the state its
     steps leave written."""
     lam, out = dict(state), []
-    value = solver._window_value(owner, idx, lam)
-    solver._walk(owner, idx, lam, out)
+    value = _open_every_window(solver)._window_value(h, lam)
+    solver._walk(h, lam, out)
     return value, out, _decided(lam)
 
 
@@ -865,55 +882,94 @@ def test_left_share_caps_keep_every_decision(rng):
             got, want = capped.solve(), uncapped.solve()
             assert (got.weight, got.chosen) == (want.weight, want.chosen), (trial, k)
             shrunk += len(capped.f_memo) < len(uncapped.f_memo)
-            for owner, idx, state in list(capped.seen.values()):
-                assert _decision(capped, owner, idx, state) == _decision(
-                    uncapped, owner, idx, state
-                ), (trial, k, owner, idx)
+            for h, state in list(capped.seen.values()):
+                assert _decision(capped, h, state) == _decision(uncapped, h, state), (trial, k, h)
                 checked += 1
     assert checked > 2000 and shrunk > 20, (checked, shrunk)
 
 
-class _OwnerKey(GeneralSolver):
-    """Reference: the same frames run by recursion, memoized on (owner, idx,
+class _UnclampedKey(GeneralSolver):
+    """Reference: the same frames run by recursion, memoized on (handle,
     states of F) with every budget as it stands."""
 
-    def _window_value(self, owner, idx, lam):
-        if idx >= len(self.members[owner]):
+    def _window_value(self, h, lam):
+        if h is None:
             return 0
-        ids = self.key_positions.get(owner)
-        if ids is None:
-            ids = self.key_positions[owner] = self._key_positions(owner)
-        key = (owner, idx, *map(lam.get, ids[idx]))
+        key = (*h, *map(lam.get, self.suffixes[h][0]))
         if key not in self.f_memo:
-            frame = self._decide(owner, idx, lam)
-            self.f_memo[key] = _run_frame(frame, lambda o, i: self._window_value(o, i, lam))
+            frame = self._decide(h, lam)
+            self.f_memo[key] = _run_frame(frame, lambda g: self._window_value(g, lam))
         return self.f_memo[key]
 
 
 def test_suffix_key_and_budget_clamp_keep_every_decision(rng):
     """On random sets with per-pair weights, the memo keyed on the remaining
-    members with clamped frontier budgets and the memo keyed on the window's
-    owner with the budgets as they stand give the same weight and chosen
-    set, and from every state the solve reaches they reach the same value
-    through the same steps.  The clamp lowers a budget in some of those
-    states, so both halves of the key are exercised."""
+    members with clamped frontier budgets and the memo keyed on them with
+    the budgets as they stand give the same weight and chosen set, and from
+    every state the solve reaches they reach the same value through the
+    same steps.  The clamp lowers a budget in some of those states, so it
+    is exercised; that (j, |R|) names the remaining members is checked
+    against each owner's own window below."""
     checked = shrunk = clamped = 0
     for trial in range(60):
         s = random_interval_set(rng.randint(4, 11), random.Random(7100 + trial))
         for k in (2, 3):
-            suffix, reference = _StateLog(s, k), _OwnerKey(s, k)
+            suffix, reference = _StateLog(s, k), _UnclampedKey(s, k)
             got, want = suffix.solve(), reference.solve()
             assert (got.weight, got.chosen) == (want.weight, want.chosen), (trial, k)
             shrunk += len(suffix.f_memo) < len(reference.f_memo)
-            for owner, idx, state in list(suffix.seen.values()):
-                raw = [state.get(x) for x in suffix.key_positions[owner][idx]]
-                clamps = suffix.key_caps[owner][idx]
-                clamped += any(c[st] != st for c, st in zip(clamps, raw))
-                assert _decision(suffix, owner, idx, state) == _decision(
-                    reference, owner, idx, state
-                ), (trial, k, owner, idx)
+            for h, state in list(suffix.seen.values()):
+                ids, clamps, _, _ = suffix.suffixes[h]
+                clamped += any(c[st] != st for c, st in zip(clamps, map(state.get, ids)))
+                assert _decision(suffix, h, state) == _decision(reference, h, state), (trial, k, h)
                 checked += 1
     assert checked > 2000 and shrunk > 20 and clamped > 100, (checked, shrunk, clamped)
+
+
+def _own_record(s, members, idx):
+    """The record of the suffix R = members[idx:] of one owner's window,
+    computed from that window alone: the frontier ids in ascending order,
+    the members of R overlapping each from the left and from the right,
+    and the handles of the next member and of the first member starting
+    after the right end of R's first member."""
+    rest = members[idx:]
+    frontier = sorted(set().union(*(s.neighbors[r] for r in rest)).difference(rest))
+    caps = [
+        (sum(s.left[r] < s.left[x] for r in rest if r in s.neighbors[x]),
+         sum(s.left[r] > s.left[x] for r in rest if r in s.neighbors[x]))
+        for x in frontier
+    ]
+    handles = [(r, len(rest) - p) for p, r in enumerate(rest)] + [None]
+    after = next((p for p, r in enumerate(rest) if s.left[r] > s.right[rest[0]]), len(rest))
+    return frontier, caps, handles[1], handles[after]
+
+
+def test_suffix_handle_names_its_remaining_members():
+    """(j, |R|) names the remaining members R whatever window holds them:
+    walking every owner's window, the top level's included, the record
+    kept under (members[idx], len(members) - idx), which the first window
+    to reach that suffix wrote, equals the one computed from this owner's
+    own members, on 40 random sets and on 12/30.  In over 100 windows
+    another window wrote some of those records first."""
+    sets = [
+        random_interval_set(random.Random(8100 + t).randint(4, 13), random.Random(8200 + t))
+        for t in range(40)
+    ]
+    checked = shared = 0
+    for s in sets + [_twelve_vertex_set()]:
+        solver = GeneralSolver(s, 2)
+        for owner in range(len(s) + 1):
+            members = list(s.by_left) if owner == len(s) else s.nested(owner)
+            stored = len(solver.suffixes)
+            top = solver._window(owner)
+            shared += len(solver.suffixes) - stored < len(members)
+            assert top == ((members[0], len(members)) if members else None), owner
+            for idx in range(len(members)):
+                ids, clamps, reject, commit = solver.suffixes[members[idx], len(members) - idx]
+                got = list(ids), [c.cap for c in clamps], reject, commit
+                assert got == _own_record(s, members, idx), (owner, idx)
+                checked += 1
+    assert checked > 900 and shared > 100, (checked, shared)
 
 
 def test_suffix_key_and_budget_clamp_shrink_the_memo():
@@ -1016,6 +1072,23 @@ def test_memory_of_a_long_crossing_free_window():
         "weight = solve_layout(layout, 2, force_general=True).solution.weight\n"
     )
     assert (weight, mib < 120) == (0, True), mib
+
+
+@linux_only
+def test_memory_of_nested_windows_beside_a_chain():
+    """3,000 nested intervals beside a chain of degree 2 (see
+    ``_nested_and_chain``) at k=2 keep one record per remaining suffix, not
+    one frontier per window and member, so the peak RSS stays under 60 MiB
+    (163 MiB with the per-window tables)."""
+    weight, mib = _weight_and_peak_rss_mib(
+        "from twosided.model import IntervalSet\n"
+        "from twosided.solver_general import GeneralSolver\n"
+        "m = 3000\n"
+        "spans = [(i, 2 * m + 1 - i) for i in range(1, m + 1)]\n"
+        "spans += [(2 * m + 1, 2 * m + 3), (2 * m + 2, 2 * m + 5), (2 * m + 4, 2 * m + 6)]\n"
+        "weight = GeneralSolver(IntervalSet.build(spans, [1] * len(spans), 1), 2).solve().weight\n"
+    )
+    assert (weight, mib < 60) == (3002, True), mib
 
 
 @linux_only

@@ -415,9 +415,9 @@ raises("no option at position 1", lambda: eng._backtrack())
 walk = GeneralSolver._walk
 
 
-def drop_last_chosen(self, owner, idx, lam, out):
-    walk(self, owner, idx, lam, out)
-    if owner == self.n:
+def drop_last_chosen(self, h, lam, out):
+    walk(self, h, lam, out)
+    if h == self.windows[self.n]:
         out.pop()
 
 
