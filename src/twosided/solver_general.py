@@ -12,8 +12,7 @@ Committing an undecided interval I fixes its whole neighborhood at once: a
 subset J of its overlapping neighbors (at most k of them, and necessarily
 including every neighbor that is already committed) joins the solution and
 every other neighbor is rejected.  The joiners are I itself and the fresh
-(undecided) members of J.  For each choice of J one pass over each joiner's
-neighbors settles the whole step:
+(undecided) members of J.  A step is settled as follows:
 
 * a fresh joiner's budget is k minus the number of its neighbors that are
   joiners or committed, split in all possible ways between its two sides;
@@ -22,12 +21,22 @@ neighbors settles the whole step:
   independent;
 * each committed neighbor of a joiner pays one unit of the stabbed side's
   budget and is charged its pair weight;
-* each pair of overlapping joiners is charged once, by the smaller id.
+* each pair of overlapping joiners is charged once.
 
 The step is legal only if no budget goes negative.  Its weight adds the
 weights of the fresh joiners and subtracts the charged pairs: every
 overlapping pair that becomes fully selected at the step, charged exactly
 once, at the moment its later member joins.
+
+One pass per commit, not per J, gathers these terms.  I's own stabs and
+charges on its committed neighbors are applied once; if one overdraws a
+budget, no step is legal, since every step includes I.  Each fresh neighbor
+x gets its terms once: its weight less its pair weights with I and its
+committed neighbors, its count of those neighbors, its stabs and its fresh
+neighbors.  Legality is monotone in J: adding a joiner only raises counts
+and stabs.  So an x that is illegal beside I alone is in no legal J and is
+dropped, and each J of the kept neighbors only adds its joiner pairs and
+sums its stabs.
 
 Values dms^k(I, lambda) -- the best completion of I's window under basic
 capacities lambda -- are computed member by member in left-endpoint order.
@@ -125,11 +134,11 @@ UNDECIDED = None  # the undecided capacity (no decision made about the interval)
 UNLIMITED = math.inf  # the unlimited capacity (interval rejected); tested with ``is``
 
 # Largest number of memoized values one solve may store.  Near the limit a
-# solve stores a state every 40-56 us and holds 280-380 bytes per state,
-# so it fails after 8-12 s and 55-75 MB (10.5-11.7 s and 87 MiB peak RSS at
+# solve stores a state every 19-25 us and holds 280-380 bytes per state,
+# so it fails after 4-5 s and 55-75 MB (4.4-5.1 s and 87 MiB peak RSS at
 # k=2 on generate_random_biconnected(40, 104, seed=11)).  A solve that ends
-# just under the limit can take longer: (14, 34, seed=7) at k=3 stores
-# 192,380 states in 16 s.  Beside the memo a solve holds one state, one
+# just under the limit takes about as long: (14, 34, seed=7) at k=3 stores
+# 192,380 states in 3.7 s.  Beside the memo a solve holds one state, one
 # record per suffix of remaining members and one stack entry per member of
 # its deepest window: the chain (2i, 2i + 3) of 29,998 intervals, one
 # window, peaks at 71 MiB.  The bytes carry over to other machines; the
@@ -314,59 +323,98 @@ class GeneralSolver:
             if caps is None:
                 caps = self.left_caps[j] = self._left_caps(j)
         nb, left, weight, pw = s.neighbors, s.left, s.weight, s.pair_weight
+        # What every step writes: j committed, each fresh neighbor rejected
+        # (a joiner's share overwrites it), each forced one stabbed by j.
+        # ``undo`` restores every state any step may write.
+        base = {j: (0, 0)}
         forced: list[int] = []
         fresh: list[int] = []
         for m in nb[j]:
             st = lam.get(m)
             if st is None:
                 fresh.append(m)
+                base[m] = UNLIMITED
             elif st is not UNLIMITED:
                 forced.append(m)
         if len(forced) > k:
             return
-        undecided = (j, *fresh)
-        for size in range(min(k - len(forced), len(fresh)) + 1):
-            for extra in combinations(fresh, size):
-                # The step's writes and what they overwrite, applied once
-                # known: every read below sees the state before the step.
-                writes = {j: (0, 0)}
-                undo = dict.fromkeys(undecided)
-                for m in fresh:
-                    if m not in extra:
-                        writes[m] = UNLIMITED
-                delta = sum(weight[x] for x in extra)
+        undo = dict.fromkeys(base)
+        delta0 = 0
+        for m in forced:
+            st = undo[m] = lam[m]
+            ml, mr = st
+            if left[j] < left[m]:
+                ml -= 1
+            else:
+                mr -= 1
+            if ml < 0 or mr < 0:
+                return
+            base[m] = (ml, mr)
+            delta0 -= pw(j, m)
+        # Each fresh x's own terms, from one pass over its neighbors: its
+        # weight less its pairs with j and the committed intervals, its count
+        # of j and committed neighbors, its stabs and its fresh neighbors.
+        # Adding a joiner only raises counts and stabs, so an x that is
+        # illegal beside j alone joins no legal step and is dropped.
+        terms = {}
+        for x in fresh:
+            gain = weight[x] - pw(j, x)
+            used = 1
+            stabs = []
+            near = []
+            legal = True
+            for m in nb[x]:
+                st = lam.get(m)
+                if st is None:
+                    if m != j and m in base:  # a fresh neighbor of j
+                        near.append(m)
+                elif st is not UNLIMITED:
+                    used += 1
+                    gain -= pw(x, m)
+                    undo.setdefault(m, st)
+                    ml, mr = st = base.get(m, st)
+                    side = left[x] >= left[m]  # True: x stabs m's right side
+                    stabs.append((m, side, st))
+                    if side:
+                        mr -= 1
+                    else:
+                        ml -= 1
+                    legal = legal and ml >= 0 and mr >= 0
+            if legal and used <= k:
+                terms[x] = (gain, used, stabs, near)
+        # The empty chosen set first: j joins beside its forced neighbors.
+        lam.update(base)
+        yield delta0, tuple(forced)
+        lam.update(undo)
+        # Each larger set adds only its joiner pairs and sums its stabs.  One
+        # kept joiner alone is legal, so only sets of two or more are checked.
+        kept = list(terms)
+        for size in range(1, min(k - len(forced), len(kept)) + 1):
+            for extra in combinations(kept, size):
+                delta = delta0
                 budgets = []
-                legal = True
-                # One pass over each joiner's neighbors: count the ones that
-                # are committed or join with it, stab and charge every
-                # committed one, and charge each joiner pair at its smaller id.
-                for x in (j, *extra):
-                    used = 0
-                    for m in nb[x]:
-                        st = lam.get(m)
-                        if st is None:
-                            if m == j or m in extra:
-                                used += 1
-                                if x < m:
-                                    delta -= pw(x, m)
-                        elif st is not UNLIMITED:
+                shares = []
+                stabbed: dict = {}
+                for x in extra:
+                    gain, used, stabs, near = terms[x]
+                    delta += gain
+                    for y in near:
+                        if y in extra:
                             used += 1
-                            delta -= pw(x, m)
-                            undo[m] = st
-                            ml, mr = writes.get(m, st)
-                            if left[x] < left[m]:
-                                ml -= 1
-                            else:
-                                mr -= 1
-                            writes[m] = (ml, mr)
-                            legal = legal and ml >= 0 and mr >= 0
-                    if x != j:
-                        budgets.append(k - used)
-                if not legal or min(budgets, default=0) < 0:
+                            if x < y:
+                                delta -= pw(x, y)
+                    budgets.append(k - used)
+                    shares.append(range(min(k - used, caps[x]) + 1))
+                    for m, side, st in stabs:
+                        ml, mr = stabbed.get(m, st)
+                        stabbed[m] = (ml, mr - 1) if side else (ml - 1, mr)
+                if size > 1 and (
+                    min(budgets) < 0 or any(ml < 0 or mr < 0 for ml, mr in stabbed.values())
+                ):
                     continue
-                lam.update(writes)
+                lam.update(base)
+                lam.update(stabbed)
                 chosen = (*forced, *extra)
-                shares = (range(min(b, caps[x]) + 1) for x, b in zip(extra, budgets))
                 for alphas in product(*shares):
                     for x, b, a in zip(extra, budgets, alphas):
                         lam[x] = (a, b - a)
@@ -434,13 +482,15 @@ class GeneralSolver:
         ``CapacityVector.states`` encoding, read on the interval's
         overlapping neighbors only): its weight plus the best selection
         among its nested set.  Every neighbor must be decided, as committing
-        the interval decides them; the memo relies on it.  An undecided
-        neighbor or an interval not in the set raises ValueError."""
+        the interval decides them; the memo relies on it.  A state equal to
+        UNLIMITED is read as UNLIMITED itself, as ``CapacityVector.replace``
+        stores it.  An undecided neighbor or an interval not in the set
+        raises ValueError."""
         i = self.s.id_of(interval)
         nb = self.s.neighbors[i]
         if any(lam.get(m) is UNDECIDED for m in nb):
             raise ValueError("the capacity vector leaves a neighbor of the interval undecided")
-        basic = {m: lam[m] for m in nb}
+        basic = {m: UNLIMITED if lam[m] == UNLIMITED else lam[m] for m in nb}
         return self.s.weight[i] + self._window_value(self._window(i), basic)
 
     def solve(self) -> Solution:

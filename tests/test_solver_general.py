@@ -1,4 +1,5 @@
 import functools
+import itertools
 import os
 import random
 import subprocess
@@ -732,6 +733,158 @@ def test_replace_with_float_infinity_is_unlimited():
         assert dms_k(0, inf.replace(2, UNLIMITED), s, k) == dms_k(
             0, marker.replace(2, UNLIMITED), s, k
         )
+
+
+def test_dms_reads_float_infinity_as_unlimited():
+    """``GeneralSolver.dms`` reads a neighbor state equal to UNLIMITED as a
+    rejection, as ``CapacityVector.replace`` stores it: intervals 6 and 8
+    of this set, with every neighbor at ``float("inf")``, died in
+    ``_successors`` unpacking the float as a budget."""
+    s = random_interval_set(9, random.Random(10_000))
+    for i in (6, 8):
+        inf = {m: float("inf") for m in s.neighbors[i]}
+        marker = {m: UNLIMITED for m in s.neighbors[i]}
+        assert GeneralSolver(s, 2).dms(i, inf) == GeneralSolver(s, 2).dms(i, marker)
+
+
+def _per_set_successors(solver, lam, j, caps=None):
+    """Reference for ``GeneralSolver._successors``: the same steps, states
+    and undo, found by one pass over every joiner's neighbors for each
+    chosen set instead of from per-joiner terms computed once per call."""
+    s, k = solver.s, solver.k
+    if caps is None:
+        caps = solver._left_caps(j)
+    nb, left, weight, pw = s.neighbors, s.left, s.weight, s.pair_weight
+    forced, fresh = [], []
+    for m in nb[j]:
+        st = lam.get(m)
+        if st is None:
+            fresh.append(m)
+        elif st is not UNLIMITED:
+            forced.append(m)
+    if len(forced) > k:
+        return
+    undecided = (j, *fresh)
+    for size in range(min(k - len(forced), len(fresh)) + 1):
+        for extra in itertools.combinations(fresh, size):
+            writes = {j: (0, 0)}
+            undo = dict.fromkeys(undecided)
+            for m in fresh:
+                if m not in extra:
+                    writes[m] = UNLIMITED
+            delta = sum(weight[x] for x in extra)
+            budgets = []
+            legal = True
+            for x in (j, *extra):
+                used = 0
+                for m in nb[x]:
+                    st = lam.get(m)
+                    if st is None:
+                        if m == j or m in extra:
+                            used += 1
+                            if x < m:
+                                delta -= pw(x, m)
+                    elif st is not UNLIMITED:
+                        used += 1
+                        delta -= pw(x, m)
+                        undo[m] = st
+                        ml, mr = writes.get(m, st)
+                        if left[x] < left[m]:
+                            ml -= 1
+                        else:
+                            mr -= 1
+                        writes[m] = (ml, mr)
+                        legal = legal and ml >= 0 and mr >= 0
+                if x != j:
+                    budgets.append(k - used)
+            if not legal or min(budgets, default=0) < 0:
+                continue
+            lam.update(writes)
+            chosen = (*forced, *extra)
+            shares = (range(min(b, caps[x]) + 1) for x, b in zip(extra, budgets))
+            for alphas in itertools.product(*shares):
+                for x, b, a in zip(extra, budgets, alphas):
+                    lam[x] = (a, b - a)
+                yield delta, chosen
+            lam.update(undo)
+
+
+class _SuccessorCalls(GeneralSolver):
+    """Records the state and interval of every ``_successors`` call."""
+
+    def __init__(self, s, k):
+        super().__init__(s, k)
+        self.calls = []
+
+    def _successors(self, lam, j, caps=None):
+        self.calls.append((dict(lam), j))
+        return super()._successors(lam, j, caps)
+
+
+def _steps(successors, lam, stop=None):
+    """Run an enumeration over ``lam`` (a copy is used): the (delta, chosen,
+    state) at each yield, up to ``stop`` of them, and the state it leaves."""
+    lam, out = dict(lam), []
+    steps = successors(lam)
+    for delta, chosen in steps:
+        out.append((delta, chosen, dict(lam)))
+        if len(out) == stop:
+            break
+    steps.close()
+    return out, lam
+
+
+def _successor_cases():
+    """(solver, state, j, caps) drawn at k = 2..4 from the calls of solves
+    and from random states that commit intervals with budgets near 0 (a
+    caller's vector may hold -1), reject some and leave the rest undecided;
+    a caps of None takes the solver's own, a caps dict lists every split."""
+    near_zero = (-1, 0, 0, 1, 1, 2)
+    for trial in range(24):
+        rng = random.Random(6100 + trial)
+        s = random_interval_set(rng.randint(4, 10), random.Random(6200 + trial))
+        if trial % 4 == 3:
+            s = s.with_pair_weight(1)
+        for k in (2, 3, 4):
+            log = _SuccessorCalls(s, k)
+            log.solve()
+            for lam, j in rng.sample(log.calls, min(40, len(log.calls))):
+                yield GeneralSolver(s, k), lam, j, None
+            for _ in range(12):
+                lam = {}
+                for x in range(len(s)):
+                    r = rng.random()
+                    if r < 0.3:
+                        lam[x] = UNLIMITED
+                    elif r < 0.6:
+                        lam[x] = (rng.choice(near_zero), rng.choice(near_zero))
+                    elif r < 0.7:
+                        lam[x] = UNDECIDED
+                for j in range(len(s)):
+                    if lam.get(j) is UNDECIDED:
+                        caps = dict.fromkeys(s.neighbors[j], k) if rng.random() < 0.5 else None
+                        yield GeneralSolver(s, k), lam, j, caps
+
+
+def test_successors_match_the_per_set_reference():
+    """``_successors`` yields the reference's sequence of (delta, chosen,
+    state at the yield) and leaves the same state: restored when the
+    enumeration runs out, the last step written when the caller stops
+    early.  The cases include steps that j's own stab on a forced neighbor
+    overdraws, where nothing is yielded."""
+    calls = steps = overdrawn = 0
+    for solver, lam, j, caps in _successor_cases():
+        new = functools.partial(solver._successors, j=j, caps=caps)
+        old = functools.partial(_per_set_successors, solver, j=j, caps=caps)
+        want = _steps(old, lam)
+        assert _steps(new, lam) == want, (lam, j)
+        for stop in range(1, len(want[0])):
+            assert _steps(new, lam, stop) == _steps(old, lam, stop), (lam, j, stop)
+        calls += 1
+        steps += len(want[0])
+        forced = [m for m in solver.s.neighbors[j] if lam.get(m) not in (UNDECIDED, UNLIMITED)]
+        overdrawn += not want[0] and len(forced) <= solver.k
+    assert (calls > 3000, steps > 8000, overdrawn > 500) == (True,) * 3, (calls, steps, overdrawn)
 
 
 @functools.cache
