@@ -69,7 +69,11 @@ the right.  A side's budget at or above the number of members of R that
 overlap x from that side never binds, so it is keyed lowered to that count;
 a rejected state is keyed as it is.  The memo key is (j, |R|, clamped states
 of F in ascending id order).  A handle's one record holds F's ids, their
-clamps and the two handles moved to.
+clamps and the two handles moved to.  Only a window's first use writes
+records, one for every suffix it walks, so the recorded suffixes of a
+window are its shortest ones: its pass bisects for the longest, reads the
+frontier's counts off that record's clamps and walks only the members
+before it, and nested windows, opened innermost first, walk each member once.
 
 The solver lists only the budget splits that can matter.  Inside the DP
 every fresh joiner x of a step at member j crosses j from the right,
@@ -79,17 +83,19 @@ window's earlier steps (or j would lie inside a committed earlier member
 and be skipped), or would cross the owner and have been decided by the
 owner's step.  x's left share pays only for later joiners that start
 before x and overlap it; after the step these are undecided intervals
-starting inside j, so intervals nested in j.  A left share above cap(j, x),
-the number of intervals nested in j that overlap x, therefore leaves j's
-window worth what the cap leaves it, and the continuation, with a smaller
-right share, worth no more.  The split with each share lowered to its cap
-comes earlier in the ascending order, so a split above a cap is never the
-first maximizer: clamping each joiner's left share at its cap keeps the
-optimum, the chosen set and every tie choice, and ``_walk`` reads its
-decisions off the same clamped enumeration.  It also bounds the splits per
-joiner by its degree, however large k is.  ``legal_successors`` lists steps
-under any caller's vector, where a fresh neighbor may cross from the left,
-so it lists every split, k - used + 1 per fresh joiner.
+starting inside j, so members of j's own window.  The members of that
+window overlapping x from the left number cap(j, x), x's left count in
+the window's record, kept as ``left_caps[j]`` (0 if absent).  A left
+share above cap(j, x) therefore leaves j's window worth what the cap
+leaves it, and the continuation, with a smaller right share, worth no
+more.  The split with each share lowered to its cap comes earlier in the
+ascending order, so a split above a cap is never the first maximizer:
+clamping each joiner's left share at its cap keeps the optimum, the
+chosen set and every tie choice, and ``_walk`` reads its decisions off
+the same clamped enumeration.  It also bounds the splits per joiner by
+its degree, however large k is.  ``legal_successors`` lists steps under
+any caller's vector, where a fresh neighbor may cross from the left, so
+it lists every split, k - used + 1 per fresh joiner.
 
 A solve keeps one state dict and runs on one explicit stack, not on the
 interpreter's, so no window depth rests on the recursion limit.  A step
@@ -108,7 +114,7 @@ members are every interval in left-endpoint order.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from itertools import combinations, product
 from types import MappingProxyType
@@ -249,15 +255,17 @@ class GeneralSolver:
         self.suffixes: dict[tuple[int, int], tuple] = {}
         self.windows: dict[int, tuple[int, int] | None] = {}
         self.clamps: dict[tuple[int, int], _Clamp] = {}
-        # interval -> left-share cap of each neighbor, see _left_caps.
-        self.left_caps: dict = {}
+        # owner -> left count of each frontier position, see _window.
+        self.left_caps: dict[int, dict[int, int]] = {}
 
     # -- state helpers ------------------------------------------------------
 
     def _window(self, owner: int) -> tuple[int, int] | None:
         """The handle of owner's whole window, None if it has no members (a
         record's handles use None for no member left).  The first call fills
-        every missing suffix record in one backward pass over the members."""
+        the missing suffix records in one backward pass from the longest
+        recorded one and stores ``left_caps[owner]``, the members overlapping
+        each frontier position from the left."""
         windows = self.windows
         if owner in windows:
             return windows[owner]
@@ -265,19 +273,25 @@ class GeneralSolver:
         nb, left, right = s.neighbors, s.left, s.right
         members = list(s.by_left) if owner == self.n else s.nested(owner)
         size = len(members)
-        chain: list = [None]  # chain[c]: the handle of the last c members
-        rest: set[int] = set()
+        end = right[owner] if owner < self.n else math.inf
+
+        def handle(at: int) -> tuple[int, int] | None:
+            return (members[at], size - at) if at < size else None
+
+        # The recorded suffixes are the shortest; a position outside
+        # members[at:] starts before members[at] or ends after the owner.
+        first = bisect_left(range(size), True, key=lambda at: handle(at) in suffixes)
         sides: dict[int, list[int]] = {}  # frontier id -> [from the left, from the right]
-        for count, r in enumerate(reversed(members), 1):
-            rest.add(r)
+        if first < size:
+            ids, row, _, _ = suffixes[handle(first)]
+            sides = {x: list(clamp.cap) for x, clamp in zip(ids, row)}
+        for at in range(first - 1, -1, -1):
+            r = members[at]
+            lo = left[r]
             sides.pop(r, None)
             for x in nb[r]:
-                if x not in rest:
-                    sides.setdefault(x, [0, 0])[left[r] > left[x]] += 1
-            h = (r, count)
-            chain.append(h)
-            if h in suffixes:
-                continue
+                if left[x] < lo or right[x] > end:
+                    sides.setdefault(x, [0, 0])[lo > left[x]] += 1
             frontier = sorted(sides)
             row = []
             for x in frontier:
@@ -286,31 +300,22 @@ class GeneralSolver:
                 if clamp is None:
                     clamp = clamps[cap] = _Clamp(cap)
                 row.append(clamp)
-            at = bisect_right(members, right[r], lo=size - count, key=left.__getitem__)
-            suffixes[h] = (tuple(frontier), tuple(row), chain[count - 1], chain[size - at])
-        windows[owner] = chain[-1]
-        return chain[-1]
-
-    def _left_caps(self, j: int) -> dict[int, int]:
-        """The most left share each neighbor x of ``j`` can use when it
-        joins at j's step: the number of intervals nested in j that overlap
-        x.  This holds for a neighbor crossing j from the right, the only
-        kind the DP's steps meet undecided (see the module docstring)."""
-        s = self.s
-        nb, left, right = s.neighbors, s.left, s.right
-        lo, hi = left[j], right[j]
-        return {x: sum(1 for y in nb[x] if lo < left[y] and right[y] < hi) for x in nb[j]}
+            after = bisect_right(members, right[r], lo=at, key=left.__getitem__)
+            suffixes[r, size - at] = (tuple(frontier), tuple(row), handle(at + 1), handle(after))
+        self.left_caps[owner] = {x: c[0] for x, c in sides.items()}
+        windows[owner] = top = handle(0)
+        return top
 
     def _successors(
-        self, lam: dict, j: int, caps: Mapping[int, int] | None = None
+        self, lam: dict, j: int, caps: Mapping[int, int]
     ) -> Iterator[tuple[int, tuple[int, ...]]]:
         """All legal ways of committing the undecided interval ``j`` under
-        ``lam``, a fresh joiner x taking a left share of at most ``caps[x]``
-        (by default the solver's ``_left_caps(j)``; a cap of k lists every
-        split).
+        ``lam``, a fresh joiner x taking a left share of at most
+        ``caps.get(x, 0)``: the solver passes ``left_caps[j]``, and a cap of
+        k lists every split.
 
         Each step is written into ``lam`` while it is yielded, as (weight
-        delta, chosen neighbor ids), and undone before the next chosen set;
+        delta, fresh joiner ids), and undone before the next chosen set;
         a caller that stops early keeps the last step written.  Order is
         deterministic: chosen sets by size then lexicographic ids, budget
         splits ascending.  The delta adds the fresh joiners' weights (the
@@ -318,10 +323,6 @@ class GeneralSolver:
         that becomes fully selected.
         """
         s, k = self.s, self.k
-        if caps is None:
-            caps = self.left_caps.get(j)
-            if caps is None:
-                caps = self.left_caps[j] = self._left_caps(j)
         nb, left, weight, pw = s.neighbors, s.left, s.weight, s.pair_weight
         # What every step writes: j committed, each fresh neighbor rejected
         # (a joiner's share overwrites it), each forced one stabbed by j.
@@ -384,7 +385,7 @@ class GeneralSolver:
                 terms[x] = (gain, used, stabs, near)
         # The empty chosen set first: j joins beside its forced neighbors.
         lam.update(base)
-        yield delta0, tuple(forced)
+        yield delta0, ()
         lam.update(undo)
         # Each larger set adds only its joiner pairs and sums its stabs.  One
         # kept joiner alone is legal, so only sets of two or more are checked.
@@ -404,7 +405,7 @@ class GeneralSolver:
                             if x < y:
                                 delta -= pw(x, y)
                     budgets.append(k - used)
-                    shares.append(range(min(k - used, caps[x]) + 1))
+                    shares.append(range(min(k - used, caps.get(x, 0)) + 1))
                     for m, side, st in stabs:
                         ml, mr = stabbed.get(m, st)
                         stabbed[m] = (ml, mr - 1) if side else (ml - 1, mr)
@@ -414,11 +415,10 @@ class GeneralSolver:
                     continue
                 lam.update(base)
                 lam.update(stabbed)
-                chosen = (*forced, *extra)
                 for alphas in product(*shares):
                     for x, b, a in zip(extra, budgets, alphas):
                         lam[x] = (a, b - a)
-                    yield delta, chosen
+                    yield delta, extra
                 lam.update(undo)
 
     # -- window values ------------------------------------------------------
@@ -469,7 +469,7 @@ class GeneralSolver:
         best = yield reject
         lam[j] = UNDECIDED
         window = self._window(j)
-        for delta, _chosen in self._successors(lam, j):
+        for delta, _ in self._successors(lam, j, self.left_caps[j]):
             v = delta + weight[j] + (yield window) + (yield commit)
             if v > best:
                 best = v
@@ -518,14 +518,13 @@ class GeneralSolver:
                 work.append((reject, best))
                 continue
             lam[j] = UNDECIDED
-            fresh = [m for m in s.neighbors[j] if lam.get(m) is None]
             window = self._window(j)
-            for delta, chosen in self._successors(lam, j):
+            for delta, joiners in self._successors(lam, j, self.left_caps[j]):
                 inner, rest = wv(window, lam), wv(commit, lam)
                 if delta + s.weight[j] + inner + rest == best:
                     break  # the step stays written
             out.append(j)
-            out.extend(x for x in chosen if x in fresh)
+            out.extend(joiners)
             work += [(commit, rest), (window, inner)]
 
 
@@ -542,17 +541,18 @@ def _check_set(lam: CapacityVector, s: IntervalSet) -> None:
 def is_valid_for(lam: CapacityVector, interval: Interval | int, s: IntervalSet, k: int) -> bool:
     """A vector is valid for an interval when the interval carries a numeric
     budget and every overlapping neighbor is decided, as committing the
-    interval decides them: rejected, or committed (numeric) with a budget in
-    {0..k} on both sides, at most k of them committed.  The interval's own
-    budget is never read (``dms`` starts from its neighbors' states only)."""
+    interval decides them: rejected, or committed with a budget in {0..k} on
+    both sides, a pair of ints as ``CapacityVector.replace`` stores it, at
+    most k of them committed.  The interval's own budget is never read
+    (``dms`` starts from its neighbors' states only)."""
     _check_set(lam, s)
     i = s.id_of(interval)
     get = lam.states.get
-    around = [get(m) for m in s.neighbors[i]]
-    if get(i) in (UNDECIDED, UNLIMITED) or UNDECIDED in around:
+    committed = [st for st in map(get, s.neighbors[i]) if st is not UNLIMITED]
+    if get(i) in (UNDECIDED, UNLIMITED) or len(committed) > k:
         return False
-    committed = [st for st in around if st is not UNLIMITED]
-    return len(committed) <= k and all(0 <= side <= k for st in committed for side in st)
+    pairs = all(type(st) is tuple and len(st) == 2 for st in committed)
+    return pairs and all(isinstance(b, int) and 0 <= b <= k for st in committed for b in st)
 
 
 def _selected(states: Mapping[int, object]) -> list[int]:
@@ -581,18 +581,16 @@ def legal_successors(
         raise ValueError(f"cannot commit {state} interval")
 
     # The solver writes each step into one state; copy it at each yield.
-    # A cap of k on every neighbor's left share lists every split.
-    state = dict(lam.states)
-    uncapped = dict.fromkeys(s.neighbors[i], k)
-    steps = (
-        ({x: st for x, st in state.items() if st is not UNDECIDED}, delta, chosen)
-        for delta, chosen in GeneralSolver(s, k)._successors(state, i, uncapped)
-    )
-    return [
-        LegalSuccessor(CapacityVector(s, MappingProxyType(states)), frozenset(chosen), delta)
-        for states, delta, chosen in steps
-        if Solution.from_chosen(_selected(states), s, k).max_overlap_degree() <= k
-    ]
+    # A cap of k on every neighbor's left share lists every split.  A step
+    # decides every neighbor, and chooses those it does not reject.
+    nb, state, out = s.neighbors[i], dict(lam.states), []
+    for delta, _ in GeneralSolver(s, k)._successors(state, i, dict.fromkeys(nb, k)):
+        states = {x: st for x, st in state.items() if st is not UNDECIDED}
+        selected = _selected(states)
+        if Solution.from_chosen(selected, s, k).max_overlap_degree() <= k:
+            vector = CapacityVector(s, MappingProxyType(states))
+            out.append(LegalSuccessor(vector, frozenset(nb).intersection(selected), delta))
+    return out
 
 
 def transition_weight(

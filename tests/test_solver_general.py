@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -174,6 +175,24 @@ def test_dms_k_rejects_a_neighbor_budget_outside_0_to_k():
             dms_k(0, over, s, 1)
     assert dms_k(0, lam.replace(3, (1, 1)), s, 1) == 11  # one of 1, 2 stabs 3's left side
     assert dms_k(0, lam.replace(3, (0, 1)), s, 1) == 1
+
+
+def test_dms_k_rejects_a_committed_state_that_is_not_a_pair_of_ints():
+    """A committed state is a pair of ints, as ``CapacityVector.replace``
+    stores it.  With both neighbors of interval 0 at one of these states,
+    a list died unhashable in the memo key, a triple in an unpack inside
+    the solver, a string in ``is_valid_for`` itself, and a float was
+    solved."""
+    s = make_set([(1, 6), (2, 4), (3, 8), (5, 7)], [3] * 4, 1)
+    assert s.neighbors[0] == (2, 3)
+    for bad in ([1, 1], (1, 1, 1), (1.5, 1), "ab"):
+        lam = CapacityVector(s, MappingProxyType({0: (1, 1), 2: bad, 3: bad}))
+        assert not is_valid_for(lam, 0, s, 2), bad
+        with pytest.raises(ValueError, match="not valid"):
+            dms_k(0, lam, s, 2)
+    good = CapacityVector(s, MappingProxyType({0: (1, 1), 2: (1, 1), 3: (1, 1)}))
+    assert is_valid_for(good, 0, s, 2)
+    assert dms_k(0, good, s, 2) == GeneralSolver(s, 2).dms(0, good.states)
 
 
 def test_dms_k_rejects_an_undecided_neighbor():
@@ -502,9 +521,9 @@ def test_solve_k_caps_the_budget_at_the_largest_overlap_degree(monkeypatch):
     yields = 0
     successors = GeneralSolver._successors
 
-    def counted(self, lam, j):
+    def counted(self, lam, j, caps):
         nonlocal yields
-        for step in successors(self, lam, j):
+        for step in successors(self, lam, j, caps):
             yields += 1
             yield step
 
@@ -747,13 +766,11 @@ def test_dms_reads_float_infinity_as_unlimited():
         assert GeneralSolver(s, 2).dms(i, inf) == GeneralSolver(s, 2).dms(i, marker)
 
 
-def _per_set_successors(solver, lam, j, caps=None):
+def _per_set_successors(solver, lam, j, caps):
     """Reference for ``GeneralSolver._successors``: the same steps, states
     and undo, found by one pass over every joiner's neighbors for each
     chosen set instead of from per-joiner terms computed once per call."""
     s, k = solver.s, solver.k
-    if caps is None:
-        caps = solver._left_caps(j)
     nb, left, weight, pw = s.neighbors, s.left, s.weight, s.pair_weight
     forced, fresh = [], []
     for m in nb[j]:
@@ -800,12 +817,11 @@ def _per_set_successors(solver, lam, j, caps=None):
             if not legal or min(budgets, default=0) < 0:
                 continue
             lam.update(writes)
-            chosen = (*forced, *extra)
-            shares = (range(min(b, caps[x]) + 1) for x, b in zip(extra, budgets))
+            shares = (range(min(b, caps.get(x, 0)) + 1) for x, b in zip(extra, budgets))
             for alphas in itertools.product(*shares):
                 for x, b, a in zip(extra, budgets, alphas):
                     lam[x] = (a, b - a)
-                yield delta, chosen
+                yield delta, extra
             lam.update(undo)
 
 
@@ -816,7 +832,7 @@ class _SuccessorCalls(GeneralSolver):
         super().__init__(s, k)
         self.calls = []
 
-    def _successors(self, lam, j, caps=None):
+    def _successors(self, lam, j, caps):
         self.calls.append((dict(lam), j))
         return super()._successors(lam, j, caps)
 
@@ -834,11 +850,19 @@ def _steps(successors, lam, stop=None):
     return out, lam
 
 
+def _own_caps(solver, j):
+    """The left-share caps the solver passes at j's step: the left counts
+    of j's own window record."""
+    solver._window(j)
+    return solver.left_caps[j]
+
+
 def _successor_cases():
     """(solver, state, j, caps) drawn at k = 2..4 from the calls of solves
     and from random states that commit intervals with budgets near 0 (a
     caller's vector may hold -1), reject some and leave the rest undecided;
-    a caps of None takes the solver's own, a caps dict lists every split."""
+    caps are the solver's own or, for some random states, k for every
+    neighbor, which lists every split."""
     near_zero = (-1, 0, 0, 1, 1, 2)
     for trial in range(24):
         rng = random.Random(6100 + trial)
@@ -849,7 +873,8 @@ def _successor_cases():
             log = _SuccessorCalls(s, k)
             log.solve()
             for lam, j in rng.sample(log.calls, min(40, len(log.calls))):
-                yield GeneralSolver(s, k), lam, j, None
+                solver = GeneralSolver(s, k)
+                yield solver, lam, j, _own_caps(solver, j)
             for _ in range(12):
                 lam = {}
                 for x in range(len(s)):
@@ -862,8 +887,10 @@ def _successor_cases():
                         lam[x] = UNDECIDED
                 for j in range(len(s)):
                     if lam.get(j) is UNDECIDED:
-                        caps = dict.fromkeys(s.neighbors[j], k) if rng.random() < 0.5 else None
-                        yield GeneralSolver(s, k), lam, j, caps
+                        solver = GeneralSolver(s, k)
+                        uncapped = rng.random() < 0.5
+                        caps = dict.fromkeys(s.neighbors[j], k) if uncapped else _own_caps(solver, j)
+                        yield solver, lam, j, caps
 
 
 def test_successors_match_the_per_set_reference():
@@ -1008,8 +1035,8 @@ class _Uncapped(GeneralSolver):
     """Reference: every budget split of every fresh joiner (a left-share
     cap of k is no cap)."""
 
-    def _left_caps(self, j):
-        return dict.fromkeys(self.s.neighbors[j], self.k)
+    def _successors(self, lam, j, caps):
+        return super()._successors(lam, j, dict.fromkeys(self.s.neighbors[j], self.k))
 
 
 def _decision(solver, h, state):
@@ -1125,6 +1152,37 @@ def test_suffix_handle_names_its_remaining_members():
     assert checked > 900 and shared > 100, (checked, shared)
 
 
+def test_left_caps_are_the_nested_intervals_overlapping_each_joiner():
+    """Every fresh joiner x of a step at j crosses j from the right, and its
+    left share is capped at the number of intervals nested in j that
+    overlap x.  That count is x's left count in j's own window record:
+    ``left_caps[j].get(x, 0)`` equals it for every interval j and every
+    neighbor x crossing j from the right, on 60 random sets and on 12/30,
+    with the windows opened in id order and in the order a solve opens
+    them."""
+    sets = [
+        random_interval_set(random.Random(9100 + t).randint(4, 13), random.Random(9200 + t))
+        for t in range(60)
+    ]
+    checked = nonzero = 0
+    for s in sets + [_twelve_vertex_set()]:
+        nb, left, right = s.neighbors, s.left, s.right
+        solved = GeneralSolver(s, 2)
+        solved.solve()
+        for solver in (GeneralSolver(s, 2), solved):
+            for j in range(len(s)):
+                solver._window(j)
+                lo, hi = left[j], right[j]
+                for x in nb[j]:
+                    if not left[j] < left[x] < right[j] < right[x]:
+                        continue
+                    want = sum(1 for y in nb[x] if lo < left[y] and right[y] < hi)
+                    assert solver.left_caps[j].get(x, 0) == want, (j, x)
+                    checked += 1
+                    nonzero += want > 0
+    assert checked > 1500 and nonzero > 600, (checked, nonzero)
+
+
 def test_suffix_key_and_budget_clamp_shrink_the_memo():
     """Keying each window value on the remaining members instead of the
     window's owner, with each committed frontier budget clamped to what
@@ -1158,6 +1216,27 @@ def test_nested_windows_store_each_suffix_once():
     assert len(solver.f_memo) <= 2 * m + 10, len(solver.f_memo)
 
 
+def test_nested_windows_read_each_neighbor_row_a_bounded_number_of_times():
+    """Nested windows open innermost first, and each window's pass resumes
+    at the suffixes an inner window recorded, so a solve of 600 nested
+    intervals beside a chain of degree 2 at k=2 reads at most 6m rows of
+    ``neighbors`` (183,320 when each window's pass walked all its
+    members)."""
+    m = 600
+    s = _nested_and_chain(m)
+
+    class Rows(tuple):
+        reads = 0
+
+        def __getitem__(self, i):
+            Rows.reads += 1
+            return super().__getitem__(i)
+
+    s.__dict__["neighbors"] = Rows(s.neighbors)
+    assert GeneralSolver(s, 2).solve().weight == m + 2
+    assert Rows.reads <= 6 * m, Rows.reads
+
+
 def test_solver_steps_do_not_grow_with_k(monkeypatch):
     """A fresh joiner's left share is capped by the intervals nested in the
     committed one that overlap it, so the splits of a step do not grow with
@@ -1170,7 +1249,7 @@ def test_solver_steps_do_not_grow_with_k(monkeypatch):
     counts = []
     successors = GeneralSolver._successors
 
-    def counted(self, lam, j, caps=None):
+    def counted(self, lam, j, caps):
         counts.append(0)
         for step in successors(self, lam, j, caps):
             counts[-1] += 1
