@@ -551,12 +551,35 @@ def is_valid_for(lam: CapacityVector, interval: Interval | int, s: IntervalSet, 
     committed = [st for st in map(get, s.neighbors[i]) if st is not UNLIMITED]
     if get(i) in (UNDECIDED, UNLIMITED) or len(committed) > k:
         return False
-    pairs = all(type(st) is tuple and len(st) == 2 for st in committed)
-    return pairs and all(isinstance(b, int) and 0 <= b <= k for st in committed for b in st)
+    return all(_is_budget(st) and all(0 <= b <= k for b in st) for st in committed)
+
+
+def _is_budget(st: object) -> bool:
+    """A committed state as ``CapacityVector.replace`` stores it: a pair of
+    ints."""
+    return type(st) is tuple and len(st) == 2 and all(isinstance(b, int) for b in st)
+
+
+def _decided(lam: CapacityVector, s: IntervalSet) -> dict:
+    """The decided states of ``lam`` in the solver's encoding: a state
+    equal to UNLIMITED is UNLIMITED itself, as ``CapacityVector.replace``
+    stores it, and any other must be a budget, as ``is_valid_for``
+    requires; another raises ValueError."""
+    _check_set(lam, s)
+    states = {}
+    for x, st in lam.states.items():
+        if st is UNDECIDED:
+            continue
+        if st == UNLIMITED:
+            st = UNLIMITED
+        elif not _is_budget(st):
+            raise ValueError(f"a committed state is a pair of ints, got {st!r}")
+        states[x] = st
+    return states
 
 
 def _selected(states: Mapping[int, object]) -> list[int]:
-    """The ids a capacity state mapping selects: its committed intervals."""
+    """The ids a decided state mapping selects: its committed intervals."""
     return [x for x, st in states.items() if st is not UNLIMITED]
 
 
@@ -573,9 +596,9 @@ def legal_successors(
     listed, so a fresh joiner with budget b gives b + 1 steps: the count
     grows linearly in k, however large (the solver's own steps cap it).
     """
-    _check_set(lam, s)
+    decided = _decided(lam, s)
     i = s.id_of(interval)
-    st = lam.states.get(i)
+    st = decided.get(i)
     if st is not UNDECIDED:
         state = "a rejected" if st is UNLIMITED else "an already committed"
         raise ValueError(f"cannot commit {state} interval")
@@ -583,7 +606,7 @@ def legal_successors(
     # The solver writes each step into one state; copy it at each yield.
     # A cap of k on every neighbor's left share lists every split.  A step
     # decides every neighbor, and chooses those it does not reject.
-    nb, state, out = s.neighbors[i], dict(lam.states), []
+    nb, state, out = s.neighbors[i], dict(decided), []
     for delta, _ in GeneralSolver(s, k)._successors(state, i, dict.fromkeys(nb, k)):
         states = {x: st for x, st in state.items() if st is not UNDECIDED}
         selected = _selected(states)
@@ -603,12 +626,10 @@ def transition_weight(
     objective (``solution_weight``) of the selected (committed) intervals
     of ``lam_prime``, minus that of ``lam``, minus the interval's own weight
     when it joins at this step (the window value adds that weight)."""
-    _check_set(lam_prime, s)
-    _check_set(lam, s)
+    after, before = _decided(lam_prime, s), _decided(lam, s)
     i = s.id_of(interval)
-    owner = 0 if i in lam.states else s.weight[i]
-    before, after = _selected(lam.states), _selected(lam_prime.states)
-    return solution_weight(after, s) - solution_weight(before, s) - owner
+    owner = 0 if i in before else s.weight[i]
+    return solution_weight(_selected(after), s) - solution_weight(_selected(before), s) - owner
 
 
 def dms_k(interval: Interval | int, lam: CapacityVector, s: IntervalSet, k: int) -> int:

@@ -14,13 +14,14 @@ subproblem values over windows of the line:
 A single value is its weight plus a sweep over the intervals nested in it; a
 pair value adds three independent sweeps over the left, middle and right
 regions the pair cuts out of its window.  A sweep's value depends only on
-its window's right end, and the tables are filled with exactly one sweep per
-interval right end, taking them in ascending order (the schedule of
-Valiente's O(l) maximum-weight independent set algorithm for circle graphs,
-ISAAC 2003): each region is a lookup into one sweep, and every entry a sweep
-consults ends further left and is already final.  The sweep at the right end
-p of interval q runs with bound p2, the next right end (or 2n + 1), and
-serves every region whose right bound lies in [p, p2):
+its window's right end, and the table fill moves one sweep's bound across
+the interval right ends in ascending order (the schedule of Valiente's O(l)
+maximum-weight independent set algorithm for circle graphs, ISAAC 2003):
+each region is a lookup into the sweep of one bound, and every entry a
+sweep consults ends further left and is already final.  At the right end p
+of interval q the bound moves on to p2, the next right end (or 2n + 1), and
+the sweep with bound p2 serves every region whose right bound lies in
+[p, p2):
 
 * ``S_p2`` equals ``S_p`` on (l_q, p]: the two differ only in the options
   ending at p, q's single and the pairs q closes as a partner, and every one
@@ -29,13 +30,21 @@ serves every region whose right bound lies in [p, p2):
 * ``S_p2`` equals ``S_e`` on x <= e for every start e in (p, p2): no option
   ends in (p, p2), so both sweeps take the same options.
 
-So the sweep first runs down to l_q + 1, where q's single and the regions
-ending at p read their values; those options are then final and join their
-rows, and the same sweep continues down to the smallest left end among the
-owners of pairs whose partner starts in (p, p2), which read their left
-regions off it.  No option ends before the first right end, so a left region
-ending at a start before it reads 0.  A final sweep over the whole line
-assembles the optimum.
+So the sweep buffer is never cleared between bounds.  The fill keeps
+``cov``, the lowest rank whose entry holds ``S`` of the current bound, and
+every entry above it does too: moving the bound from p to p2 changes no
+value past l_q (the first point), and a start past p reads 0, which its
+entry still holds, as no sweep has written it yet.  At q the fill raises
+``cov`` to the first start after l_q and resumes the sweep from ``cov``
+down to there only when ``cov`` lies above it; q's single and the regions
+ending at p read their values there.  Those options are then final and join
+their rows, and the same sweep continues down to the smallest left end among
+the owners of pairs whose partner starts in (p, p2), which read their left
+regions off it, and ``cov`` drops to there.  A start is thus swept again
+only after an interval starting at or after it has ended.  No option ends
+before the first right end, so a left region ending at a start before it
+reads 0.  The last bound is 2n + 1, so the final sweep over the whole line,
+which assembles the optimum, resumes from the fill's ``cov``.
 
 Each interval owns one row of options, the choices a sweep can make at its
 start point: the interval alone first, then at k = 1 the interval with each
@@ -149,23 +158,30 @@ class _Engine:
             s_buf[r] = best
         return best
 
-    def fill_tables(self) -> None:
-        """Fill ``val`` and ``live`` in place, with one sweep per right end.
+    def fill_tables(self) -> int:
+        """Fill ``val`` and ``live`` in place, moving one sweep's bound
+        across the right ends; returns ``cov``, the lowest rank whose
+        ``s_buf`` entry holds the sweep of the whole line.
 
         A pair option of interval [c, d] with its partner [e, f] has
         c < e < d < f.  For the interval q = [l_q, p], by ascending right
-        end p, with p2 the next right end (or 2n + 1), one sweep with bound
-        p2 runs down to l_q + 1, and the entries read their regions off it
-        (see the module docstring for why that is ``S`` of the region's own
-        right end):
+        end p, with p2 the next right end (or 2n + 1), the sweep with bound
+        p2 covers the ranks down to l_q + 1, and the entries read their
+        regions off it (see the module docstring for why that is ``S`` of
+        the region's own right end):
 
+        * the ranks from ``cov`` up hold ``S_p``, which equals ``S_p2``
+          past l_q, as no option ending at p starts there: ``cov`` rises to
+          the first start past l_q, and only the ranks between there and
+          the old ``cov`` are swept again;
         * q's single adds ``S[l_q + 1]``, q's pairs their middle regions
           ``S[e + 1]`` and the pairs with partner q their right regions
           ``S[d + 1]``; these options are final now and join their rows'
           ``live`` if they beat the last one kept there;
         * the same sweep then continues down to the smallest left end among
-          the owners of the pairs whose partner starts in (p, p2), and those
-          pairs add their left regions ``S[c + 1]``.
+          the owners of the pairs whose partner starts in (p, p2), those
+          pairs add their left regions ``S[c + 1]``, and ``cov`` drops to
+          that end.
 
         A sweep at p reads only final options, all ending at or before p; a
         pair's ``val`` holds a partial sum until its f, before it can join.
@@ -176,9 +192,9 @@ class _Engine:
         s_buf, val, sweep = self.s_buf, self.val, self.sweep
         # p2 walks the positions; pending gathers the pairs whose partner
         # starts after p, the right end of q, and a right end or 2n + 1 at
-        # p2 closes q's sweep.  Pairs gathered before the first right end
-        # keep a left region of 0.
-        q, pending = -1, []
+        # p2 moves the bound on from p to p2.  Pairs gathered before the
+        # first right end keep a left region of 0.
+        q, pending, cov = -1, [], 0
         for p2 in range(1, len(start_at)):
             j = start_at[p2]
             if j >= 0:
@@ -186,8 +202,12 @@ class _Engine:
                 continue
             if q >= 0:
                 lq, p = left[q], right[q]
+                top = next_start[lq + 1]
+                if cov > top:
+                    sweep(lq, p2, cov)
+                cov = top
                 o = optr[q]
-                val[o] += sweep(lq, p2)
+                val[o] += s_buf[top]
                 live[q].append((p, val[o]))
                 for o in range(o + 1, optr[q + 1]):
                     val[o] += s_buf[next_start[left[mate[o]] + 1]]
@@ -198,14 +218,17 @@ class _Engine:
                 if pending:
                     lo = min(left[a] for _, a in pending)
                     if lo < lq:
-                        sweep(lo, p2, next_start[lq + 1])
+                        sweep(lo, p2, top)
+                        cov = next_start[lo + 1]
                     for o, a in pending:
                         val[o] += s_buf[next_start[left[a] + 1]]
             q, pending = end_at[p2], []
+        return cov
 
     def solve(self) -> tuple[int, list[int]]:
-        self.fill_tables()
-        best = self.sweep(0, 2 * self.n + 1)
+        """The optimum and an optimal set: the final sweep over the whole
+        line resumes from the rank the fill leaves valid."""
+        best = self.sweep(0, 2 * self.n + 1, self.fill_tables())
         return best, self._backtrack()
 
     def _backtrack(self) -> list[int]:

@@ -195,6 +195,44 @@ def test_dms_k_rejects_a_committed_state_that_is_not_a_pair_of_ints():
     assert dms_k(0, good, s, 2) == GeneralSolver(s, 2).dms(0, good.states)
 
 
+def test_legal_successors_read_a_state_equal_to_unlimited_as_unlimited():
+    """A rejected neighbor stored as a float equal to UNLIMITED, not as
+    UNLIMITED itself, is rejected: ``legal_successors`` lists the same steps
+    as for UNLIMITED (it died inside the solver's step enumeration), and
+    ``transition_weight`` does not count it as selected (it returned -1 for
+    a step that adds 0)."""
+    s = make_set([(1, 6), (2, 4), (3, 8), (5, 7)], [3] * 4, 1)
+    inf = float("inf")
+    assert inf is not UNLIMITED
+    lam = CapacityVector(s, MappingProxyType({2: inf}))
+    steps = legal_successors(lam, 0, s, 2)
+    assert steps == legal_successors(CapacityVector.initial(s).replace(2, UNLIMITED), 0, s, 2)
+    assert steps and all(step.vector.state_of(2) is UNLIMITED for step in steps)
+    for step in steps:
+        assert transition_weight(step.vector, lam, 0, s) == step.weight_delta
+    alone = CapacityVector(s, MappingProxyType({0: (2, 2), 2: inf, 3: UNLIMITED}))
+    assert transition_weight(alone, lam, 0, s) == 0
+
+
+def test_legal_successors_reject_a_committed_state_that_is_not_a_pair_of_ints():
+    """``legal_successors`` and ``transition_weight`` hold a committed state
+    to the rule ``CapacityVector.replace`` and ``is_valid_for`` apply, a
+    pair of ints, and raise ValueError for any other: a string and a triple
+    died inside the solver's step enumeration, with a TypeError and an
+    unpack error."""
+    s = make_set([(1, 6), (2, 4), (3, 8), (5, 7)], [3] * 4, 1)
+    good = CapacityVector(s, MappingProxyType({2: (1, 1)}))
+    assert legal_successors(good, 0, s, 2)
+    for bad in ("ab", (1, 1, 1), [1, 1], (1.5, 1)):
+        lam = CapacityVector(s, MappingProxyType({2: bad}))
+        with pytest.raises(ValueError, match="pair of ints"):
+            legal_successors(lam, 0, s, 2)
+        with pytest.raises(ValueError, match="pair of ints"):
+            transition_weight(lam, good, 0, s)
+        with pytest.raises(ValueError, match="pair of ints"):
+            transition_weight(good, lam, 0, s)
+
+
 def test_dms_k_rejects_an_undecided_neighbor():
     """Committing an interval decides all its neighbors, so a vector that
     leaves one undecided is not valid for it.  Here the undecided neighbor

@@ -208,18 +208,31 @@ def test_fill_matches_window_by_window_sweeps():
 
 def count_sweeps(monkeypatch):
     """Wrap ``_Engine.sweep`` to count fresh and resumed sweeps and the
-    ranks their loops step over."""
-    counts = {"fresh": 0, "resumed": 0, "steps": 0}
+    ranks their loops step over, and to log each call's (lo, hi, top)."""
+    counts = {"fresh": 0, "resumed": 0, "steps": 0, "log": []}
     sweep = _Engine.sweep
 
     def counting(self, lo, hi, top=None):
         counts["resumed" if top is not None else "fresh"] += 1
         first = self.s.next_start[hi] if top is None else top
         counts["steps"] += max(0, first - self.s.next_start[lo + 1])
+        counts["log"].append((lo, hi, top))
         return sweep(self, lo, hi, top)
 
     monkeypatch.setattr(_Engine, "sweep", counting)
     return counts
+
+
+def continuations(s, log):
+    """The logged fill sweeps that continue left of the start of q, the
+    interval whose right end the sweep's bound moved on from: the sweeps
+    that serve the left regions of pairs whose partner starts before the
+    bound."""
+    out = 0
+    for lo, hi, _ in log:
+        q = s.end_at[max(x for x in range(hi) if s.end_at[x] >= 0)]
+        out += lo < s.left[q]
+    return out
 
 
 @pytest.mark.parametrize(
@@ -232,28 +245,42 @@ def count_sweeps(monkeypatch):
         # owners are [2,6] (both) and [4,8]
         ([(1, 3), (2, 6), (4, 8), (5, 9), (7, 10)], [2, 3, 4, 2, 5], 0),
         # [5,9] starts between the right ends 3 and 6, and its owner [1,7]
-        # starts left of the ending [2,3]: the sweep at 3 resumes past 2, and
-        # the left region (1, 5) takes [2,3], final only at 3
+        # starts left of the ending [2,3]: the sweep with bound 6 continues
+        # past 2, and the left region (1, 5) takes [2,3], final only at 3
         ([(1, 7), (2, 3), (4, 6), (5, 9), (8, 10)], [4, 3, 2, 5, 1], 1),
     ],
 )
 def test_fill_hand_built_schedules(monkeypatch, spans, weights, resumed):
-    """The one-sweep-per-right-end fill on hand-built sets that reach each
-    case of its schedule matches the window-by-window reference."""
+    """The resumed fill on hand-built sets that reach each case of its
+    schedule matches the window-by-window reference.  It starts no sweep
+    afresh: at each right end it reads the ranks that still hold the sweep
+    of the new bound, and it continues left of the ending interval's start
+    ``resumed`` times at k = 1.  On the third set [2,3] and [4,6] end
+    inside [1,7], so the sweep with bound 9 resumes at the first start past
+    4 (rank 3) and runs down to the first start past 1 (rank 1); the first
+    two sets sweep nothing, as no interval ends inside one that ends
+    later."""
     s = make_set(spans, weights, 1)
     counts = count_sweeps(monkeypatch)
     for k in (0, 1):
-        counts.update(fresh=0, resumed=0)
+        counts.update(fresh=0, resumed=0, log=[])
         check_fill(s, k, (spans, k))
-        assert counts["fresh"] == len(s)
-        assert counts["resumed"] == (resumed if k else 0)
+        assert counts["fresh"] == 0
+        assert continuations(s, counts["log"]) == (resumed if k else 0)
+        if resumed:
+            assert counts["log"][-1] == (1, 9, 3)
+        else:
+            assert counts["log"] == []
 
 
 def test_fill_sweeps_once_per_right_end(monkeypatch):
-    """The fill makes exactly one fresh sweep per right end and steps over
-    under 0.35 times the positions of the schedule that sweeps every window
-    (lo, hi) position by position with a second sweep at each partner's
-    start (38,706 ranks against 127,583 positions on this instance)."""
+    """The fill moves one sweep's bound once per right end, starts no sweep
+    afresh, and steps over under 0.13 times the positions of the schedule
+    that sweeps every window (lo, hi) position by position with a second
+    sweep at each partner's start (16,240 ranks against 127,583 positions
+    on this instance; a fresh sweep per right end stepped over 38,706).
+    The final sweep of ``solve`` resumes from the rank the fill leaves
+    valid, so the solve's only fresh sweeps are recovery's."""
     from twosided.bench import generate_random_biconnected
     from twosided.transform import EdgeWeightMode, project_to_intervals
 
@@ -269,9 +296,127 @@ def test_fill_sweeps_once_per_right_end(monkeypatch):
             if owners:
                 positions += hi - min(s.left[a] for a in owners) - 1
     counts = count_sweeps(monkeypatch)
-    _Engine(s, 1).fill_tables()
-    assert counts["fresh"] == len(s)
-    assert counts["steps"] < 0.35 * positions, (counts, positions)
+    cov = _Engine(s, 1).fill_tables()
+    assert counts["fresh"] == 0
+    assert counts["steps"] < 0.13 * positions, (counts["steps"], positions)
+    fill = counts["log"]
+    counts.update(fresh=0, resumed=0, steps=0, log=[])
+    _Engine(s, 1).solve()
+    log = counts["log"]
+    assert log[: len(fill) + 1] == fill + [(0, 2 * len(s) + 1, cov)]
+    assert all(top is None for _, _, top in log[len(fill) + 1 :])
+
+
+def test_fill_nested_intervals_in_linear_steps(monkeypatch):
+    """m pairwise nested intervals fill in at most m steps at k = 0 and
+    k = 1: each closing interval leaves only the start just inside it
+    stale.  The schedule with a fresh sweep per right end stepped over
+    m(m - 1)/2 ranks, 179,700 at m = 600."""
+    m = 600
+    s = make_set([(i, 2 * m + 1 - i) for i in range(1, m + 1)], [1] * m, 1)
+    counts = count_sweeps(monkeypatch)
+    for k in (0, 1):
+        counts.update(steps=0)
+        eng = _Engine(s, k)
+        eng.fill_tables()
+        assert counts["steps"] <= m, (k, counts["steps"])
+        assert eng.val[eng.optr[0]] == m
+
+
+def test_fill_resumes_only_from_valid_ranks(monkeypatch):
+    """Each sweep of the fill resumes from a rank that holds the sweep of
+    its bound, and leaves every rank it writes holding it, on the option
+    values final at that point; after the fill, every rank from the
+    returned one up holds the sweep of the whole line."""
+    state = {}
+    sweep = _Engine.sweep
+
+    def at_rank(eng, r, hi):
+        s = eng.s
+        return 0 if r >= s.next_start[hi] else reference_sweep(s, eng, s.left[s.by_left[r]] - 1, hi)
+
+    def checked(self, lo, hi, top=None):
+        assert top is not None
+        assert self.s_buf[top] == at_rank(self, top, hi), state["case"]
+        out = sweep(self, lo, hi, top)
+        for r in range(self.s.next_start[lo + 1], top):
+            assert self.s_buf[r] == at_rank(self, r, hi), (state["case"], lo, hi, r)
+        return out
+
+    monkeypatch.setattr(_Engine, "sweep", checked)
+    swept = 0
+    for trial in range(200):
+        rng = random.Random(11000 + trial)
+        s = random_interval_set(rng.randint(1, 16), rng)
+        for k in (0, 1):
+            state["case"] = (trial, k)
+            eng = _Engine(s, k)
+            cov = eng.fill_tables()
+            end = 2 * len(s) + 1
+            assert all(eng.s_buf[r] == at_rank(eng, r, end) for r in range(cov, len(s) + 1))
+            swept += cov > 0
+    assert swept > 100
+
+
+def reference_fill(eng):
+    """The fill with one fresh sweep per right end, which the resumed fill
+    replaced: it sweeps every start inside (l_q, p2) again at each right
+    end.  Kept as the reference the resumed fill is held to."""
+    s = eng.s
+    start_at, end_at, left, right = s.start_at, s.end_at, s.left, s.right
+    next_start = s.next_start
+    optr, mate, back, live = eng.optr, eng.mate, eng.back, eng.live
+    s_buf, val, sweep = eng.s_buf, eng.val, eng.sweep
+    q, pending = -1, []
+    for p2 in range(1, len(start_at)):
+        j = start_at[p2]
+        if j >= 0:
+            pending += back[j]
+            continue
+        if q >= 0:
+            lq, p = left[q], right[q]
+            o = optr[q]
+            val[o] += sweep(lq, p2)
+            live[q].append((p, val[o]))
+            for o in range(o + 1, optr[q + 1]):
+                val[o] += s_buf[next_start[left[mate[o]] + 1]]
+            for o, a in back[q]:
+                v = val[o] = val[o] + s_buf[next_start[right[a] + 1]]
+                if v > live[a][-1][1]:
+                    live[a].append((p, v))
+            if pending:
+                lo = min(left[a] for _, a in pending)
+                if lo < lq:
+                    sweep(lo, p2, next_start[lq + 1])
+                for o, a in pending:
+                    val[o] += s_buf[next_start[left[a] + 1]]
+        q, pending = end_at[p2], []
+
+
+def test_fill_matches_the_fresh_sweep_reference():
+    """The resumed fill and the final sweep it hands to ``solve`` leave the
+    same ``val`` and ``live``, the same sweep buffer after recovery, and
+    the same optimum and chosen ids as ``reference_fill`` followed by a
+    fresh sweep of the whole line: on random sets with per-pair weights and
+    on projected layouts in both weight modes, at k = 0 and k = 1."""
+    from twosided.bench import generate_random_biconnected
+    from twosided.transform import EdgeWeightMode, project_to_intervals
+
+    sets = []
+    for trial in range(400):
+        rng = random.Random(13000 + trial)
+        sets.append(random_interval_set(rng.randint(1, 24), rng))
+    for n in range(8, 41, 4):
+        instance = generate_random_biconnected(n, round(2.6 * n), seed=n)
+        sets += [project_to_intervals(instance, mode).interval_set for mode in EdgeWeightMode]
+    for case, s in enumerate(sets):
+        for k in (0, 1):
+            eng, ref = _Engine(s, k), _Engine(s, k)
+            got = eng.solve()
+            reference_fill(ref)
+            want = ref.sweep(0, 2 * len(s) + 1), ref._backtrack()
+            assert got == want, (case, k)
+            assert (eng.val, eng.live, eng.s_buf) == (ref.val, ref.live, ref.s_buf), (case, k)
 
 
 def test_live_rows_are_the_undominated_options():
