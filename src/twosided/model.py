@@ -24,16 +24,22 @@ kept as the reference that the set's scan is tested against.  All types
 are immutable after construction and every operation is a pure function.
 
 The crossing accounting (:func:`count_crossings`, :func:`crossings_per_chord`)
-counts alternating chords with a Fenwick tree and shares no code with the
-interval scan.  The count over all edges is a property of the layout
-(:attr:`LayoutInstance.crossings_per_edge`), paid once; each side's count is
-then derived from it and one pass over the exterior edges only.
+counts alternating chords with one Fenwick sweep per call and shares no code
+with the interval scan.  The count over all edges is a property of the
+layout (:attr:`LayoutInstance.crossings_per_edge`), paid once; the count
+among the exterior edges is paid once per assignment
+(:func:`exterior_crossings`), and each side's count is
+derived from the two by sums.
 """
 
 from __future__ import annotations
 
+import weakref
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 Edge = tuple[int, int]
@@ -168,23 +174,46 @@ def _alternate(pos: Mapping[int, int], n: int, edge_a: Sequence[int], edge_b: Se
     return in1 != in2
 
 
+# The exterior edges' crossing counts of each assignment, weak-keyed so that
+# they live as long as the assignment and no longer, with the layout they
+# were counted on.
+_EXTERIOR: weakref.WeakKeyDictionary[
+    TwoSidedAssignment, tuple[LayoutInstance, Mapping[int, int]]
+] = weakref.WeakKeyDictionary()
+
+
+def exterior_crossings(instance: LayoutInstance, assignment: TwoSidedAssignment) -> Mapping[int, int]:
+    """Read-only map from each exterior edge of the assignment to the number
+    of exterior edges crossing its chord.  One :func:`crossings_per_chord`
+    pass over the exterior edges per assignment and layout, none when there
+    are none; the map is kept while the assignment lives, so every count of
+    that drawing reads it."""
+    kept = _EXTERIOR.get(assignment)
+    if kept is not None and kept[0] is instance:
+        return kept[1]
+    ext = assignment.exterior
+    counts = MappingProxyType(dict(zip(ext, crossings_per_chord(instance, ext) if ext else ())))
+    _EXTERIOR[assignment] = (instance, counts)
+    return counts
+
+
 def count_crossings(instance: LayoutInstance, assignment: TwoSidedAssignment) -> tuple[int, int]:
     """Crossing counts (interior, exterior) of a two-sided drawing.
 
     Interior counts alternating pairs drawn as chords, exterior counts
     alternating pairs routed outside; a pair split across the two sides never
     crosses.  The exterior count X is half the sum of the exterior edges'
-    per-chord counts among themselves, from one pass over those edges only
-    (none when there are none).  The interior count is inclusion-exclusion
-    over the layout's cached per-edge counts c: of the C = sum(c) / 2
-    crossing pairs, those touching an exterior edge number
-    sum(c[e] for exterior e) - X, since that sum counts the both-exterior
-    pairs twice.  Once the cache is filled the only Fenwick pass is the
-    exterior one, O(n + |exterior| log n), beside O(m) sums.
+    per-chord counts among themselves
+    (:func:`exterior_crossings`, one pass per assignment).
+    The interior count is inclusion-exclusion over the layout's cached
+    per-edge counts c: of the C = sum(c) / 2 crossing pairs, those touching
+    an exterior edge number sum(c[e] for exterior e) - X, since that sum
+    counts the both-exterior pairs twice.  Once both caches are filled a
+    count is O(m) sums and no Fenwick pass.
     """
     assignment.validate_for(instance)
-    c, ext = instance.crossings_per_edge, assignment.exterior
-    exterior = sum(crossings_per_chord(instance, ext)) // 2 if ext else 0
+    c, ext = instance.crossings_per_edge, exterior_crossings(instance, assignment)
+    exterior = sum(ext.values()) // 2
     return sum(c) // 2 - sum(c[e] for e in ext) + exterior, exterior
 
 
@@ -195,52 +224,60 @@ def crossings_per_chord(instance: LayoutInstance, edge_ids: Iterable[int]) -> li
     Each chord becomes the span (a, b), a < b, of its endpoints' order
     positions.  Chord (c, d) crosses (a, b) iff a < c < b < d or
     c < a < d < b; chords sharing a vertex meet in an endpoint and satisfy
-    neither.  The first case is counted by :func:`_starts_inside_ends_beyond`,
-    the second is the first on the mirrored circle.  O((n + m) log n).
+    neither, and neither does a repeated id with its copy.  Of the L spans
+    with a left end strictly inside (a, b), those that do not cross end
+    inside or at b; of the R with a right end strictly inside, those that
+    do not cross start inside or at a.  So the count is
+    L + R - 2N - E_b - E_a for N = #{a < c, d < b}, the spans nested
+    strictly inside, E_b = #{a < c, d = b} and E_a = #{c = a, d < b}.  L
+    and R are prefix counts over the positions, E_b and E_a bisect the
+    sorted ends of the spans sharing b or a, and N comes from one sweep over
+    the right ends, ascending: a Fenwick tree (binary indexed tree) holds
+    the left ends of the hi_below[b] spans ending before the current group,
+    which is counted before it is added.  O((n + m) log n) for m given edges.
     """
-    pos = instance.positions
-    n = instance.n_vertices
-    spans = []
+    pos, n, edges = instance.positions, instance.n_vertices, instance.edges
+    lo, hi = [], []
     for e in edge_ids:
-        u, v = instance.edges[e]
-        spans.append((pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]))
-    mirrored = [(n - 1 - b, n - 1 - a) for a, b in spans]
-    right = _starts_inside_ends_beyond(spans, n)
-    left = _starts_inside_ends_beyond(mirrored, n)
-    return [x + y for x, y in zip(right, left)]
-
-
-def _starts_inside_ends_beyond(spans: Sequence[Pair], n: int) -> list[int]:
-    """For each span (a, b) over positions 0..n-1, the number of spans
-    (c, d) with a < c < b < d.
-
-    Sweeps the right ends b downwards.  A Fenwick tree (binary indexed tree)
-    holds the left ends of the spans ending beyond b; the spans ending at b
-    are counted before they are added, so spans sharing an end never count.
-    """
+        u, v = edges[e]
+        a, b = pos[u], pos[v]
+        if a > b:
+            a, b = b, a
+        lo.append(a)
+        hi.append(b)
     ending_at: list[list[int]] = [[] for _ in range(n)]
-    for t, (_, b) in enumerate(spans):
+    ends_from: list[list[int]] = [[] for _ in range(n)]
+    lo_below, hi_below = [0] * (n + 1), [0] * (n + 1)
+    for t, (a, b) in enumerate(zip(lo, hi)):
         ending_at[b].append(t)
+        ends_from[a].append(b)
+        lo_below[a + 1] += 1
+        hi_below[b + 1] += 1
+    lo_below, hi_below = list(accumulate(lo_below)), list(accumulate(hi_below))
+    for group in ends_from:
+        group.sort()
     tree = [0] * (n + 1)
-    out = [0] * len(spans)
-    for b in range(n - 1, -1, -1):
-        for t in ending_at[b]:
-            out[t] = _fenwick_below(tree, b) - _fenwick_below(tree, spans[t][0] + 1)
-        for t in ending_at[b]:
-            x = spans[t][0] + 1
+    out = [0] * len(lo)
+    for b, group in enumerate(ending_at):
+        if not group:
+            continue
+        starts = sorted(lo[t] for t in group)
+        for t in group:
+            a = lo[t]
+            nested, x = hi_below[b], a + 1
+            while x > 0:
+                nested -= tree[x]
+                x &= x - 1
+            out[t] = (
+                lo_below[b] - lo_below[a + 1] + hi_below[b] - hi_below[a + 1] - 2 * nested
+                - (len(starts) - bisect_right(starts, a)) - bisect_left(ends_from[a], b)
+            )
+        for a in starts:
+            x = a + 1
             while x <= n:
                 tree[x] += 1
                 x += x & -x
     return out
-
-
-def _fenwick_below(tree: list[int], x: int) -> int:
-    """Number of positions < x held by the Fenwick tree."""
-    total = 0
-    while x > 0:
-        total += tree[x]
-        x &= x - 1
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +407,15 @@ class IntervalSet:
         pair_weights: Mapping[Pair, int] | int = 0,
     ) -> "IntervalSet":
         """Convenience constructor from raw (left, right) spans; the keys of
-        a ``pair_weights`` mapping may list either id first."""
+        a ``pair_weights`` mapping may list either id first, but two keys
+        naming the same pair raise ValueError."""
         ws = list(weights) if weights is not None else [0] * len(spans)
         ivs = tuple(Interval(l, r, w) for (l, r), w in zip(spans, ws))
         if not isinstance(pair_weights, int):
-            pair_weights = {canonical_edge(*k): v for k, v in pair_weights.items()}
+            keyed = {canonical_edge(*k): v for k, v in pair_weights.items()}
+            if len(keyed) != len(pair_weights):
+                raise ValueError("pair_weights names a pair twice")
+            pair_weights = keyed
         return cls(ivs, pair_weights)
 
     def with_pair_weight(self, w: int) -> "IntervalSet":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import LayoutInstance, TwoSidedAssignment, count_crossings, crossings_per_chord
+from .model import LayoutInstance, TwoSidedAssignment, count_crossings, exterior_crossings
 
 __all__ = ["LayoutStats", "layout_stats", "render_layout"]
 
@@ -34,8 +34,10 @@ class LayoutStats:
 
 
 def layout_stats(instance: LayoutInstance, assignment: TwoSidedAssignment) -> LayoutStats:
+    """The drawing's side counts and its worst exterior edge, both read off
+    the exterior edges' crossing counts kept for the assignment."""
     interior, exterior = count_crossings(instance, assignment)
-    worst = max(crossings_per_chord(instance, assignment.exterior), default=0)
+    worst = max(exterior_crossings(instance, assignment).values(), default=0)
     return LayoutStats(interior, exterior, len(assignment.exterior), worst)
 
 

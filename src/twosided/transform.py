@@ -116,16 +116,21 @@ def project_to_intervals(
 
     # One slot per edge endpoint, walking the circle in order direction; at a
     # vertex, decreasing forward distance of the other endpoint makes chords
-    # sharing it nest.  Slots come out ascending, so each edge's first slot
+    # sharing it nest.  Each endpoint sorts on the int (pos, n - distance,
+    # eid) in mixed radix (n, n, m): the distance from a to b is f, from b
+    # to a it is n - f.  Slots come out ascending, so each edge's first slot
     # is its left end.
-    keys = sorted(
-        (pos[v], -((pos[w] - pos[v]) % n), eid)
-        for eid, (a, b) in enumerate(edges)
-        for v, w in ((a, b), (b, a))
-    )
+    m = len(edges)
+    keys = []
+    for eid, (a, b) in enumerate(edges):
+        pa, pb = pos[a], pos[b]
+        f = (pb - pa) % n
+        keys.append((pa * n + n - f) * m + eid)
+        keys.append((pb * n + f) * m + eid)
+    keys.sort()
     slots: list[list[int]] = [[] for _ in edges]
-    for slot, (_, _, eid) in enumerate(keys, 1):
-        slots[eid].append(slot)
+    for slot, key in enumerate(keys, 1):
+        slots[key % m].append(slot)
     s = IntervalSet.build(slots, instance.crossings_per_edge, mode.value)
     _check_alternation(instance, s, crossing)
     _SCANS[instance] = s

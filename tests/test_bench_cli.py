@@ -229,28 +229,29 @@ def test_cli_solve_deterministic_artifacts(c4_file, tmp_path):
 
 
 def test_cli_solve_makes_one_full_size_crossing_pass(tmp_path, monkeypatch):
-    """A solve with SVG and stats counts crossings over all edges once: one
-    Fenwick sweep per direction over m spans.  Every other pass covers the
-    exterior edges only."""
+    """A solve with SVG and stats counts crossings in two sweeps: one over
+    all m edges, for the layout, and one over the exterior edges, shared by
+    every count of the chosen drawing."""
     from twosided import model
 
     inst = generate_random_biconnected(20, 52, seed=3)
     path = tmp_path / "g.txt"
     path.write_text(format_graph(inst))
     sizes = []
-    real = model._starts_inside_ends_beyond
+    real = model.crossings_per_chord
 
-    def recorded(spans, n):
-        sizes.append(len(spans))
-        return real(spans, n)
+    def recorded(instance, edge_ids):
+        ids = list(edge_ids)
+        sizes.append(len(ids))
+        return real(instance, ids)
 
-    monkeypatch.setattr(model, "_starts_inside_ends_beyond", recorded)
+    monkeypatch.setattr(model, "crossings_per_chord", recorded)
     json_path = tmp_path / "sol.json"
     svg_path = tmp_path / "g.svg"
     assert main(["solve", str(path), "--k", "1", "--json", str(json_path), "--svg", str(svg_path)]) == 0
     n_exterior = len(json.loads(json_path.read_text())["edges_exterior"])
     assert 0 < n_exterior < 52
-    assert sorted(sizes) == [n_exterior] * (len(sizes) - 2) + [52, 52]
+    assert sizes == [52, n_exterior]
 
 
 def test_cli_solve_empty_graph(tmp_path, capsys):

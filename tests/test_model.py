@@ -116,24 +116,31 @@ def test_count_crossings_matches_pair_loop_on_random_sides(rng):
 
 def test_count_crossings_all_interior_makes_no_pass(monkeypatch):
     """With the layout's per-edge counts cached, an all-interior count runs
-    no Fenwick pass; an exterior count runs one over the exterior only."""
+    no sweep; an exterior count runs one over the exterior only, once per
+    assignment, however often that assignment is counted."""
     from twosided import model
 
     calls = []
-    real = model._starts_inside_ends_beyond
+    real = model.crossings_per_chord
 
-    def recorded(spans, n):
-        calls.append(len(spans))
-        return real(spans, n)
+    def recorded(instance, edge_ids):
+        ids = list(edge_ids)
+        calls.append(len(ids))
+        return real(instance, ids)
 
-    monkeypatch.setattr(model, "_starts_inside_ends_beyond", recorded)
+    monkeypatch.setattr(model, "crossings_per_chord", recorded)
     k5 = complete_graph(5)
     assert len(k5.crossings_per_edge) == 10
-    assert calls == [10, 10]
+    assert calls == [10]
     assert count_crossings(k5, all_interior(k5)) == (5, 0)
-    assert calls == [10, 10]
+    assert calls == [10]
+    two = TwoSidedAssignment.from_exterior(k5, {1, 5})
+    assert count_crossings(k5, two) == (2, 1)
+    assert count_crossings(k5, two) == (2, 1)
+    assert dict(model.exterior_crossings(k5, two)) == {1: 1, 5: 1}
+    assert calls == [10, 2]
     assert count_crossings(k5, TwoSidedAssignment.from_exterior(k5, {1, 5})) == (2, 1)
-    assert calls == [10, 10, 2, 2]
+    assert calls == [10, 2, 2]
 
 
 # -- instance validation ----------------------------------------------------
@@ -193,6 +200,18 @@ def test_interval_set_validates_endpoints_and_pairs():
     ):
         with pytest.raises(ValueError, match="pair weights must be non-negative"):
             IntervalSet.build(spans, None, pair_weights)
+
+
+def test_interval_set_build_rejects_a_pair_named_twice():
+    """Keys listing either id first name one pair; naming it twice is an
+    error, as a pair line repeated in an interval file is, rather than a
+    silent choice of one of the weights."""
+    with pytest.raises(ValueError, match="names a pair twice"):
+        IntervalSet.build([(1, 3), (2, 4)], [1, 1], {(0, 1): 2, (1, 0): 5})
+    with pytest.raises(ValueError, match="names a pair twice"):
+        IntervalSet.build([(1, 3), (2, 4)], [1, 1], {(1, 0): 2, (0, 1): 2})
+    s = IntervalSet.build([(1, 3), (2, 4)], [1, 1], {(1, 0): 5})
+    assert s.pair_weights == {(0, 1): 5}
 
 
 def test_solution_weight():

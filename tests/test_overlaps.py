@@ -99,6 +99,29 @@ def test_crossing_count_matches_pair_loop(case):
     assert stats.max_exterior_crossings == max(degrees(exterior, ext), default=0)
 
 
+@st.composite
+def layouts_with_id_lists(draw):
+    """A layout and a list of its edge ids in any order, ids repeated."""
+    inst = draw(layouts())
+    ids = draw(st.lists(st.sampled_from(range(inst.n_edges)), max_size=40)) if inst.n_edges else []
+    return inst, ids
+
+
+@PROPERTY
+@given(layouts_with_id_lists())
+def test_crossings_per_chord_matches_pair_loop(case):
+    """Each listed chord's count is the number of other list entries whose
+    chord crosses it: a repeated id counts once per copy against the chords
+    it crosses and never against its own copies, which share its ends."""
+    inst, ids = case
+    edges = [inst.edges[e] for e in ids]
+    expected = [
+        sum(1 for u, b in enumerate(edges) if u != t and chords_cross(a, b, inst.order))
+        for t, a in enumerate(edges)
+    ]
+    assert crossings_per_chord(inst, iter(ids)) == expected
+
+
 @PROPERTY
 @given(layouts(), st.sampled_from(EdgeWeightMode))
 def test_projection_pairs_are_the_crossing_chords(inst, mode):
