@@ -13,7 +13,7 @@ Subcommands:
 Exit codes: 0 on success, 1 on parse errors, 2 on size guards, the
 subclasses of ``model.SizeGuardError``: the brute-force oracle's instance
 limits, the projection's limit on crossing chord pairs
-(``transform.MAX_OVERLAP_PAIRS``, which keeps a k=1 solve under about 600 MiB)
+(``transform.MAX_OVERLAP_PAIRS``, which keeps a k=1 solve under about 520 MiB)
 and the general-k solver's memo-state limit
 (``solver_general.MAX_MEMO_STATES``, which ends a ``solve`` or ``reduce-mds``
 whose memo would outgrow it).  Diagnostics go to stderr.

@@ -38,7 +38,7 @@ import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -367,7 +367,16 @@ class IntervalSet:
             raise ValueError("pair weights must be non-negative")
 
     def _scan(self) -> None:
-        """Fill the tables: O(n + l) for the total length l, plus row sorts."""
+        """Fill the tables: O(n log n + P) for the P overlapping pairs, plus
+        the sorts of the forward rows.
+
+        One walk over the positions keeps the open intervals by descending
+        right end, so the interval ending at a position is the last one.  A
+        start j joins the rows of the open intervals that end before
+        right_j, which are exactly those j crosses from the right, and is
+        inserted in front of them, so an insertion moves only the intervals
+        it crosses.  Each row is then sorted by id.
+        """
         n = len(self.intervals)
         left = tuple(iv.left for iv in self.intervals)
         right = tuple(iv.right for iv in self.intervals)
@@ -380,23 +389,33 @@ class IntervalSet:
         by_left, rank, run_end = [], [0] * n, [0] * n
         next_start = [0] * (2 * n + 2)
         next_start[-1] = n
+        rows: list[list[int]] = [[] for _ in range(n)]
+        # The open intervals by descending right end: ``ends`` holds their
+        # negated right ends, ascending, and ``open_ids`` their ids.
+        ends, open_ids = [], []
         for x in range(1, 2 * n + 1):
             next_start[x] = len(by_left)
             i = start_at[x]
             if i >= 0:
                 rank[i] = len(by_left)
                 by_left.append(i)
+                at = bisect_left(ends, -right[i])
+                for a in open_ids[at:]:
+                    rows[a].append(i)
+                ends.insert(at, -right[i])
+                open_ids.insert(at, i)
             else:
                 run_end[end_at[x]] = len(by_left)
-        ptr, partner = [0], []
-        for i, r in enumerate(right):
-            partner.extend(sorted(j for j in by_left[rank[i] + 1 : run_end[i]] if right[j] > r))
-            ptr.append(len(partner))
+                ends.pop()
+                open_ids.pop()
+        for row in rows:
+            if len(row) > 1:
+                row.sort()
         self.__dict__.update(
             left=left, right=right, weight=tuple(iv.weight for iv in self.intervals),
             start_at=tuple(start_at), end_at=tuple(end_at), by_left=tuple(by_left),
             rank=tuple(rank), run_end=tuple(run_end), next_start=tuple(next_start),
-            ptr=tuple(ptr), partner=tuple(partner),
+            ptr=(0, *accumulate(map(len, rows))), partner=tuple(chain.from_iterable(rows)),
         )
 
     @classmethod

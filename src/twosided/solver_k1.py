@@ -73,8 +73,19 @@ records no choices: solution recovery walks the final sweep and the sweeps of
 the windows along the optimal decomposition and reads each decision off the
 sweep values -- at a start whose value differs from the next start's, the
 first option of the whole row, in row order, whose value equals it, which is
-the option a sweep over the whole row with a strict ``>`` keeps.  All
-arithmetic is exact integer arithmetic on plain lists.
+the option a sweep over the whole row with a strict ``>`` keeps.  A chosen
+single [c, d] with no forward partner is not swept again: every interval
+starting inside it is nested in it, so every option starting inside it
+ends before d, and every chain of options in the enclosing window (lo, hi)
+splits at d.  So the enclosing sweep's values at the starts in (c, d] are
+``S_d``'s plus the constant ``S_hi[d + 1]``, and no option there ends in
+[d, hi); both tests recovery makes there, a start's value against the next
+start's and an option's value plus the value after its end against the
+start's, give the same answers on the enclosing buffer, and the walk just
+goes on to the next start, inside the single.  Only the windows of chosen
+singles with a forward partner and the three regions of every chosen pair
+are swept afresh; on m nested intervals, none is.  All arithmetic is exact
+integer arithmetic on plain lists.
 """
 
 from __future__ import annotations
@@ -98,7 +109,8 @@ class _Engine:
 
     Interval i's options are ``optr[i]:optr[i + 1]``: the single first
     (``mate[o] = -1``), then at k = 1 one pair per forward partner
-    (``mate[o]`` = the partner), ascending by id.  ``val[o]`` starts as the
+    (``mate[o]`` = the partner), ascending by id, each row's partners one
+    slice of the set's forward rows.  ``val[o]`` starts as the
     option's own weight, its intervals' weights less its pair weight, gains
     each region's sweep value during the fill and ends as its dms1 value.
     ``live[i]`` lists (end, value) of row i's undominated final options,
@@ -109,19 +121,32 @@ class _Engine:
     def __init__(self, s: IntervalSet, k: int):
         self.s = s
         self.n = n = len(s)
-        weight, pw = s.weight, s.pair_weight
-        self.optr = optr = [0]
-        self.mate, self.val = mate, val = [], []
+        weight = s.weight
         # back[j]: (option, row owner) of every pair whose partner is j.
         self.back = back = [[] for _ in range(n)]
-        for i in range(n):
-            mate.append(-1)
-            val.append(weight[i])
-            for j in (s.forward(i) if k else ()):
-                back[j].append((len(mate), i))
-                mate.append(j)
-                val.append(weight[i] + weight[j] - pw(i, j))
-            optr.append(len(mate))
+        if not k:
+            self.optr, self.mate, self.val = list(range(n + 1)), [-1] * n, list(weight)
+        else:
+            ptr, partner, pw = s.ptr, s.partner, s.pair_weights
+            uniform = isinstance(pw, int)
+            self.optr = optr = [0]
+            self.mate, self.val = mate, val = [], []
+            for i in range(n):
+                row = partner[ptr[i] : ptr[i + 1]]
+                o = len(mate)
+                mate.append(-1)
+                mate += row
+                for j in row:
+                    o += 1
+                    back[j].append((o, i))
+                w = weight[i]
+                val.append(w)
+                if uniform:
+                    w -= pw
+                    val += [w + weight[j] for j in row]
+                else:
+                    val += [w + weight[j] - s.pair_weight(i, j) for j in row]
+                optr.append(len(mate))
         self.live = [[] for _ in range(n)]
         self.s_buf = [0] * (n + 1)
 
@@ -234,8 +259,11 @@ class _Engine:
     def _backtrack(self) -> list[int]:
         """Ids of an optimal set, read off the sweeps of the windows along
         the optimal decomposition.  Expects ``s_buf`` to hold the sweep of
-        the whole line, as ``solve`` leaves it."""
+        the whole line, as ``solve`` leaves it.  A chosen single with no
+        forward partner is walked in place, inside the enclosing walk; only
+        the other windows are swept afresh (see the module docstring)."""
         S, left, right, next_start = self.s_buf, self.s.left, self.s.right, self.s.next_start
+        ptr = self.s.ptr
         chosen: list[int] = []
         windows: list[tuple[int, int]] = []
         lo, hi = 0, 2 * self.n + 1
@@ -249,6 +277,9 @@ class _Engine:
                 c, d = left[i], right[i]
                 chosen.append(i)
                 if j < 0:
+                    if ptr[i] == ptr[i + 1]:
+                        r += 1
+                        continue
                     windows.append((c, d))
                     r = next_start[d + 1]
                 else:

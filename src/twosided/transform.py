@@ -33,11 +33,13 @@ from dataclasses import dataclass
 
 from .model import IntervalSet, LayoutInstance, SizeGuardError
 
-# A whole k=1 `twosided solve` peaks at about 190 B per crossing chord pair
-# (VmHWM 85 MiB at P = 372,636 and 147 MiB at P = 727,981, 16 MiB for a
-# 20-edge graph; `generate_random_biconnected(1000, 1500)` and (1400, 2100),
-# seed 1, Python 3.11), so this limit keeps a solve under about 530 MiB.
-MAX_OVERLAP_PAIRS = 2_800_000
+# A whole k=1 `twosided solve` peaks at about 170 B per crossing chord pair
+# above 17 MiB (VmHWM 78 MiB at P = 372,636, 135 MiB at P = 727,981 and
+# 212 MiB at P = 1,213,144, 17 MiB at P = 438;
+# `generate_random_biconnected(n, m, seed=1)` for (1000, 1500), (1400, 2100),
+# (1800, 2700) and (20, 52), Python 3.11), so this limit keeps a solve
+# under about 520 MiB.
+MAX_OVERLAP_PAIRS = 3_100_000
 
 
 class ProjectionSizeError(SizeGuardError, ValueError):
@@ -118,8 +120,9 @@ def project_to_intervals(
     # vertex, decreasing forward distance of the other endpoint makes chords
     # sharing it nest.  Each endpoint sorts on the int (pos, n - distance,
     # eid) in mixed radix (n, n, m): the distance from a to b is f, from b
-    # to a it is n - f.  Slots come out ascending, so each edge's first slot
-    # is its left end.
+    # to a it is n - f.  Slots come out ascending from 1, so each edge's
+    # first slot, its left end, goes to ``first`` while that still reads 0,
+    # and its second to ``second``.
     m = len(edges)
     keys = []
     for eid, (a, b) in enumerate(edges):
@@ -128,10 +131,14 @@ def project_to_intervals(
         keys.append((pa * n + n - f) * m + eid)
         keys.append((pb * n + f) * m + eid)
     keys.sort()
-    slots: list[list[int]] = [[] for _ in edges]
+    first, second = [0] * m, [0] * m
     for slot, key in enumerate(keys, 1):
-        slots[key % m].append(slot)
-    s = IntervalSet.build(slots, instance.crossings_per_edge, mode.value)
+        eid = key % m
+        if first[eid]:
+            second[eid] = slot
+        else:
+            first[eid] = slot
+    s = IntervalSet.build(list(zip(first, second)), instance.crossings_per_edge, mode.value)
     _check_alternation(instance, s, crossing)
     _SCANS[instance] = s
     return ProjectionResult(s)
@@ -147,7 +154,10 @@ def _check_alternation(instance: LayoutInstance, s: IntervalSet, crossing: int) 
     the layout's cached :attr:`~twosided.model.LayoutInstance.crossings_per_edge`,
     one pass shared with the weights and the one-sided crossing count."""
     pos = instance.positions
-    ends = [sorted((pos[u], pos[v])) for u, v in instance.edges]
+    ends = []
+    for u, v in instance.edges:
+        a, b = pos[u], pos[v]
+        ends.append((a, b) if a < b else (b, a))
     for i, (a, b) in enumerate(ends):
         for j in s.forward(i):
             c, d = ends[j]

@@ -7,8 +7,10 @@ and a Fenwick-tree count (``crossings_per_chord``).  Every solver's optimum
 is held to the brute-force oracle's.
 """
 
+from itertools import accumulate
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twosided.model import (
@@ -135,6 +137,9 @@ def test_projection_pairs_are_the_crossing_chords(inst, mode):
 
 @PROPERTY
 @given(span_lists())
+@example([])
+@example([(1, 10), (2, 9), (3, 8), (4, 7), (5, 6)])  # nested: P = 0
+@example([(1, 2), (3, 6), (4, 5), (7, 8)])  # disjoint and nested: P = 0
 def test_overlap_scan_matches_pairwise_classification(spans):
     s = IntervalSet.build(spans, range(len(spans)), pair_weights=1)
     ivs = s.intervals
@@ -154,6 +159,13 @@ def test_overlap_scan_matches_pairwise_classification(spans):
         min((s.rank[i] for i in range(n) if ivs[i].left >= x), default=n)
         for x in range(2 * n + 2)
     )
+    assert s.run_end == tuple(sum(1 for j in range(n) if ivs[j].left < ivs[i].right) for i in range(n))
+    forward = [
+        [j for j in range(n) if kind.get((i, j)) == OVERLAP and ivs[i].left < ivs[j].left]
+        for i in range(n)
+    ]
+    assert s.ptr == tuple(accumulate(map(len, forward), initial=0))
+    assert s.partner == tuple(j for row in forward for j in row)
     assert s.pair_weights == 1
     assert overlap_pairs_within(range(n), s) == {(i, j) for (i, j), k in kind.items() if i < j and k == OVERLAP}
     for i in range(n):

@@ -419,6 +419,98 @@ def test_fill_matches_the_fresh_sweep_reference():
             assert (eng.val, eng.live, eng.s_buf) == (ref.val, ref.live, ref.s_buf), (case, k)
 
 
+def reference_backtrack(eng):
+    """Recovery with one fresh sweep per window along the optimal
+    decomposition, which the in-place walk of partnerless singles
+    replaced.  Kept as the reference ``_backtrack`` is held to; expects
+    ``s_buf`` to hold the sweep of the whole line."""
+    s = eng.s
+    S, left, right, next_start = eng.s_buf, s.left, s.right, s.next_start
+    chosen, windows = [], []
+    lo, hi = 0, 2 * len(s) + 1
+    while True:
+        r, top = next_start[lo + 1], next_start[hi]
+        while r < top:
+            if S[r] == S[r + 1]:
+                r += 1
+                continue
+            i, j = eng._option_at(r, hi)
+            c, d = left[i], right[i]
+            chosen.append(i)
+            if j < 0:
+                windows.append((c, d))
+                r = next_start[d + 1]
+            else:
+                e, f = left[j], right[j]
+                chosen.append(j)
+                windows += [(c, e), (e, d), (d, f)]
+                r = next_start[f + 1]
+        if not windows:
+            return chosen
+        lo, hi = windows.pop()
+        eng.sweep(lo, hi)
+
+
+def nested_spans(m):
+    return [(i, 2 * m + 1 - i) for i in range(1, m + 1)]
+
+
+def chain_spans(m):
+    """m >= 2 intervals, each overlapping only the one before and the one
+    after it: (1, 3), (2, 5), (4, 7), ..., (2m - 2, 2m)."""
+    return [(1, 3)] + [(2 * i, 2 * i + 3) for i in range(1, m - 1)] + [(2 * m - 2, 2 * m)]
+
+
+def test_recovery_matches_the_fresh_sweep_reference():
+    """Recovery that walks partnerless singles in place finds the same
+    optimum and the same chosen set as ``reference_backtrack``, which
+    sweeps every chosen window afresh: on random sets with per-pair
+    weights, on projected layouts in both weight modes, and on nested,
+    chain and nested-beside-chain families with random weights, at k = 0
+    and k = 1."""
+    from twosided.bench import generate_random_biconnected
+    from twosided.transform import EdgeWeightMode, project_to_intervals
+
+    rng = random.Random(19000)
+    sets = [random_interval_set(rng.randint(1, 30), rng) for _ in range(400)]
+    for n in range(8, 61, 4):
+        instance = generate_random_biconnected(n, round(2.6 * n), seed=n)
+        sets += [project_to_intervals(instance, mode).interval_set for mode in EdgeWeightMode]
+    for m in (2, 3, 7, 40):
+        both = nested_spans(m) + [(a + 2 * m, b + 2 * m) for a, b in chain_spans(m)]
+        for spans in (nested_spans(m), chain_spans(m), both):
+            for pair_weight in (0, 1, 2):
+                weights = [rng.randint(0, 5) for _ in spans]
+                sets.append(make_set(spans, weights, pair_weight))
+    in_place = 0
+    for case, s in enumerate(sets):
+        for k in (0, 1):
+            best, chosen = _Engine(s, k).solve()
+            ref = _Engine(s, k)
+            want = ref.sweep(0, 2 * len(s) + 1, ref.fill_tables()), reference_backtrack(ref)
+            assert len(set(chosen)) == len(chosen), (case, k)
+            assert (best, sorted(chosen)) == (want[0], sorted(want[1])), (case, k)
+            in_place += any(s.ptr[i] == s.ptr[i + 1] for i in chosen)
+    assert in_place > 500
+
+
+def test_recovery_on_nested_intervals_sweeps_nothing_afresh(monkeypatch):
+    """On m pairwise nested intervals every chosen single has no forward
+    partner, so recovery walks each window inside the whole line's walk:
+    the solve runs no fresh sweep at k = 0 and k = 1, and its sweeps step
+    over at most m ranks.  Recovery with a fresh sweep per chosen window
+    stepped over m(m - 1)/2 ranks."""
+    m = 600
+    s = make_set(nested_spans(m), [1] * m, 1)
+    counts = count_sweeps(monkeypatch)
+    for k in (0, 1):
+        counts.update(fresh=0, steps=0)
+        best, chosen = _Engine(s, k).solve()
+        assert (best, sorted(chosen)) == (m, list(range(m))), k
+        assert counts["fresh"] == 0, k
+        assert counts["steps"] <= m, (k, counts["steps"])
+
+
 def test_live_rows_are_the_undominated_options():
     """After the fill, ``live[i]`` is strictly ascending in end and value,
     each entry is the end and value of an option of row i, and every option
