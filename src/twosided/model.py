@@ -285,6 +285,14 @@ def crossings_per_chord(instance: LayoutInstance, edge_ids: Iterable[int]) -> li
 # ---------------------------------------------------------------------------
 
 
+def _check_weight(w: object, what: str) -> None:
+    """Refuse a weight that is not a non-negative int: the solvers sum exactly."""
+    if not isinstance(w, int):
+        raise ValueError(f"{what} must be ints, got {w!r}")
+    if w < 0:
+        raise ValueError(f"{what} must be non-negative")
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed interval with integer endpoints; represents one chord."""
@@ -296,8 +304,7 @@ class Interval:
     def __post_init__(self) -> None:
         if self.left >= self.right:
             raise ValueError(f"interval needs left < right, got [{self.left},{self.right}]")
-        if self.weight < 0:
-            raise ValueError("interval weights must be non-negative")
+        _check_weight(self.weight, "interval weights")
 
     @property
     def length(self) -> int:
@@ -337,14 +344,13 @@ class IntervalSet:
     constructor, ``repr`` and identity equality ignore them): per id
     ``left``, ``right`` and ``weight``; per position 0..2n+1 ``start_at`` and
     ``end_at``, the id starting or ending there or -1, and ``next_start``,
-    the rank of the first interval starting at or after there, or n if none
-    does; ``by_left``, the ids in left-endpoint order, and ``rank``, each
-    id's place in it.  The ids starting inside (left_i, right_i) are the
-    run ``by_left[rank[i] + 1 : run_end[i]]``.  Those ending after right_i
-    are i's forward partners, kept as compressed rows
-    ``partner[ptr[i]:ptr[i + 1]]`` ascending by id; the rest are nested in
-    i.  Every overlapping pair appears once, under its member with the
-    smaller left endpoint.
+    the rank (place in ``by_left``, the ids in left-endpoint order) of the
+    first interval starting at or after there, or n if none does.  The ids
+    starting inside (left_i, right_i) are the run ``by_left[next_start[left_i
+    + 1] : next_start[right_i]]``.  Those ending after right_i are i's
+    forward partners, kept as compressed rows ``partner[ptr[i]:ptr[i + 1]]``
+    ascending by id; the rest are nested in i.  Every overlapping pair
+    appears once, under its member with the smaller left endpoint.
     """
 
     intervals: tuple[Interval, ...]
@@ -352,9 +358,8 @@ class IntervalSet:
 
     def __post_init__(self) -> None:
         self._scan()
-        if isinstance(self.pair_weights, int):
-            if self.pair_weights < 0:
-                raise ValueError("pair weights must be non-negative")
+        if not isinstance(self.pair_weights, Mapping):
+            _check_weight(self.pair_weights, "pair weights")
             return
         expected = overlap_pairs_within(range(len(self)), self)
         got = set(self.pair_weights)
@@ -363,8 +368,8 @@ class IntervalSet:
                 f"pair_weights must cover exactly the overlapping pairs; "
                 f"missing={sorted(expected - got)} spurious={sorted(got - expected)}"
             )
-        if any(w < 0 for w in self.pair_weights.values()):
-            raise ValueError("pair weights must be non-negative")
+        for w in self.pair_weights.values():
+            _check_weight(w, "pair weights")
 
     def _scan(self) -> None:
         """Fill the tables: O(n log n + P) for the P overlapping pairs, plus
@@ -386,7 +391,7 @@ class IntervalSet:
         for i in range(n):
             start_at[left[i]] = i
             end_at[right[i]] = i
-        by_left, rank, run_end = [], [0] * n, [0] * n
+        by_left = []
         next_start = [0] * (2 * n + 2)
         next_start[-1] = n
         rows: list[list[int]] = [[] for _ in range(n)]
@@ -397,7 +402,6 @@ class IntervalSet:
             next_start[x] = len(by_left)
             i = start_at[x]
             if i >= 0:
-                rank[i] = len(by_left)
                 by_left.append(i)
                 at = bisect_left(ends, -right[i])
                 for a in open_ids[at:]:
@@ -405,7 +409,6 @@ class IntervalSet:
                 ends.insert(at, -right[i])
                 open_ids.insert(at, i)
             else:
-                run_end[end_at[x]] = len(by_left)
                 ends.pop()
                 open_ids.pop()
         for row in rows:
@@ -414,8 +417,8 @@ class IntervalSet:
         self.__dict__.update(
             left=left, right=right, weight=tuple(iv.weight for iv in self.intervals),
             start_at=tuple(start_at), end_at=tuple(end_at), by_left=tuple(by_left),
-            rank=tuple(rank), run_end=tuple(run_end), next_start=tuple(next_start),
-            ptr=(0, *accumulate(map(len, rows))), partner=tuple(chain.from_iterable(rows)),
+            next_start=tuple(next_start), ptr=(0, *accumulate(map(len, rows))),
+            partner=tuple(chain.from_iterable(rows)),
         )
 
     @classmethod
@@ -430,7 +433,7 @@ class IntervalSet:
         naming the same pair raise ValueError."""
         ws = list(weights) if weights is not None else [0] * len(spans)
         ivs = tuple(Interval(l, r, w) for (l, r), w in zip(spans, ws))
-        if not isinstance(pair_weights, int):
+        if isinstance(pair_weights, Mapping):
             keyed = {canonical_edge(*k): v for k, v in pair_weights.items()}
             if len(keyed) != len(pair_weights):
                 raise ValueError("pair_weights names a pair twice")
@@ -441,8 +444,7 @@ class IntervalSet:
         """This set with every overlapping pair weighing the int ``w``: the
         set itself if that is its weight, else a copy that shares every
         table (and any cached property) instead of scanning again."""
-        if w < 0:
-            raise ValueError("pair weights must be non-negative")
+        _check_weight(w, "pair weights")
         if self.pair_weights == w:
             return self
         copy = object.__new__(IntervalSet)
@@ -479,8 +481,8 @@ class IntervalSet:
 
     def nested(self, i: int) -> list[int]:
         """Ids strictly nested in interval i, in left-endpoint order."""
-        r, right = self.right[i], self.right
-        return [j for j in self.by_left[self.rank[i] + 1 : self.run_end[i]] if right[j] < r]
+        r, right, ns = self.right[i], self.right, self.next_start
+        return [j for j in self.by_left[ns[self.left[i] + 1] : ns[r]] if right[j] < r]
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:

@@ -7,6 +7,7 @@ through the sweep: one state per interval.  A state is undecided (the
 interval has not been looked at), unlimited (the interval was rejected), or a
 committed interval's residual budget, a pair (left, right) in {0..k} that
 records how many further overlaps each side of the interval may still accept.
+Callers' states are read through ``_state`` alone; a solve never sees them.
 
 Committing an undecided interval I fixes its whole neighborhood at once: a
 subset J of its overlapping neighbors (at most k of them, and necessarily
@@ -139,6 +140,27 @@ __all__ = [
 UNDECIDED = None  # the undecided capacity (no decision made about the interval)
 UNLIMITED = math.inf  # the unlimited capacity (interval rejected); tested with ``is``
 
+
+def _state(st: object) -> object:
+    """A caller's capacity state in the solver's encoding: UNDECIDED and
+    UNLIMITED as they are, another value equal to UNLIMITED as UNLIMITED, a
+    budget as the pair of ints it is.  Anything else raises ValueError."""
+    if st is UNDECIDED or st is UNLIMITED:
+        return st
+    if st == UNLIMITED:
+        return UNLIMITED
+    if type(st) is tuple and len(st) == 2 and all(isinstance(b, int) for b in st):
+        return st
+    raise ValueError(f"a committed state is a pair of ints, got {st!r}")
+
+
+def _check_k(k: object) -> None:
+    if not isinstance(k, int):
+        raise ValueError(f"k must be an int, got {k!r}")
+    if k < 0:
+        raise ValueError("k must be non-negative")
+
+
 # Largest number of memoized values one solve may store.  Near the limit a
 # solve stores a state every 19-25 us and holds 280-380 bytes per state,
 # so it fails after 4-5 s and 55-75 MB (4.4-5.1 s and 87 MiB peak RSS at
@@ -181,23 +203,16 @@ class CapacityVector:
         return hash(frozenset(self.states.items()))
 
     def state_of(self, interval: Interval | int):
-        """State for one interval: UNDECIDED, UNLIMITED, or (left, right)."""
-        return self.states.get(self.s.id_of(interval))
+        """One interval's state as ``_state`` reads it: UNDECIDED, UNLIMITED or a pair."""
+        return _state(self.states.get(self.s.id_of(interval)))
 
     def replace(self, interval: Interval | int, state) -> "CapacityVector":
-        """A copy with one interval's state set; a state equal to UNLIMITED
-        is stored as UNLIMITED itself."""
-        states = dict(self.states)
-        i = self.s.id_of(interval)
-        if state is UNDECIDED:
-            states.pop(i, None)
-        elif state == UNLIMITED:
-            states[i] = UNLIMITED
-        else:
-            left, right = state
-            if not (isinstance(left, int) and isinstance(right, int)):
-                raise ValueError(f"a budget is a pair of ints, got {state!r}")
-            states[i] = (left, right)
+        """A copy with one interval's state set as ``_state`` reads it (a
+        state that it refuses raises ValueError)."""
+        i, state = self.s.id_of(interval), _state(state)
+        states = {x: st for x, st in self.states.items() if x != i}
+        if state is not UNDECIDED:
+            states[i] = state
         return CapacityVector(self.s, MappingProxyType(states))
 
 
@@ -244,8 +259,7 @@ class GeneralSolver:
     """
 
     def __init__(self, s: IntervalSet, k: int):
-        if k < 0:
-            raise ValueError("k must be non-negative")
+        _check_k(k)
         self.s = s
         self.k = k
         self.n = len(s)
@@ -478,19 +492,16 @@ class GeneralSolver:
     # -- public entry points ------------------------------------------------
 
     def dms(self, interval: Interval | int, lam: Mapping[int, object]) -> int:
-        """dms^k of one interval under basic capacities ``lam`` (the
-        ``CapacityVector.states`` encoding, read on the interval's
-        overlapping neighbors only): its weight plus the best selection
-        among its nested set.  Every neighbor must be decided, as committing
-        the interval decides them; the memo relies on it.  A state equal to
-        UNLIMITED is read as UNLIMITED itself, as ``CapacityVector.replace``
-        stores it.  An undecided neighbor or an interval not in the set
+        """dms^k of one interval under basic capacities ``lam``, read through
+        ``_state`` on its overlapping neighbors only: its weight plus the
+        best selection among its nested set.  Every neighbor must be
+        decided, as committing the interval decides them; the memo relies on
+        it.  An undecided neighbor, a refused state or an id not in the set
         raises ValueError."""
         i = self.s.id_of(interval)
-        nb = self.s.neighbors[i]
-        if any(lam.get(m) is UNDECIDED for m in nb):
+        basic = {m: _state(lam.get(m)) for m in self.s.neighbors[i]}
+        if UNDECIDED in basic.values():
             raise ValueError("the capacity vector leaves a neighbor of the interval undecided")
-        basic = {m: UNLIMITED if lam[m] == UNLIMITED else lam[m] for m in nb}
         return self.s.weight[i] + self._window_value(self._window(i), basic)
 
     def solve(self) -> Solution:
@@ -539,43 +550,29 @@ def _check_set(lam: CapacityVector, s: IntervalSet) -> None:
 
 
 def is_valid_for(lam: CapacityVector, interval: Interval | int, s: IntervalSet, k: int) -> bool:
-    """A vector is valid for an interval when the interval carries a numeric
-    budget and every overlapping neighbor is decided, as committing the
-    interval decides them: rejected, or committed with a budget in {0..k} on
-    both sides, a pair of ints as ``CapacityVector.replace`` stores it, at
-    most k of them committed.  The interval's own budget is never read
+    """A vector is valid for an interval when the interval is committed and
+    every overlapping neighbor is decided, as committing the interval
+    decides them: rejected, or committed with a budget in {0..k} on both
+    sides, at most k of them committed.  A state that ``_state`` refuses
+    makes the vector invalid.  The interval's own budget is never read
     (``dms`` starts from its neighbors' states only)."""
     _check_set(lam, s)
     i = s.id_of(interval)
-    get = lam.states.get
-    committed = [st for st in map(get, s.neighbors[i]) if st is not UNLIMITED]
-    if get(i) in (UNDECIDED, UNLIMITED) or len(committed) > k:
+    try:
+        own, *states = map(_state, map(lam.states.get, (i, *s.neighbors[i])))
+    except ValueError:
         return False
-    return all(_is_budget(st) and all(0 <= b <= k for b in st) for st in committed)
-
-
-def _is_budget(st: object) -> bool:
-    """A committed state as ``CapacityVector.replace`` stores it: a pair of
-    ints."""
-    return type(st) is tuple and len(st) == 2 and all(isinstance(b, int) for b in st)
+    committed = [st for st in states if st is not UNLIMITED]
+    if own is UNDECIDED or own is UNLIMITED or UNDECIDED in committed or len(committed) > k:
+        return False
+    return all(0 <= b <= k for st in committed for b in st)
 
 
 def _decided(lam: CapacityVector, s: IntervalSet) -> dict:
-    """The decided states of ``lam`` in the solver's encoding: a state
-    equal to UNLIMITED is UNLIMITED itself, as ``CapacityVector.replace``
-    stores it, and any other must be a budget, as ``is_valid_for``
-    requires; another raises ValueError."""
+    """The decided states of ``lam``, each read through ``_state``."""
     _check_set(lam, s)
-    states = {}
-    for x, st in lam.states.items():
-        if st is UNDECIDED:
-            continue
-        if st == UNLIMITED:
-            st = UNLIMITED
-        elif not _is_budget(st):
-            raise ValueError(f"a committed state is a pair of ints, got {st!r}")
-        states[x] = st
-    return states
+    states = ((x, _state(st)) for x, st in lam.states.items())
+    return {x: st for x, st in states if st is not UNDECIDED}
 
 
 def _selected(states: Mapping[int, object]) -> list[int]:
@@ -655,8 +652,7 @@ def solve_k(s: IntervalSet, k: int, force_general: bool = False) -> Solution:
     general path is asymptotically and practically slower there); k <= 1
     goes there before the degree is read, so it never builds neighbors.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    _check_k(k)
     if k <= 1 and not force_general:
         return solve_k1(s) if k else solve_k0(s)
     cap = min(k, s.max_degree)

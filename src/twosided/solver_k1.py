@@ -341,7 +341,8 @@ def _window_value(eng: _Engine, table: Dms1Table, lo: int, hi: int) -> int:
     exactly the entries that sweep reads -- every interval inside the window
     and every forward pair inside it -- and raises ValueError when ``table``
     lacks one of them.  A row whose interval leaves the window gets an empty
-    list, so no row keeps what an earlier call loaded.
+    list, so no row keeps what an earlier call loaded.  Partners are read
+    off the set, so a k = 0 engine serves.
     """
     by_left, next_start, right = eng.s.by_left, eng.s.next_start, eng.s.right
     for a in by_left[next_start[lo + 1] : next_start[hi]]:
@@ -351,7 +352,7 @@ def _window_value(eng: _Engine, table: Dms1Table, lo: int, hi: int) -> int:
         if a not in table.single:
             raise ValueError(f"table lacks the dms1 value of interval {a}")
         row.append((right[a], table.single[a]))
-        for b in sorted(eng.mate[eng.optr[a] + 1 : eng.optr[a + 1]], key=right.__getitem__):
+        for b in sorted(eng.s.forward(a), key=right.__getitem__):
             if right[b] >= hi:
                 break
             if (a, b) not in table.pair:
@@ -369,7 +370,7 @@ def dms1_single(interval: Interval | int, s: IntervalSet, table: Dms1Table) -> i
     in the window; a missing one raises ValueError.
     """
     i = s.id_of(interval)
-    return _window_value(_Engine(s, 1), table, s.left[i], s.right[i]) + s.weight[i]
+    return _window_value(_Engine(s, 0), table, s.left[i], s.right[i]) + s.weight[i]
 
 
 def dms1_pair(
@@ -386,7 +387,7 @@ def dms1_pair(
     j = s.id_of(j_interval)
     if j not in s.forward(i):
         raise ValueError("second interval must overlap the first on its right side")
-    eng = _Engine(s, 1)
+    eng = _Engine(s, 0)
     c, d, e, f = s.left[i], s.right[i], s.left[j], s.right[j]
     regions = (
         _window_value(eng, table, c, e)

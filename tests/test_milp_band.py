@@ -49,6 +49,7 @@ def optimum_milp(s: IntervalSet, k: int) -> int:
         (12, 30, 424242, EdgeWeightMode.IGNORE_SHIFTED, 2, 79),
         (12, 30, 424242, EdgeWeightMode.IGNORE_SHIFTED, 3, 81),
         (14, 34, 7, EdgeWeightMode.COUNT_SHIFTED, 2, 119),
+        (16, 40, 424242, EdgeWeightMode.IGNORE_SHIFTED, 2, 125),
     ],
 )
 def test_general_k_matches_the_milp_optimum(n, m, seed, mode, k, optimum):

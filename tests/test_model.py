@@ -200,6 +200,21 @@ def test_interval_set_validates_endpoints_and_pairs():
     ):
         with pytest.raises(ValueError, match="pair weights must be non-negative"):
             IntervalSet.build(spans, None, pair_weights)
+    # Weights are ints: with floats the solvers' exact recovery checks fail
+    # on rounding, and a float pair weight was taken for a mapping.
+    with pytest.raises(ValueError, match="interval weights must be ints"):
+        Interval(1, 2, 1.0)
+    for spans, pair_weights in (
+        ([(1, 2), (3, 4)], 0.5),
+        ([(1, 3), (2, 4)], 2.0),
+        ([(1, 3), (2, 4)], {(0, 1): 1.5}),
+    ):
+        with pytest.raises(ValueError, match="pair weights must be ints"):
+            IntervalSet.build(spans, None, pair_weights)
+        with pytest.raises(ValueError, match="pair weights must be ints"):
+            IntervalSet(tuple(Interval(l, r) for l, r in spans), pair_weights)
+    with pytest.raises(ValueError, match="interval weights must be ints"):
+        IntervalSet.build([(1, 3), (2, 4)], [1, 0.5], 1)
 
 
 def test_interval_set_build_rejects_a_pair_named_twice():

@@ -154,12 +154,13 @@ def test_overlap_scan_matches_pairwise_classification(spans):
     assert s.start_at == tuple(starts.get(x, -1) for x in range(2 * n + 2))
     assert s.end_at == tuple(ends.get(x, -1) for x in range(2 * n + 2))
     assert s.by_left == tuple(sorted(range(n), key=lambda i: ivs[i].left))
-    assert all(s.by_left[s.rank[i]] == i for i in range(n))
-    assert s.next_start == tuple(
-        min((s.rank[i] for i in range(n) if ivs[i].left >= x), default=n)
-        for x in range(2 * n + 2)
+    assert all(s.by_left[s.next_start[ivs[i].left]] == i for i in range(n))
+    assert s.next_start == tuple(sum(1 for iv in ivs if iv.left < x) for x in range(2 * n + 2))
+    assert all(
+        set(s.by_left[s.next_start[iv.left + 1] : s.next_start[iv.right]])
+        == {j for j in range(n) if iv.left < ivs[j].left < iv.right}
+        for iv in ivs
     )
-    assert s.run_end == tuple(sum(1 for j in range(n) if ivs[j].left < ivs[i].right) for i in range(n))
     forward = [
         [j for j in range(n) if kind.get((i, j)) == OVERLAP and ivs[i].left < ivs[j].left]
         for i in range(n)

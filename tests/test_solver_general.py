@@ -15,6 +15,7 @@ from twosided import solver_general
 from twosided.bench import generate_random_biconnected, random_interval_set
 from twosided.model import LayoutInstance, overlap_pairs_within, solution_weight
 from twosided.oracle import brute_force_k_overlap
+from twosided.pipeline import solve_layout
 from twosided.solver_general import (
     UNDECIDED,
     UNLIMITED,
@@ -182,7 +183,8 @@ def test_dms_k_rejects_a_committed_state_that_is_not_a_pair_of_ints():
     stores it.  With both neighbors of interval 0 at one of these states,
     a list died unhashable in the memo key, a triple in an unpack inside
     the solver, a string in ``is_valid_for`` itself, and a float was
-    solved."""
+    solved; ``GeneralSolver.dms`` still did all but the last, and solved
+    the float.  ``replace`` stored a list as a tuple."""
     s = make_set([(1, 6), (2, 4), (3, 8), (5, 7)], [3] * 4, 1)
     assert s.neighbors[0] == (2, 3)
     for bad in ([1, 1], (1, 1, 1), (1.5, 1), "ab"):
@@ -190,6 +192,13 @@ def test_dms_k_rejects_a_committed_state_that_is_not_a_pair_of_ints():
         assert not is_valid_for(lam, 0, s, 2), bad
         with pytest.raises(ValueError, match="not valid"):
             dms_k(0, lam, s, 2)
+        # ``GeneralSolver.dms`` holds its caller to the same rule.
+        for states in (lam.states, {2: bad, 3: UNLIMITED}):
+            with pytest.raises(ValueError, match="pair of ints"):
+                GeneralSolver(s, 2).dms(0, states)
+    # ``replace`` stores no state that the readers would refuse.
+    with pytest.raises(ValueError, match="pair of ints"):
+        CapacityVector.initial(s).replace(2, [1, 1])
     good = CapacityVector(s, MappingProxyType({0: (1, 1), 2: (1, 1), 3: (1, 1)}))
     assert is_valid_for(good, 0, s, 2)
     assert dms_k(0, good, s, 2) == GeneralSolver(s, 2).dms(0, good.states)
@@ -599,6 +608,13 @@ def test_solve_k_empty_and_bad_k():
     assert solve_k(make_set([]), 3).weight == 0
     with pytest.raises(ValueError):
         solve_k(make_set([]), -1)
+    # A k that is not an int is refused, not read as the next int down.
+    s = make_set([(1, 3), (2, 4)], [1, 1], 0)
+    for bad in (0.5, 2.5, "2"):
+        with pytest.raises(ValueError, match="k must be an int"):
+            solve_k(s, bad)
+        with pytest.raises(ValueError, match="k must be an int"):
+            GeneralSolver(s, bad)
 
 
 def test_recovery_mismatch_raises(monkeypatch):
@@ -796,12 +812,23 @@ def test_dms_reads_float_infinity_as_unlimited():
     """``GeneralSolver.dms`` reads a neighbor state equal to UNLIMITED as a
     rejection, as ``CapacityVector.replace`` stores it: intervals 6 and 8
     of this set, with every neighbor at ``float("inf")``, died in
-    ``_successors`` unpacking the float as a budget."""
+    ``_successors`` unpacking the float as a budget.  ``is_valid_for`` read
+    the same vector as not valid, so ``dms_k`` raised where ``dms`` gave a
+    value."""
     s = random_interval_set(9, random.Random(10_000))
     for i in (6, 8):
         inf = {m: float("inf") for m in s.neighbors[i]}
         marker = {m: UNLIMITED for m in s.neighbors[i]}
         assert GeneralSolver(s, 2).dms(i, inf) == GeneralSolver(s, 2).dms(i, marker)
+        # A vector built with the float directly, not through ``replace``,
+        # is valid too, and ``dms_k`` reads it as ``dms`` does.
+        vec_inf = CapacityVector(s, MappingProxyType({i: (2, 2), **inf}))
+        vec_marker = CapacityVector(s, MappingProxyType({i: (2, 2), **marker}))
+        assert is_valid_for(vec_inf, i, s, 2)
+        assert dms_k(i, vec_inf, s, 2) == dms_k(i, vec_marker, s, 2)
+    s = make_set([(1, 6), (2, 4), (3, 8), (5, 7)], [3] * 4, 1)
+    inf = CapacityVector(s, MappingProxyType({0: (2, 2), 2: float("inf"), 3: float("inf")}))
+    assert dms_k(0, inf, s, 2) == dms_k(0, inf.replace(2, UNLIMITED).replace(3, UNLIMITED), s, 2) == 6
 
 
 def _per_set_successors(solver, lam, j, caps):
@@ -1241,6 +1268,27 @@ def _nested_and_chain(m):
     spans = [(i, 2 * m + 1 - i) for i in range(1, m + 1)]
     spans += [(2 * m + 1, 2 * m + 3), (2 * m + 2, 2 * m + 5), (2 * m + 4, 2 * m + 6)]
     return make_set(spans, [1] * len(spans), 1)
+
+
+def test_long_window_families_meet_their_closed_forms():
+    """The layout families of the long-window CI steps, at small sizes,
+    against their closed-form optima.  A cycle on n vertices plus the chords
+    (i, i+2) for i = 1..n-2 has n - 3 crossings, each between consecutive
+    chords; routing every second chord outside removes all of them, and W
+    never exceeds the one-sided count, so W = n - 3 at every k and in both
+    modes.  The chords (i, i+2) for odd i cross nothing, so W = 0.  Nested
+    + 3-chain gives m + 2 (see ``_nested_and_chain``)."""
+    for n in (5, 6, 7, 10, 31, 60):
+        cycle = [(i, i % n + 1) for i in range(1, n + 1)]
+        chain = LayoutInstance.build(range(1, n + 1), cycle + [(i, i + 2) for i in range(1, n - 1)])
+        for k in range(4):
+            for mode in EdgeWeightMode:
+                r = solve_layout(chain, k, mode, force_general=k >= 2)
+                assert r.solution.weight == r.crossings_one_sided == n - 3, (n, k, mode)
+        free = LayoutInstance.build(range(1, n + 1), cycle + [(i, i + 2) for i in range(1, n - 1, 2)])
+        assert solve_layout(free, 2).solution.weight == 0, n
+    for m in (0, 1, 5, 50, 300):
+        assert GeneralSolver(_nested_and_chain(m), 2).solve().weight == m + 2, m
 
 
 def test_nested_windows_store_each_suffix_once():

@@ -165,6 +165,8 @@ def test_with_pair_weight_shares_the_tables_and_refuses_a_negative_weight():
     assert t.partner is s.partner and t.intervals is s.intervals
     with pytest.raises(ValueError, match="non-negative"):
         s.with_pair_weight(-1)
+    with pytest.raises(ValueError, match="pair weights must be ints"):
+        s.with_pair_weight(1.0)
 
 
 def test_the_kept_scan_does_not_keep_its_layout_alive():
