@@ -53,12 +53,11 @@ def reduce_mds_to_bdmwis(g: IntervalSet) -> ReducedInstance:
     weights and zero pair weights.
     """
     n = len(g)
-    degrees = [len(nb) for nb in g.neighbors]
-    k = max(degrees, default=0)
+    k = g.max_degree
     leaves: list[range] = []
     for i in range(n):
         first = leaves[-1].stop if leaves else n
-        leaves.append(range(first, first + k + 1 - degrees[i]))
+        leaves.append(range(first, first + k + 1 - g.degree[i]))
     leaf_parent = {u: i for i, ids in enumerate(leaves) for u in ids}
 
     # One walk over the original endpoints 1..2n: the left ends of i's leaves
@@ -67,11 +66,10 @@ def reduce_mds_to_bdmwis(g: IntervalSet) -> ReducedInstance:
     spans = [[0, 0] for _ in range(n + len(leaf_parent))]
     rank = count(1)
     for p in range(1, 2 * n + 1):
-        i = g.end_at[p]
-        if i >= 0:
+        i = g.id_at[p]
+        if g.left[i] != p:
             spans[i][1] = next(rank)
             continue
-        i = g.start_at[p]
         for u in reversed(leaves[i]):
             spans[u][0] = next(rank)
         spans[i][0] = next(rank)

@@ -7,14 +7,14 @@ the vertices in place but routes a subset of the edges outside the circle.
 
 This module holds the vocabulary shared by everything else in the package:
 
-* :class:`LayoutInstance`      -- input graph plus cyclic vertex order
+* :class:`LayoutInstance`      -- input graph, cyclic vertex order, chord spans
 * :class:`TwoSidedAssignment`  -- partition of the edges into interior chords
   and exterior curves
 * :class:`Interval` / :class:`IntervalSet` -- the normalized interval view of
   the layout's circle graph (one node per edge, a link per crossing pair)
-  that the dynamic programs run on; the set scans its endpoints once on
-  construction and keeps the per-id and per-position tables, the
-  left-endpoint order and the overlap relation that every consumer reads
+  that the dynamic programs run on; the set scans and checks its endpoints
+  once on construction and keeps the per-id and per-position tables, the
+  left-endpoint order, the overlap relation and degrees every consumer reads
 * :class:`Solution`            -- a selected subset and its objective value
 * :class:`SizeGuardError`      -- the base of the errors that refuse an input
   too large to solve in bounded memory or time
@@ -112,6 +112,13 @@ class LayoutInstance:
     def positions(self) -> dict[int, int]:
         """Rank of each vertex in the cyclic order (0-based)."""
         return {v: i for i, v in enumerate(self.order)}
+
+    @cached_property
+    def spans(self) -> tuple[tuple[int, int], ...]:
+        """Each edge's chord as its ends' order positions (a, b), a < b."""
+        pos = self.positions
+        ends = ((pos[u], pos[v]) for u, v in self.edges)
+        return tuple((a, b) if a < b else (b, a) for a, b in ends)
 
     @cached_property
     def crossings_per_edge(self) -> tuple[int, ...]:
@@ -236,19 +243,12 @@ def crossings_per_chord(instance: LayoutInstance, edge_ids: Iterable[int]) -> li
     the left ends of the hi_below[b] spans ending before the current group,
     which is counted before it is added.  O((n + m) log n) for m given edges.
     """
-    pos, n, edges = instance.positions, instance.n_vertices, instance.edges
-    lo, hi = [], []
-    for e in edge_ids:
-        u, v = edges[e]
-        a, b = pos[u], pos[v]
-        if a > b:
-            a, b = b, a
-        lo.append(a)
-        hi.append(b)
+    spans, n = instance.spans, instance.n_vertices
+    chords = [spans[e] for e in edge_ids]
     ending_at: list[list[int]] = [[] for _ in range(n)]
     ends_from: list[list[int]] = [[] for _ in range(n)]
     lo_below, hi_below = [0] * (n + 1), [0] * (n + 1)
-    for t, (a, b) in enumerate(zip(lo, hi)):
+    for t, (a, b) in enumerate(chords):
         ending_at[b].append(t)
         ends_from[a].append(b)
         lo_below[a + 1] += 1
@@ -257,13 +257,13 @@ def crossings_per_chord(instance: LayoutInstance, edge_ids: Iterable[int]) -> li
     for group in ends_from:
         group.sort()
     tree = [0] * (n + 1)
-    out = [0] * len(lo)
+    out = [0] * len(chords)
     for b, group in enumerate(ending_at):
         if not group:
             continue
-        starts = sorted(lo[t] for t in group)
+        starts = sorted(chords[t][0] for t in group)
         for t in group:
-            a = lo[t]
+            a = chords[t][0]
             nested, x = hi_below[b], a + 1
             while x > 0:
                 nested -= tree[x]
@@ -283,6 +283,14 @@ def crossings_per_chord(instance: LayoutInstance, edge_ids: Iterable[int]) -> li
 # ---------------------------------------------------------------------------
 # Intervals
 # ---------------------------------------------------------------------------
+
+
+def _check_k(k: object) -> None:
+    """Refuse an overlap bound that is not a non-negative int."""
+    if not isinstance(k, int):
+        raise ValueError(f"k must be an int, got {k!r}")
+    if k < 0:
+        raise ValueError("k must be non-negative")
 
 
 def _check_weight(w: object, what: str) -> None:
@@ -342,15 +350,17 @@ class IntervalSet:
     Construction scans the endpoints once, left to right, and keeps the
     tables every consumer reads, as plain attributes rather than fields (the
     constructor, ``repr`` and identity equality ignore them): per id
-    ``left``, ``right`` and ``weight``; per position 0..2n+1 ``start_at`` and
-    ``end_at``, the id starting or ending there or -1, and ``next_start``,
-    the rank (place in ``by_left``, the ids in left-endpoint order) of the
-    first interval starting at or after there, or n if none does.  The ids
-    starting inside (left_i, right_i) are the run ``by_left[next_start[left_i
-    + 1] : next_start[right_i]]``.  Those ending after right_i are i's
-    forward partners, kept as compressed rows ``partner[ptr[i]:ptr[i + 1]]``
+    ``left``, ``right`` and ``weight``; per position 0..2n+1 ``id_at``, the
+    id with an endpoint there or -1 (at 0 and 2n + 1), which starts there
+    iff ``left[id_at[x]] == x``, and ``next_start``, the rank (place in
+    ``by_left``, the ids in left-endpoint order) of the first interval
+    starting at or after there, or n if none does.  The ids starting inside
+    (left_i, right_i) are the run ``by_left[next_start[left_i + 1] :
+    next_start[right_i]]``.  Those ending after right_i are i's forward
+    partners, kept as compressed rows ``partner[ptr[i]:ptr[i + 1]]``
     ascending by id; the rest are nested in i.  Every overlapping pair
-    appears once, under its member with the smaller left endpoint.
+    appears once, under its member with the smaller left endpoint, and
+    ``degree`` counts each id's pairs off the rows on first read.
     """
 
     intervals: tuple[Interval, ...]
@@ -375,22 +385,22 @@ class IntervalSet:
         """Fill the tables: O(n log n + P) for the P overlapping pairs, plus
         the sorts of the forward rows.
 
-        One walk over the positions keeps the open intervals by descending
-        right end, so the interval ending at a position is the last one.  A
-        start j joins the rows of the open intervals that end before
-        right_j, which are exactly those j crosses from the right, and is
-        inserted in front of them, so an insertion moves only the intervals
-        it crosses.  Each row is then sorted by id.
+        Placing the endpoints in ``id_at`` checks them: 2n distinct ints in
+        1..2n are exactly {1..2n}.  One walk over the positions keeps the
+        open intervals by descending right end, so the interval ending at a
+        position is the last one.  A start j joins the rows of the open
+        intervals that end before right_j, which are exactly those j crosses
+        from the right, and is inserted in front of them, so an insertion
+        moves only the intervals it crosses.  Each row is then sorted by id.
         """
         n = len(self.intervals)
         left = tuple(iv.left for iv in self.intervals)
         right = tuple(iv.right for iv in self.intervals)
-        if sorted(left + right) != list(range(1, 2 * n + 1)):
-            raise ValueError("endpoints must be exactly {1..2n} with no repeats")
-        start_at, end_at = [-1] * (2 * n + 2), [-1] * (2 * n + 2)
-        for i in range(n):
-            start_at[left[i]] = i
-            end_at[right[i]] = i
+        id_at = [-1] * (2 * n + 2)
+        for i, x in chain(enumerate(left), enumerate(right)):
+            if not isinstance(x, int) or not 0 < x <= 2 * n or id_at[x] >= 0:
+                raise ValueError("endpoints must be exactly {1..2n} with no repeats")
+            id_at[x] = i
         by_left = []
         next_start = [0] * (2 * n + 2)
         next_start[-1] = n
@@ -400,8 +410,8 @@ class IntervalSet:
         ends, open_ids = [], []
         for x in range(1, 2 * n + 1):
             next_start[x] = len(by_left)
-            i = start_at[x]
-            if i >= 0:
+            i = id_at[x]
+            if left[i] == x:
                 by_left.append(i)
                 at = bisect_left(ends, -right[i])
                 for a in open_ids[at:]:
@@ -416,7 +426,7 @@ class IntervalSet:
                 row.sort()
         self.__dict__.update(
             left=left, right=right, weight=tuple(iv.weight for iv in self.intervals),
-            start_at=tuple(start_at), end_at=tuple(end_at), by_left=tuple(by_left),
+            id_at=tuple(id_at), by_left=tuple(by_left),
             next_start=tuple(next_start), ptr=(0, *accumulate(map(len, rows))),
             partner=tuple(chain.from_iterable(rows)),
         )
@@ -470,8 +480,8 @@ class IntervalSet:
                 raise ValueError(f"interval id {interval} is not in the set")
             return interval
         l = interval.left
-        i = self.start_at[l] if 0 < l < len(self.start_at) else -1
-        if i < 0 or self.right[i] != interval.right:
+        i = self.id_at[l] if isinstance(l, int) and 0 < l < len(self.id_at) else -1
+        if i < 0 or self.left[i] != l or self.right[i] != interval.right:
             raise ValueError(f"interval [{interval.left},{interval.right}] is not in the set")
         return i
 
@@ -494,8 +504,16 @@ class IntervalSet:
         return tuple(tuple(sorted(x)) for x in nbr)
 
     @cached_property
+    def degree(self) -> tuple[int, ...]:
+        """Overlap degree per id: its forward row's length plus the rows listing it."""
+        degree = [b - a for a, b in zip(self.ptr, self.ptr[1:])]
+        for j in self.partner:
+            degree[j] += 1
+        return tuple(degree)
+
+    @cached_property
     def max_degree(self) -> int:
-        return max(map(len, self.neighbors), default=0)
+        return max(self.degree, default=0)
 
     @cached_property
     def total_length(self) -> int:

@@ -18,6 +18,7 @@ from .model import (
     Solution,
     TwoSidedAssignment,
     _alternate,
+    _check_k,
 )
 from .transform import EdgeWeightMode
 
@@ -35,8 +36,7 @@ def brute_force_k_overlap(s: IntervalSet, k: int) -> Solution:
 
     Ties are broken toward the lexicographically smallest sorted id tuple.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    _check_k(k)
     n = len(s)
     if n > MAX_ORACLE_INTERVALS:
         raise OracleSizeError(f"{n} intervals exceed the oracle guard of {MAX_ORACLE_INTERVALS}")
@@ -68,8 +68,7 @@ def brute_force_two_sided(
     IGNORE_SHIFTED.  Returns (assignment, interior crossings, total
     crossings); ties go to the lexicographically smallest exterior id set.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    _check_k(k)
     m = instance.n_edges
     if m > MAX_ORACLE_EDGES:
         raise OracleSizeError(f"{m} edges exceed the oracle guard of {MAX_ORACLE_EDGES}")

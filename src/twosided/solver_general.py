@@ -121,7 +121,7 @@ from itertools import combinations, product
 from types import MappingProxyType
 from typing import Generator, Iterator, Mapping
 
-from .model import Interval, IntervalSet, SizeGuardError, Solution, solution_weight
+from .model import Interval, IntervalSet, SizeGuardError, Solution, _check_k, solution_weight
 from .solver_k1 import solve_k0, solve_k1
 
 __all__ = [
@@ -152,13 +152,6 @@ def _state(st: object) -> object:
     if type(st) is tuple and len(st) == 2 and all(isinstance(b, int) for b in st):
         return st
     raise ValueError(f"a committed state is a pair of ints, got {st!r}")
-
-
-def _check_k(k: object) -> None:
-    if not isinstance(k, int):
-        raise ValueError(f"k must be an int, got {k!r}")
-    if k < 0:
-        raise ValueError("k must be non-negative")
 
 
 # Largest number of memoized values one solve may store.  Near the limit a
@@ -644,17 +637,16 @@ def dms_k(interval: Interval | int, lam: CapacityVector, s: IntervalSet, k: int)
 def solve_k(s: IntervalSet, k: int, force_general: bool = False) -> Solution:
     """Exact max-weight k-overlap set.
 
-    Runs at min(k, max overlap degree): a budget above the degree never
-    binds, and capping it keeps every chosen set legal and every tie won by
-    the same first split, so the solution is the same and any k above the
-    degree costs what the degree costs.  A capped budget of at most 1 goes
-    to the specialized k<=1 solver unless ``force_general`` is set (the
-    general path is asymptotically and practically slower there); k <= 1
-    goes there before the degree is read, so it never builds neighbors.
+    Runs at min(k, max overlap degree), read off ``s.degree`` with no
+    neighbor rows built: a budget above the degree never binds, and capping
+    it keeps every chosen set legal and every tie won by the same first
+    split, so the solution is the same and any k above the degree costs
+    what the degree costs.  A capped budget of at most 1 goes to the
+    specialized k<=1 solver unless ``force_general`` is set (the general
+    path is asymptotically and practically slower there); the k=0 program
+    is the k=1 one with every pair row empty.
     """
     _check_k(k)
-    if k <= 1 and not force_general:
-        return solve_k1(s) if k else solve_k0(s)
     cap = min(k, s.max_degree)
     if cap <= 1 and not force_general:
         return replace(solve_k1(s) if cap else solve_k0(s), k=k)

@@ -211,18 +211,18 @@ class _Engine:
         A sweep at p reads only final options, all ending at or before p; a
         pair's ``val`` holds a partial sum until its f, before it can join.
         """
-        start_at, end_at, left, right = self.s.start_at, self.s.end_at, self.s.left, self.s.right
+        id_at, left, right = self.s.id_at, self.s.left, self.s.right
         next_start = self.s.next_start
         optr, mate, back, live = self.optr, self.mate, self.back, self.live
         s_buf, val, sweep = self.s_buf, self.val, self.sweep
         # p2 walks the positions; pending gathers the pairs whose partner
         # starts after p, the right end of q, and a right end or 2n + 1 at
-        # p2 moves the bound on from p to p2.  Pairs gathered before the
-        # first right end keep a left region of 0.
+        # p2 moves the bound on from p to p2 (``id_at`` holds -1 at 2n + 1).
+        # Pairs gathered before the first right end keep a left region of 0.
         q, pending, cov = -1, [], 0
-        for p2 in range(1, len(start_at)):
-            j = start_at[p2]
-            if j >= 0:
+        for p2 in range(1, len(id_at)):
+            j = id_at[p2]
+            if j >= 0 and left[j] == p2:
                 pending += back[j]
                 continue
             if q >= 0:
@@ -247,7 +247,7 @@ class _Engine:
                         cov = next_start[lo + 1]
                     for o, a in pending:
                         val[o] += s_buf[next_start[left[a] + 1]]
-            q, pending = end_at[p2], []
+            q, pending = j, []
         return cov
 
     def solve(self) -> tuple[int, list[int]]:

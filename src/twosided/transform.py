@@ -112,24 +112,21 @@ def project_to_intervals(
         raise ProjectionSizeError(
             f"{crossing} crossing chord pairs exceed the limit of {MAX_OVERLAP_PAIRS}"
         )
-    pos = instance.positions
-    n = instance.n_vertices
-    edges = instance.edges
+    n, m = instance.n_vertices, instance.n_edges
 
     # One slot per edge endpoint, walking the circle in order direction; at a
     # vertex, decreasing forward distance of the other endpoint makes chords
     # sharing it nest.  Each endpoint sorts on the int (pos, n - distance,
-    # eid) in mixed radix (n, n, m): the distance from a to b is f, from b
-    # to a it is n - f.  Slots come out ascending from 1, so each edge's
-    # first slot, its left end, goes to ``first`` while that still reads 0,
-    # and its second to ``second``.
-    m = len(edges)
+    # eid) in mixed radix (n, n, m): for the span (a, b), a < b, the
+    # distance from a to b is f = b - a, from b to a it is n - f.  Slots
+    # come out ascending from 1, so each edge's first slot, its left end,
+    # goes to ``first`` while that still reads 0, and its second to
+    # ``second``.
     keys = []
-    for eid, (a, b) in enumerate(edges):
-        pa, pb = pos[a], pos[b]
-        f = (pb - pa) % n
-        keys.append((pa * n + n - f) * m + eid)
-        keys.append((pb * n + f) * m + eid)
+    for eid, (a, b) in enumerate(instance.spans):
+        f = b - a
+        keys.append((a * n + n - f) * m + eid)
+        keys.append((b * n + f) * m + eid)
     keys.sort()
     first, second = [0] * m, [0] * m
     for slot, key in enumerate(keys, 1):
@@ -146,18 +143,14 @@ def project_to_intervals(
 
 def _check_alternation(instance: LayoutInstance, s: IntervalSet, crossing: int) -> None:
     """Raise unless the overlapping pairs are exactly the crossing chords:
-    every overlapping pair alternates as chords (the first pair that does
-    not, by owner and then row order of the forward rows, is named),
-    ``crossing``, the Fenwick count of crossing chord pairs, is P, and each
-    edge's count is its overlap degree (the first edge that differs is
-    named).  The counts are
-    the layout's cached :attr:`~twosided.model.LayoutInstance.crossings_per_edge`,
-    one pass shared with the weights and the one-sided crossing count."""
-    pos = instance.positions
-    ends = []
-    for u, v in instance.edges:
-        a, b = pos[u], pos[v]
-        ends.append((a, b) if a < b else (b, a))
+    every overlapping pair alternates as the layout's chord ``spans`` (the
+    first pair that does not, by owner and then row order of the forward
+    rows, is named), ``crossing``, the Fenwick count of crossing chord
+    pairs, is P, and each edge's count is its overlap ``degree`` in the set
+    (the first edge that differs is named).  The counts are the layout's
+    cached :attr:`~twosided.model.LayoutInstance.crossings_per_edge`, one
+    pass shared with the weights and the one-sided crossing count."""
+    ends = instance.spans
     for i, (a, b) in enumerate(ends):
         for j in s.forward(i):
             c, d = ends[j]
@@ -166,10 +159,6 @@ def _check_alternation(instance: LayoutInstance, s: IntervalSet, crossing: int) 
                 raise AssertionError(f"projection broke the intersection graph at edges {x},{y}")
     if crossing != len(s.partner):
         raise AssertionError(f"{len(s.partner)} overlapping pairs for {crossing} crossing chord pairs")
-    # Overlap degree: the forward row's length plus the rows listing the id.
-    degree = [b - a for a, b in zip(s.ptr, s.ptr[1:])]
-    for j in s.partner:
-        degree[j] += 1
-    for e, (c, d) in enumerate(zip(instance.crossings_per_edge, degree)):
+    for e, (c, d) in enumerate(zip(instance.crossings_per_edge, s.degree)):
         if c != d:
             raise AssertionError(f"edge {e} crosses {c} chords but overlaps {d} intervals")

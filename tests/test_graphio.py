@@ -51,6 +51,10 @@ def test_format_graph_round_trips_any_layout(inst):
         "2 1\n1 2\norder: 1 3\n",
         "2 1\n1 2\ntrailing junk\n",
         "1000000000 0\n",
+        "x 1\n",
+        "-1 0\n",
+        "2 1\n1 2 3\n",
+        "2 1\n1 2\norder: 1 x\n",
     ],
 )
 def test_parse_graph_rejects(text):

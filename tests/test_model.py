@@ -192,6 +192,11 @@ def test_interval_set_validates_endpoints_and_pairs():
         IntervalSet((Interval(1, 3), Interval(2, 4)), {})  # missing pair entry
     with pytest.raises(ValueError):
         IntervalSet((Interval(1, 2), Interval(3, 4)), {(0, 1): 1})  # spurious pair
+    # Endpoints are ints: a float one is refused as a bad endpoint, not
+    # used as a table index.
+    for ivs in ((Interval(1.0, 2.0),), (Interval(1, 2), Interval(3, 3.5))):
+        with pytest.raises(ValueError, match="endpoints must be exactly"):
+            IntervalSet(ivs, 0)
     # A negative uniform pair weight is rejected even when no pair overlaps.
     for spans, pair_weights in (
         ([(1, 2), (3, 4)], -1),

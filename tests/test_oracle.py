@@ -41,6 +41,11 @@ def test_negative_k_is_rejected():
     c4 = LayoutInstance.build(range(1, 5), [(1, 2), (2, 3), (3, 4), (1, 4)])
     with pytest.raises(ValueError, match="k must be non-negative"):
         brute_force_two_sided(c4, -1, EdgeWeightMode.IGNORE_SHIFTED)
+    # A k that is not an int is refused as solve_k refuses it.
+    with pytest.raises(ValueError, match="k must be an int, got 0.5"):
+        brute_force_k_overlap(make_set([(1, 3), (2, 4), (5, 6)], [1, 1, 1]), 0.5)
+    with pytest.raises(ValueError, match="k must be an int, got 0.5"):
+        brute_force_two_sided(c4, 0.5, EdgeWeightMode.IGNORE_SHIFTED)
 
 
 def test_two_sided_planar_instance_keeps_everything_inside():

@@ -150,9 +150,7 @@ def test_overlap_scan_matches_pairwise_classification(spans):
     assert s.weight == tuple(iv.weight for iv in ivs)
     starts = {iv.left: i for i, iv in enumerate(ivs)}
     ends = {iv.right: i for i, iv in enumerate(ivs)}
-    assert len(s.start_at) == len(s.end_at) == 2 * n + 2
-    assert s.start_at == tuple(starts.get(x, -1) for x in range(2 * n + 2))
-    assert s.end_at == tuple(ends.get(x, -1) for x in range(2 * n + 2))
+    assert s.id_at == tuple(starts.get(x, ends.get(x, -1)) for x in range(2 * n + 2))
     assert s.by_left == tuple(sorted(range(n), key=lambda i: ivs[i].left))
     assert all(s.by_left[s.next_start[ivs[i].left]] == i for i in range(n))
     assert s.next_start == tuple(sum(1 for iv in ivs if iv.left < x) for x in range(2 * n + 2))
@@ -171,6 +169,7 @@ def test_overlap_scan_matches_pairwise_classification(spans):
     assert overlap_pairs_within(range(n), s) == {(i, j) for (i, j), k in kind.items() if i < j and k == OVERLAP}
     for i in range(n):
         assert s.neighbors[i] == tuple(j for j in range(n) if kind.get((i, j)) == OVERLAP)
+        assert s.degree[i] == sum(kind.get((i, j)) == OVERLAP for j in range(n))
         assert s.forward(i) == tuple(
             j for j in s.neighbors[i] if ivs[i].left < ivs[j].left
         )
@@ -230,6 +229,7 @@ def test_id_of_rejects_an_unknown_interval():
         Interval(6, 7),  # left end at 2n, the set's right end
         Interval(2, 5),  # left end of interval 1, right end of interval 2
         Interval(7, 9),  # left end above 2n
+        Interval(2.0, 6.0),  # float ends equal to interval 1's: not an index
     ]
     for iv in unknown:
         with pytest.raises(ValueError, match="not in the set"):

@@ -40,6 +40,11 @@ def test_initial_vector_shape():
     lam = CapacityVector.initial(s)
     assert all(lam.state_of(iv) is UNDECIDED for iv in s.intervals)
     assert all(lam.state_of(i) is UNDECIDED for i in range(len(s)))
+    # Equal states give equal, equally hashed vectors, whatever order the
+    # replace calls set them in.
+    a = lam.replace(0, (1, 0)).replace(1, UNLIMITED)
+    b = lam.replace(1, UNLIMITED).replace(0, (1, 0))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
 
 
 def test_is_valid_for():

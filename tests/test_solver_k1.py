@@ -223,14 +223,24 @@ def count_sweeps(monkeypatch):
     return counts
 
 
+def endpoint_tables(s):
+    """Per position 0..2n+1, the id starting there and the id ending there,
+    or -1, built from ``s.left`` and ``s.right`` alone."""
+    start_at, end_at = [-1] * (2 * len(s) + 2), [-1] * (2 * len(s) + 2)
+    for i, (l, r) in enumerate(zip(s.left, s.right)):
+        start_at[l] = end_at[r] = i
+    return start_at, end_at
+
+
 def continuations(s, log):
     """The logged fill sweeps that continue left of the start of q, the
     interval whose right end the sweep's bound moved on from: the sweeps
     that serve the left regions of pairs whose partner starts before the
     bound."""
+    _, end_at = endpoint_tables(s)
     out = 0
     for lo, hi, _ in log:
-        q = s.end_at[max(x for x in range(hi) if s.end_at[x] >= 0)]
+        q = end_at[max(x for x in range(hi) if end_at[x] >= 0)]
         out += lo < s.left[q]
     return out
 
@@ -286,13 +296,14 @@ def test_fill_sweeps_once_per_right_end(monkeypatch):
 
     instance = generate_random_biconnected(120, 312, seed=424242)
     s = project_to_intervals(instance, EdgeWeightMode.IGNORE_SHIFTED).interval_set
+    start_at, end_at = endpoint_tables(s)
     positions = 0
     for hi in range(1, 2 * len(s) + 1):
-        i = s.end_at[hi]
+        i = end_at[hi]
         if i >= 0:
             positions += hi - s.left[i] - 1
         else:
-            owners = [a for a in range(len(s)) if s.start_at[hi] in s.forward(a)]
+            owners = [a for a in range(len(s)) if start_at[hi] in s.forward(a)]
             if owners:
                 positions += hi - min(s.left[a] for a in owners) - 1
     counts = count_sweeps(monkeypatch)
@@ -363,7 +374,7 @@ def reference_fill(eng):
     replaced: it sweeps every start inside (l_q, p2) again at each right
     end.  Kept as the reference the resumed fill is held to."""
     s = eng.s
-    start_at, end_at, left, right = s.start_at, s.end_at, s.left, s.right
+    (start_at, end_at), left, right = endpoint_tables(s), s.left, s.right
     next_start = s.next_start
     optr, mate, back, live = eng.optr, eng.mate, eng.back, eng.live
     s_buf, val, sweep = eng.s_buf, eng.val, eng.sweep
