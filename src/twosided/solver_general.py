@@ -29,16 +29,6 @@ weights of the fresh joiners and subtracts the charged pairs: every
 overlapping pair that becomes fully selected at the step, charged exactly
 once, at the moment its later member joins.
 
-One pass per commit, not per J, gathers these terms.  I's own stabs and
-charges on its committed neighbors are applied once; if one overdraws a
-budget, no step is legal, since every step includes I.  Each fresh neighbor
-x gets its terms once: its weight less its pair weights with I and its
-committed neighbors, its count of those neighbors, its stabs and its fresh
-neighbors.  Legality is monotone in J: adding a joiner only raises counts
-and stabs.  So an x that is illegal beside I alone is in no legal J and is
-dropped, and each J of the kept neighbors only adds its joiner pairs and
-sums its stabs.
-
 Values dms^k(I, lambda) -- the best completion of I's window under basic
 capacities lambda -- are computed member by member in left-endpoint order.
 The memo rests on one fact.  When the evaluation reaches member idx of a
@@ -75,6 +65,26 @@ records, one for every suffix it walks, so the recorded suffixes of a
 window are its shortest ones: its pass bisects for the longest, reads the
 frontier's counts off that record's clamps and walks only the members
 before it, and nested windows, opened innermost first, walk each member once.
+
+R undecided and F decided also fix the shape of j's steps: whatever the
+state, j's fresh neighbors are those in R and its decided ones those in F.
+So each handle also keeps one step plan, built on its first evaluation:
+the fresh neighbors; the decided ones, with the side j stabs and the pair
+weight; and for each fresh x, x's weight less its pair with j, its fresh
+neighbors and its decided ones, which lie in F since x is in R.  Only F's
+states differ between the states that reach the handle, and a step reads
+no other state.  j's own stabs and charges on its committed neighbors are
+applied first; if one overdraws a budget or more than k neighbors are
+committed, no step is legal, since every step includes j, and the reject
+is the value.  With no fresh neighbor, or k committed ones, the one step
+is j beside its committed neighbors.  Otherwise each fresh x is settled
+once under the state: its gain less its pairs with the committed
+intervals, its count of j and those neighbors, and its stabs.  Legality is
+monotone in J: adding a joiner only raises counts and stabs.  So an x that
+is illegal beside j alone is in no legal J and is dropped, and each J of
+the kept neighbors only adds its joiner pairs and sums its stabs.
+``legal_successors`` builds a plan off the caller's vector, where every
+undecided neighbor is fresh.
 
 The solver lists only the budget splits that can matter.  Inside the DP
 every fresh joiner x of a step at member j crosses j from the right,
@@ -155,15 +165,16 @@ def _state(st: object) -> object:
 
 
 # Largest number of memoized values one solve may store.  Near the limit a
-# solve stores a state every 19-25 us and holds 280-380 bytes per state,
-# so it fails after 4-5 s and 55-75 MB (4.4-5.1 s and 87 MiB peak RSS at
-# k=2 on generate_random_biconnected(40, 104, seed=11)).  A solve that ends
-# just under the limit takes about as long: (14, 34, seed=7) at k=3 stores
-# 192,380 states in 3.7 s.  Beside the memo a solve holds one state, one
-# record per suffix of remaining members and one stack entry per member of
-# its deepest window: the chain (2i, 2i + 3) of 29,998 intervals, one
-# window, peaks at 71 MiB.  The bytes carry over to other machines; the
-# seconds were measured on one 2-core Xeon VM (CPython 3.11) only and scale
+# solve stores a state every 23-26 us of CPU time and holds 280-380 bytes
+# per state, so it fails after about 5 s and 55-75 MB (4.6-5.2 s and
+# 89 MiB peak RSS at k=2 on generate_random_biconnected(40, 104,
+# seed=11)).  A solve that ends just under the limit takes about as long:
+# (14, 34, seed=7) at k=3 stores 192,380 states in 3.2-4.5 s.  Beside the
+# memo a solve holds one state, one record and one step plan per suffix of
+# remaining members and one stack entry per member of its deepest window:
+# the chain (2i, 2i + 3) of 29,998 intervals, one window, peaks at 79 MiB.
+# The bytes carry over to other machines; the seconds are pure-Python CPU
+# times measured on one shared 2-core Xeon VM (CPython 3.11) only and scale
 # with its speed, since the limit counts states, not time.
 MAX_MEMO_STATES = 200_000
 
@@ -264,6 +275,8 @@ class GeneralSolver:
         self.clamps: dict[tuple[int, int], _Clamp] = {}
         # owner -> left count of each frontier position, see _window.
         self.left_caps: dict[int, dict[int, int]] = {}
+        # suffix handle -> step plan of its first member, see _plan.
+        self.plans: dict[tuple[int, int], tuple] = {}
 
     # -- state helpers ------------------------------------------------------
 
@@ -313,13 +326,74 @@ class GeneralSolver:
         windows[owner] = top = handle(0)
         return top
 
+    def _plan(self, lam: Mapping[int, object], j: int) -> tuple:
+        """The step plan of the undecided interval ``j``, its neighbors
+        classified off ``lam``, the undecided ones as fresh: (j's window
+        handle, ``left_caps[j]``, j and its fresh neighbors, j's decided
+        neighbors, the fresh neighbors' terms).  A decided neighbor m is
+        (m, whether j stabs m's right side, pw(j, m)).  A fresh x is (x,
+        its weight less pw(j, x), its fresh neighbors y, each with pw(x, y)
+        if x < y and 0 otherwise, so that two joiners are charged once, and
+        its decided neighbors, as j's are).  Reads each neighbor row once."""
+        s = self.s
+        nb, left, weight, pw = s.neighbors, s.left, s.weight, s.pair_weight
+        fresh, decided = [], []
+        for m in nb[j]:
+            if lam.get(m) is None:
+                fresh.append(m)
+            else:
+                decided.append((m, left[j] > left[m], pw(j, m)))
+        joiners, joinable = [], set(fresh)
+        for x in fresh:
+            near, stabbed = [], []
+            for m in nb[x]:
+                if m in joinable:
+                    near.append((m, pw(x, m) if x < m else 0))
+                elif lam.get(m) is not None:
+                    stabbed.append((m, left[x] > left[m], pw(x, m)))
+            joiners.append((x, weight[x] - pw(j, x), tuple(near), tuple(stabbed)))
+        return self._window(j), self.left_caps[j], (j, *fresh), tuple(decided), tuple(joiners)
+
+    def _own_step(self, plan: tuple, lam: dict) -> tuple | None:
+        """What every step of ``plan`` does under ``lam`` before any fresh
+        neighbor joins: j stabs each committed neighbor and is charged its
+        pair.  Returns (the delta, the room left for fresh joiners, the
+        writes, the undo record), or None when no step is legal: more than
+        k neighbors are committed, or j's stab overdraws one."""
+        _, _, undecided, decided, _ = plan
+        delta, room, forced = 0, self.k, {}
+        for m, right_side, w in decided:
+            st = lam[m]
+            if st is UNLIMITED:
+                continue
+            ml, mr = st
+            if right_side:
+                mr -= 1
+            else:
+                ml -= 1
+            if ml < 0 or mr < 0:
+                return None
+            forced[m] = (ml, mr)
+            delta -= w
+            room -= 1
+        if room < 0:
+            return None
+        undo = dict.fromkeys(undecided)
+        writes = dict.fromkeys(undecided, UNLIMITED)
+        writes[undecided[0]] = (0, 0)
+        for m in forced:
+            undo[m] = lam[m]
+        writes.update(forced)
+        return delta, room, writes, undo
+
     def _successors(
-        self, lam: dict, j: int, caps: Mapping[int, int]
+        self, lam: dict, j: int, caps: Mapping[int, int], plan: tuple | None = None
     ) -> Iterator[tuple[int, tuple[int, ...]]]:
         """All legal ways of committing the undecided interval ``j`` under
         ``lam``, a fresh joiner x taking a left share of at most
         ``caps.get(x, 0)``: the solver passes ``left_caps[j]``, and a cap of
-        k lists every split.
+        k lists every split.  ``plan`` is j's step plan, classified off
+        ``lam`` when not given.
 
         Each step is written into ``lam`` while it is yielded, as (weight
         delta, fresh joiner ids), and undone before the next chosen set;
@@ -329,98 +403,81 @@ class GeneralSolver:
         window value adds j's own) and subtracts the weight of every pair
         that becomes fully selected.
         """
-        s, k = self.s, self.k
-        nb, left, weight, pw = s.neighbors, s.left, s.weight, s.pair_weight
-        # What every step writes: j committed, each fresh neighbor rejected
-        # (a joiner's share overwrites it), each forced one stabbed by j.
-        # ``undo`` restores every state any step may write.
-        base = {j: (0, 0)}
-        forced: list[int] = []
-        fresh: list[int] = []
-        for m in nb[j]:
-            st = lam.get(m)
-            if st is None:
-                fresh.append(m)
-                base[m] = UNLIMITED
-            elif st is not UNLIMITED:
-                forced.append(m)
-        if len(forced) > k:
+        if plan is None:
+            plan = self._plan(lam, j)
+        own = self._own_step(plan, lam)
+        if own is None:
             return
-        undo = dict.fromkeys(base)
-        delta0 = 0
-        for m in forced:
-            st = undo[m] = lam[m]
-            ml, mr = st
-            if left[j] < left[m]:
-                ml -= 1
-            else:
-                mr -= 1
-            if ml < 0 or mr < 0:
-                return
-            base[m] = (ml, mr)
-            delta0 -= pw(j, m)
-        # Each fresh x's own terms, from one pass over its neighbors: its
-        # weight less its pairs with j and the committed intervals, its count
-        # of j and committed neighbors, its stabs and its fresh neighbors.
-        # Adding a joiner only raises counts and stabs, so an x that is
-        # illegal beside j alone joins no legal step and is dropped.
-        terms = {}
-        for x in fresh:
-            gain = weight[x] - pw(j, x)
-            used = 1
-            stabs = []
-            near = []
-            legal = True
-            for m in nb[x]:
-                st = lam.get(m)
-                if st is None:
-                    if m != j and m in base:  # a fresh neighbor of j
-                        near.append(m)
-                elif st is not UNLIMITED:
-                    used += 1
-                    gain -= pw(x, m)
-                    undo.setdefault(m, st)
-                    ml, mr = st = base.get(m, st)
-                    side = left[x] >= left[m]  # True: x stabs m's right side
-                    stabs.append((m, side, st))
-                    if side:
-                        mr -= 1
-                    else:
-                        ml -= 1
-                    legal = legal and ml >= 0 and mr >= 0
-            if legal and used <= k:
-                terms[x] = (gain, used, stabs, near)
+        delta0, room, writes, undo = own
         # The empty chosen set first: j joins beside its forced neighbors.
-        lam.update(base)
+        lam.update(writes)
         yield delta0, ()
         lam.update(undo)
-        # Each larger set adds only its joiner pairs and sums its stabs.  One
-        # kept joiner alone is legal, so only sets of two or more are checked.
+        if not room:
+            return
+        # Each fresh x's terms under ``lam``: its gain less its pairs with
+        # the committed intervals, its count of j and committed neighbors,
+        # and its stabs.  Adding a joiner only raises counts and stabs, so
+        # an x that is illegal beside j alone joins no legal step and is
+        # dropped.
+        k = self.k
+        terms = {}
+        for x, gain, near, stabbed in plan[4]:
+            used = 1
+            stabs = []
+            alone = {}
+            legal = True
+            for m, right_side, w in stabbed:
+                st = lam[m]
+                if st is UNLIMITED:
+                    continue
+                used += 1
+                gain -= w
+                undo.setdefault(m, st)
+                ml, mr = st = writes.get(m, st)
+                stabs.append((m, right_side, st))
+                if right_side:
+                    mr -= 1
+                else:
+                    ml -= 1
+                alone[m] = (ml, mr)
+                legal = legal and ml >= 0 and mr >= 0
+            if legal and used <= k:
+                terms[x] = (gain, used, stabs, near, caps.get(x, 0), alone)
+        # A kept joiner alone is legal: its step adds its own stabs.
         kept = list(terms)
-        for size in range(1, min(k - len(forced), len(kept)) + 1):
+        for x in kept:
+            gain, used, _, _, cap, alone = terms[x]
+            b = k - used
+            lam.update(writes)
+            lam.update(alone)
+            for a in range(min(b, cap) + 1):
+                lam[x] = (a, b - a)
+                yield delta0 + gain, (x,)
+            lam.update(undo)
+        # A larger set adds its joiner pairs and sums its stabs, and is
+        # checked.
+        for size in range(2, min(room, len(kept)) + 1):
             for extra in combinations(kept, size):
                 delta = delta0
                 budgets = []
                 shares = []
                 stabbed: dict = {}
                 for x in extra:
-                    gain, used, stabs, near = terms[x]
+                    gain, used, stabs, near, cap, _ = terms[x]
                     delta += gain
-                    for y in near:
+                    for y, w in near:
                         if y in extra:
                             used += 1
-                            if x < y:
-                                delta -= pw(x, y)
+                            delta -= w
                     budgets.append(k - used)
-                    shares.append(range(min(k - used, caps.get(x, 0)) + 1))
-                    for m, side, st in stabs:
+                    shares.append(range(min(k - used, cap) + 1))
+                    for m, right_side, st in stabs:
                         ml, mr = stabbed.get(m, st)
-                        stabbed[m] = (ml, mr - 1) if side else (ml - 1, mr)
-                if size > 1 and (
-                    min(budgets) < 0 or any(ml < 0 or mr < 0 for ml, mr in stabbed.values())
-                ):
+                        stabbed[m] = (ml, mr - 1) if right_side else (ml - 1, mr)
+                if min(budgets) < 0 or any(ml < 0 or mr < 0 for ml, mr in stabbed.values()):
                     continue
-                lam.update(base)
+                lam.update(writes)
                 lam.update(stabbed)
                 for alphas in product(*shares):
                     for x, b, a in zip(extra, budgets, alphas):
@@ -475,8 +532,21 @@ class GeneralSolver:
         lam[j] = UNLIMITED
         best = yield reject
         lam[j] = UNDECIDED
-        window = self._window(j)
-        for delta, _ in self._successors(lam, j, self.left_caps[j]):
+        plan = self.plans.get(h)
+        if plan is None:
+            plan = self.plans[h] = self._plan(lam, j)
+        own = self._own_step(plan, lam)
+        if own is None:
+            return best
+        window, caps, _, _, joiners = plan
+        delta, room, writes, undo = own
+        if not (room and joiners):
+            # The one step: j beside its forced neighbors.
+            lam.update(writes)
+            v = delta + weight[j] + (yield window) + (yield commit)
+            lam.update(undo)
+            return max(best, v)
+        for delta, _ in self._successors(lam, j, caps, plan):
             v = delta + weight[j] + (yield window) + (yield commit)
             if v > best:
                 best = v
@@ -522,8 +592,9 @@ class GeneralSolver:
                 work.append((reject, best))
                 continue
             lam[j] = UNDECIDED
-            window = self._window(j)
-            for delta, joiners in self._successors(lam, j, self.left_caps[j]):
+            plan = self.plans[h]
+            window, caps, _, _, _ = plan
+            for delta, joiners in self._successors(lam, j, caps, plan):
                 inner, rest = wv(window, lam), wv(commit, lam)
                 if delta + s.weight[j] + inner + rest == best:
                     break  # the step stays written

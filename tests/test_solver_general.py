@@ -573,9 +573,9 @@ def test_solve_k_caps_the_budget_at_the_largest_overlap_degree(monkeypatch):
     yields = 0
     successors = GeneralSolver._successors
 
-    def counted(self, lam, j, caps):
+    def counted(self, lam, j, caps, plan=None):
         nonlocal yields
-        for step in successors(self, lam, j, caps):
+        for step in successors(self, lam, j, caps, plan):
             yields += 1
             yield step
 
@@ -902,9 +902,9 @@ class _SuccessorCalls(GeneralSolver):
         super().__init__(s, k)
         self.calls = []
 
-    def _successors(self, lam, j, caps):
+    def _successors(self, lam, j, caps, plan=None):
         self.calls.append((dict(lam), j))
-        return super()._successors(lam, j, caps)
+        return super()._successors(lam, j, caps, plan)
 
 
 def _steps(successors, lam, stop=None):
@@ -1036,6 +1036,43 @@ def test_memo_key_covers_every_read_and_write():
     assert checked > 2000, checked
 
 
+def _enumerated_value(solver, h, lam):
+    """The value of the frame at (h, lam) with every commit read off
+    ``_successors`` under a plan classified off ``lam``: no member is
+    settled as blocked or single-step before the enumeration."""
+    j, wv = h[0], solver._window_value
+    _, _, reject, commit = solver.suffixes[h]
+    lam[j] = UNLIMITED
+    best = wv(reject, lam)
+    lam[j] = UNDECIDED
+    window = solver._window(j)
+    for delta, _ in solver._successors(lam, j, solver.left_caps[j]):
+        best = max(best, delta + solver.s.weight[j] + wv(window, lam) + wv(commit, lam))
+    return best
+
+
+def test_each_handle_plan_serves_every_state_that_reaches_it():
+    """A handle's step plan is classified off the first state that reaches
+    it and kept.  At every reached (handle, state) that cached plan equals
+    one classified off the state itself, and the two yield the same
+    (delta, chosen, state) sequence.  The frame's value, with blocked and
+    single-step members settled without the enumeration, equals the value
+    with every member's steps enumerated; each kind of member occurs."""
+    kinds = dict.fromkeys(("blocked", "single", "enumerated"), 0)
+    for solver, h, lam in _reached_states():
+        j, state = h[0], dict(lam)
+        value = _run_frame(solver._decide(h, state), lambda g: solver._window_value(g, state))
+        cached, fresh = solver.plans[h], solver._plan(lam, j)
+        assert cached == fresh, h
+        steps = [functools.partial(solver._successors, j=j, caps=cached[1], plan=p) for p in (cached, fresh)]
+        assert _steps(steps[0], lam) == _steps(steps[1], lam), h
+        assert value == _enumerated_value(solver, h, dict(lam)), h
+        own = solver._own_step(cached, lam)
+        kind = "blocked" if own is None else "enumerated" if own[1] and cached[4] else "single"
+        kinds[kind] += 1
+    assert min(kinds.values()) > 1000, kinds
+
+
 def test_dms_k_caller_vectors_match_full_state_memo():
     """dms_k on vectors that decide every neighbor equals the same recursion
     memoized on the whole state, with a fresh solver per call and with one
@@ -1075,6 +1112,22 @@ def test_memo_states_regression():
     assert keyed < 0.7 * 1_838_481, keyed
 
 
+@pytest.mark.parametrize(
+    "n, m, k, states, weight",
+    [(12, 30, 2, 5_070, 79), (12, 30, 3, 40_831, 81), (16, 40, 2, 41_772, 125)],
+)
+def test_memo_state_count_and_weight_are_pinned(n, m, k, states, weight):
+    """The exact memo state count and optimum of the general-k solves that
+    the README and the CI comments quote, IGNORE_SHIFTED: a change to the
+    key, the clamp or the step enumeration that stores one state more or
+    less shows here, not only past the bounds of the tests above."""
+    layout = generate_random_biconnected(n, m, seed=424242)
+    s = project_to_intervals(layout, EdgeWeightMode.IGNORE_SHIFTED).interval_set
+    solver = GeneralSolver(s, k)
+    got = solver.solve().weight
+    assert (len(solver.f_memo), got) == (states, weight)
+
+
 def test_memo_budget_raises(monkeypatch):
     s = random_interval_set(10, random.Random(11))
     full = GeneralSolver(s, 3)
@@ -1105,8 +1158,8 @@ class _Uncapped(GeneralSolver):
     """Reference: every budget split of every fresh joiner (a left-share
     cap of k is no cap)."""
 
-    def _successors(self, lam, j, caps):
-        return super()._successors(lam, j, dict.fromkeys(self.s.neighbors[j], self.k))
+    def _successors(self, lam, j, caps, plan=None):
+        return super()._successors(lam, j, dict.fromkeys(self.s.neighbors[j], self.k), plan)
 
 
 def _decision(solver, h, state):
@@ -1340,9 +1393,9 @@ def test_solver_steps_do_not_grow_with_k(monkeypatch):
     counts = []
     successors = GeneralSolver._successors
 
-    def counted(self, lam, j, caps):
+    def counted(self, lam, j, caps, plan=None):
         counts.append(0)
-        for step in successors(self, lam, j, caps):
+        for step in successors(self, lam, j, caps, plan):
             counts[-1] += 1
             yield step
 
