@@ -73,18 +73,20 @@ the fresh neighbors; the decided ones, with the side j stabs and the pair
 weight; and for each fresh x, x's weight less its pair with j, its fresh
 neighbors and its decided ones, which lie in F since x is in R.  Only F's
 states differ between the states that reach the handle, and a step reads
-no other state.  j's own stabs and charges on its committed neighbors are
-applied first; if one overdraws a budget or more than k neighbors are
-committed, no step is legal, since every step includes j, and the reject
-is the value.  With no fresh neighbor, or k committed ones, the one step
-is j beside its committed neighbors.  Otherwise each fresh x is settled
-once under the state: its gain less its pairs with the committed
-intervals, its count of j and those neighbors, and its stabs.  Legality is
-monotone in J: adding a joiner only raises counts and stabs.  So an x that
-is illegal beside j alone is in no legal J and is dropped, and each J of
-the kept neighbors only adds its joiner pairs and sums its stabs.
-``legal_successors`` builds a plan off the caller's vector, where every
-undecided neighbor is fresh.
+no other state.  ``_successors`` is the one routine that settles steps
+off a plan: ``_decide`` and ``_walk`` pass the handle's, and
+``legal_successors`` one built off the caller's vector, where every
+undecided neighbor is fresh.  j's own stabs and charges on its committed
+neighbors come first; if one overdraws a budget or more than k neighbors
+are committed, no step is legal, since every step includes j, and none is
+yielded.  Otherwise the first step is j beside its committed neighbors,
+the only one when there is no fresh neighbor or k neighbors are
+committed.  Then each fresh x is settled once under the state: its gain
+less its pairs with the committed intervals, its count of j and those
+neighbors, and its stabs.  Legality is monotone in J: adding a joiner only
+raises counts and stabs.  So an x that is illegal beside j alone is in no
+legal J and is dropped, and each J of the kept neighbors only adds its
+joiner pairs and sums its stabs.
 
 The solver lists only the budget splits that can matter.  Inside the DP
 every fresh joiner x of a step at member j crosses j from the right,
@@ -162,6 +164,22 @@ def _state(st: object) -> object:
     if type(st) is tuple and len(st) == 2 and all(isinstance(b, int) for b in st):
         return st
     raise ValueError(f"a committed state is a pair of ints, got {st!r}")
+
+
+def _neighbor_states(s: IntervalSet, i: int, lam: Mapping[int, object], k: int) -> dict:
+    """The states ``lam`` gives interval i's neighbors, each read through
+    ``_state``, as committing i leaves them: every neighbor decided, at most
+    k of them committed, each with a budget in {0..k} on both sides.
+    Anything else raises ValueError."""
+    states = {m: _state(lam.get(m)) for m in s.neighbors[i]}
+    committed = [st for st in states.values() if st is not UNLIMITED]
+    if UNDECIDED in committed:
+        raise ValueError("the capacity vector leaves a neighbor of the interval undecided")
+    if len(committed) > k:
+        raise ValueError(f"more than k={k} neighbors of the interval are committed")
+    if not all(0 <= b <= k for st in committed for b in st):
+        raise ValueError(f"a committed neighbor's budget lies outside 0..{k}")
+    return states
 
 
 # Largest number of memoized values one solve may store.  Near the limit a
@@ -354,46 +372,13 @@ class GeneralSolver:
             joiners.append((x, weight[x] - pw(j, x), tuple(near), tuple(stabbed)))
         return self._window(j), self.left_caps[j], (j, *fresh), tuple(decided), tuple(joiners)
 
-    def _own_step(self, plan: tuple, lam: dict) -> tuple | None:
-        """What every step of ``plan`` does under ``lam`` before any fresh
-        neighbor joins: j stabs each committed neighbor and is charged its
-        pair.  Returns (the delta, the room left for fresh joiners, the
-        writes, the undo record), or None when no step is legal: more than
-        k neighbors are committed, or j's stab overdraws one."""
-        _, _, undecided, decided, _ = plan
-        delta, room, forced = 0, self.k, {}
-        for m, right_side, w in decided:
-            st = lam[m]
-            if st is UNLIMITED:
-                continue
-            ml, mr = st
-            if right_side:
-                mr -= 1
-            else:
-                ml -= 1
-            if ml < 0 or mr < 0:
-                return None
-            forced[m] = (ml, mr)
-            delta -= w
-            room -= 1
-        if room < 0:
-            return None
-        undo = dict.fromkeys(undecided)
-        writes = dict.fromkeys(undecided, UNLIMITED)
-        writes[undecided[0]] = (0, 0)
-        for m in forced:
-            undo[m] = lam[m]
-        writes.update(forced)
-        return delta, room, writes, undo
-
     def _successors(
-        self, lam: dict, j: int, caps: Mapping[int, int], plan: tuple | None = None
+        self, lam: dict, plan: tuple, caps: Mapping[int, int]
     ) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """All legal ways of committing the undecided interval ``j`` under
-        ``lam``, a fresh joiner x taking a left share of at most
-        ``caps.get(x, 0)``: the solver passes ``left_caps[j]``, and a cap of
-        k lists every split.  ``plan`` is j's step plan, classified off
-        ``lam`` when not given.
+        """All legal ways of committing the undecided interval j of step
+        ``plan`` under ``lam``, a fresh joiner x taking a left share of at
+        most ``caps.get(x, 0)``: the solver passes ``left_caps[j]``, and a
+        cap of k lists every split.
 
         Each step is written into ``lam`` while it is yielded, as (weight
         delta, fresh joiner ids), and undone before the next chosen set;
@@ -403,26 +388,44 @@ class GeneralSolver:
         window value adds j's own) and subtracts the weight of every pair
         that becomes fully selected.
         """
-        if plan is None:
-            plan = self._plan(lam, j)
-        own = self._own_step(plan, lam)
-        if own is None:
+        _, _, undecided, decided, joiners = plan
+        k = self.k
+        # j stabs each committed neighbor and is charged its pair.  Every
+        # step includes j, so more than k committed neighbors or an
+        # overdrawn budget leave no legal step.
+        delta0, room = 0, k
+        undo = dict.fromkeys(undecided)
+        writes = dict.fromkeys(undecided, UNLIMITED)
+        writes[undecided[0]] = (0, 0)
+        for m, right_side, w in decided:
+            st = lam[m]
+            if st is UNLIMITED:
+                continue
+            ml, mr = undo[m] = st
+            if right_side:
+                mr -= 1
+            else:
+                ml -= 1
+            if ml < 0 or mr < 0:
+                return
+            writes[m] = (ml, mr)
+            delta0 -= w
+            room -= 1
+        if room < 0:
             return
-        delta0, room, writes, undo = own
         # The empty chosen set first: j joins beside its forced neighbors.
         lam.update(writes)
         yield delta0, ()
         lam.update(undo)
-        if not room:
+        if not (room and joiners):
             return
         # Each fresh x's terms under ``lam``: its gain less its pairs with
         # the committed intervals, its count of j and committed neighbors,
         # and its stabs.  Adding a joiner only raises counts and stabs, so
         # an x that is illegal beside j alone joins no legal step and is
         # dropped.
-        k = self.k
         terms = {}
-        for x, gain, near, stabbed in plan[4]:
+        for x, gain, near, stabbed in joiners:
             used = 1
             stabs = []
             alone = {}
@@ -535,18 +538,8 @@ class GeneralSolver:
         plan = self.plans.get(h)
         if plan is None:
             plan = self.plans[h] = self._plan(lam, j)
-        own = self._own_step(plan, lam)
-        if own is None:
-            return best
-        window, caps, _, _, joiners = plan
-        delta, room, writes, undo = own
-        if not (room and joiners):
-            # The one step: j beside its forced neighbors.
-            lam.update(writes)
-            v = delta + weight[j] + (yield window) + (yield commit)
-            lam.update(undo)
-            return max(best, v)
-        for delta, _ in self._successors(lam, j, caps, plan):
+        window, caps = plan[0], plan[1]
+        for delta, _ in self._successors(lam, plan, caps):
             v = delta + weight[j] + (yield window) + (yield commit)
             if v > best:
                 best = v
@@ -557,14 +550,13 @@ class GeneralSolver:
     def dms(self, interval: Interval | int, lam: Mapping[int, object]) -> int:
         """dms^k of one interval under basic capacities ``lam``, read through
         ``_state`` on its overlapping neighbors only: its weight plus the
-        best selection among its nested set.  Every neighbor must be
-        decided, as committing the interval decides them; the memo relies on
-        it.  An undecided neighbor, a refused state or an id not in the set
-        raises ValueError."""
+        best selection among its nested set.  The states must obey the rule
+        of ``is_valid_for`` (``_neighbor_states``): every neighbor decided,
+        which the memo relies on, at most k committed, each budget in
+        {0..k}.  A state that breaks it or an id not in the set raises
+        ValueError."""
         i = self.s.id_of(interval)
-        basic = {m: _state(lam.get(m)) for m in self.s.neighbors[i]}
-        if UNDECIDED in basic.values():
-            raise ValueError("the capacity vector leaves a neighbor of the interval undecided")
+        basic = _neighbor_states(self.s, i, lam, self.k)
         return self.s.weight[i] + self._window_value(self._window(i), basic)
 
     def solve(self) -> Solution:
@@ -593,8 +585,8 @@ class GeneralSolver:
                 continue
             lam[j] = UNDECIDED
             plan = self.plans[h]
-            window, caps, _, _, _ = plan
-            for delta, joiners in self._successors(lam, j, caps, plan):
+            window = plan[0]
+            for delta, joiners in self._successors(lam, plan, plan[1]):
                 inner, rest = wv(window, lam), wv(commit, lam)
                 if delta + s.weight[j] + inner + rest == best:
                     break  # the step stays written
@@ -617,19 +609,18 @@ def is_valid_for(lam: CapacityVector, interval: Interval | int, s: IntervalSet, 
     """A vector is valid for an interval when the interval is committed and
     every overlapping neighbor is decided, as committing the interval
     decides them: rejected, or committed with a budget in {0..k} on both
-    sides, at most k of them committed.  A state that ``_state`` refuses
-    makes the vector invalid.  The interval's own budget is never read
-    (``dms`` starts from its neighbors' states only)."""
+    sides, at most k of them committed (``_neighbor_states``, which ``dms``
+    applies too).  A state that ``_state`` refuses makes the vector
+    invalid.  The interval's own budget is never read (``dms`` starts from
+    its neighbors' states only)."""
     _check_set(lam, s)
     i = s.id_of(interval)
     try:
-        own, *states = map(_state, map(lam.states.get, (i, *s.neighbors[i])))
+        own = _state(lam.states.get(i))
+        _neighbor_states(s, i, lam.states, k)
     except ValueError:
         return False
-    committed = [st for st in states if st is not UNLIMITED]
-    if own is UNDECIDED or own is UNLIMITED or UNDECIDED in committed or len(committed) > k:
-        return False
-    return all(0 <= b <= k for st in committed for b in st)
+    return own is not UNDECIDED and own is not UNLIMITED
 
 
 def _decided(lam: CapacityVector, s: IntervalSet) -> dict:
@@ -668,7 +659,8 @@ def legal_successors(
     # A cap of k on every neighbor's left share lists every split.  A step
     # decides every neighbor, and chooses those it does not reject.
     nb, state, out = s.neighbors[i], dict(decided), []
-    for delta, _ in GeneralSolver(s, k)._successors(state, i, dict.fromkeys(nb, k)):
+    solver = GeneralSolver(s, k)
+    for delta, _ in solver._successors(state, solver._plan(state, i), dict.fromkeys(nb, k)):
         states = {x: st for x, st in state.items() if st is not UNDECIDED}
         selected = _selected(states)
         if Solution.from_chosen(selected, s, k).max_overlap_degree() <= k:

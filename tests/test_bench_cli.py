@@ -413,6 +413,7 @@ def test_cli_bench_refuses_an_empty_experiment(capsys):
     for args, message in (
         (["--sizes", "8", "--reps", "0"], "repetitions must be at least 1, got 0"),
         (["--sizes", ""], "the experiment has no (n, m) cases"),
+        (["--sizes", "40:20"], "bad size range '40:20'"),
     ):
         assert main(["bench", *args]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")

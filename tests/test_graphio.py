@@ -86,8 +86,17 @@ def test_parse_intervals_rejects_bad_ids():
         ("0 1 3 1\n1 2 4 1\npair 0 1 2\npair 1 0 3\n", "pair 1 0 3"),
         ("0 1 3 1\n1 2 4 x\npair 0 1 2\n", "1 2 4 x"),
         ("0 1 3 1\n1 2 4 1\npair 0 1 2.5\n", "pair 0 1 2.5"),
+        ("0 1 3 1\n1 2 4 1\npair 0 1\n", "pair 0 1"),
+        ("# two intervals\n\n0 1 3 1\n   \n1 2 4 1\n  # their pair\npair 0 1\n", "pair 0 1"),
     ],
-    ids=["duplicate-interval-id", "duplicate-pair", "non-integer-interval", "non-integer-pair"],
+    ids=[
+        "duplicate-interval-id",
+        "duplicate-pair",
+        "non-integer-interval",
+        "non-integer-pair",
+        "short-pair",
+        "short-pair-after-skipped-lines",
+    ],
 )
 def test_parse_intervals_rejects_naming_the_line(text, line):
     with pytest.raises(GraphParseError, match=re.escape(repr(line))):

@@ -153,6 +153,10 @@ def test_layout_instance_rejects_bad_input():
         LayoutInstance.build([1, 2], [(1, 2), (2, 1)])
     with pytest.raises(ValueError):
         LayoutInstance.build([1, 2, 3], [(1, 2)], order=[1, 2, 2])
+    with pytest.raises(ValueError, match="duplicate vertex ids"):
+        LayoutInstance.build([1, 2, 2], [(1, 2)])
+    with pytest.raises(ValueError, match=r"edge \(1,3\) uses unknown vertex"):
+        LayoutInstance.build([1, 2], [(1, 3)])
 
 
 # -- interval classification ------------------------------------------------
@@ -197,6 +201,9 @@ def test_interval_set_validates_endpoints_and_pairs():
     for ivs in ((Interval(1.0, 2.0),), (Interval(1, 2), Interval(3, 3.5))):
         with pytest.raises(ValueError, match="endpoints must be exactly"):
             IntervalSet(ivs, 0)
+    # An interval's two endpoints are distinct, left before right.
+    with pytest.raises(ValueError, match=r"interval needs left < right, got \[3,3\]"):
+        Interval(3, 3)
     # A negative uniform pair weight is rejected even when no pair overlaps.
     for spans, pair_weights in (
         ([(1, 2), (3, 4)], -1),

@@ -183,6 +183,29 @@ def test_dms_k_rejects_a_neighbor_budget_outside_0_to_k():
     assert dms_k(0, lam.replace(3, (0, 1)), s, 1) == 1
 
 
+def test_general_solver_dms_refuses_the_vectors_dms_k_refuses():
+    """``GeneralSolver.dms`` holds its caller's neighbor states to the rule
+    of ``is_valid_for``: at most k committed, each side in {0..k}.  With
+    the four neighbors of interval 0 committed at (1, 1) and k=1, or at
+    (-1, -1) and k=2, it returned 6 where ``dms_k`` raised ValueError; one
+    committed neighbor with a side outside {0..k} is refused too."""
+    s = make_set([(3, 10), (1, 4), (2, 5), (8, 12), (6, 7), (9, 11)], [1, 1, 1, 1, 5, 1], 1)
+    assert s.neighbors[0] == (1, 2, 3, 5)
+    rejected = dict.fromkeys(s.neighbors[0], UNLIMITED)
+    cases = [(1, dict.fromkeys(s.neighbors[0], (1, 1))), (2, dict.fromkeys(s.neighbors[0], (-1, -1)))]
+    cases += [(2, {**rejected, 3: bad}) for bad in ((-1, 0), (0, 3))]
+    for k, states in cases:
+        vector = CapacityVector(s, MappingProxyType({0: (k, k), **states}))
+        assert not is_valid_for(vector, 0, s, k), (k, states)
+        with pytest.raises(ValueError, match="not valid"):
+            dms_k(0, vector, s, k)
+        with pytest.raises(ValueError, match="committed"):
+            GeneralSolver(s, k).dms(0, states)
+    good = {**rejected, 3: (2, 2)}
+    vector = CapacityVector(s, MappingProxyType({0: (2, 2), **good}))
+    assert dms_k(0, vector, s, 2) == GeneralSolver(s, 2).dms(0, good) == 6
+
+
 def test_dms_k_rejects_a_committed_state_that_is_not_a_pair_of_ints():
     """A committed state is a pair of ints, as ``CapacityVector.replace``
     stores it.  With both neighbors of interval 0 at one of these states,
@@ -566,16 +589,16 @@ def test_solve_k_caps_the_budget_at_the_largest_overlap_degree(monkeypatch):
     enumerates the successors of k = degree and returns its solution, under
     the k asked for.  With neither this cap nor the left-share caps, k = 10^4
     on a 5-cycle with the chords (1, 3), (2, 4), (3, 5) (degree 2) yields
-    60,020 successors against 28."""
+    20,014 successors against 16."""
     edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 3), (2, 4), (3, 5)]
     s = project_to_intervals(LayoutInstance.build(range(1, 6), edges)).interval_set
     assert s.max_degree == 2
     yields = 0
     successors = GeneralSolver._successors
 
-    def counted(self, lam, j, caps, plan=None):
+    def counted(self, lam, plan, caps):
         nonlocal yields
-        for step in successors(self, lam, j, caps, plan):
+        for step in successors(self, lam, plan, caps):
             yields += 1
             yield step
 
@@ -902,9 +925,9 @@ class _SuccessorCalls(GeneralSolver):
         super().__init__(s, k)
         self.calls = []
 
-    def _successors(self, lam, j, caps, plan=None):
-        self.calls.append((dict(lam), j))
-        return super()._successors(lam, j, caps, plan)
+    def _successors(self, lam, plan, caps):
+        self.calls.append((dict(lam), plan[2][0]))
+        return super()._successors(lam, plan, caps)
 
 
 def _steps(successors, lam, stop=None):
@@ -971,7 +994,7 @@ def test_successors_match_the_per_set_reference():
     overdraws, where nothing is yielded."""
     calls = steps = overdrawn = 0
     for solver, lam, j, caps in _successor_cases():
-        new = functools.partial(solver._successors, j=j, caps=caps)
+        new = functools.partial(solver._successors, plan=solver._plan(lam, j), caps=caps)
         old = functools.partial(_per_set_successors, solver, j=j, caps=caps)
         want = _steps(old, lam)
         assert _steps(new, lam) == want, (lam, j)
@@ -1038,15 +1061,15 @@ def test_memo_key_covers_every_read_and_write():
 
 def _enumerated_value(solver, h, lam):
     """The value of the frame at (h, lam) with every commit read off
-    ``_successors`` under a plan classified off ``lam``: no member is
-    settled as blocked or single-step before the enumeration."""
+    ``_successors`` under a plan classified off ``lam``, not the handle's
+    cached one."""
     j, wv = h[0], solver._window_value
     _, _, reject, commit = solver.suffixes[h]
     lam[j] = UNLIMITED
     best = wv(reject, lam)
     lam[j] = UNDECIDED
     window = solver._window(j)
-    for delta, _ in solver._successors(lam, j, solver.left_caps[j]):
+    for delta, _ in solver._successors(lam, solver._plan(lam, j), solver.left_caps[j]):
         best = max(best, delta + solver.s.weight[j] + wv(window, lam) + wv(commit, lam))
     return best
 
@@ -1055,21 +1078,22 @@ def test_each_handle_plan_serves_every_state_that_reaches_it():
     """A handle's step plan is classified off the first state that reaches
     it and kept.  At every reached (handle, state) that cached plan equals
     one classified off the state itself, and the two yield the same
-    (delta, chosen, state) sequence.  The frame's value, with blocked and
-    single-step members settled without the enumeration, equals the value
-    with every member's steps enumerated; each kind of member occurs."""
+    (delta, chosen, state) sequence.  The frame's value equals the value
+    with every commit enumerated under the plan classified off the state.
+    Each kind of member occurs, told apart by what ``_successors`` yields:
+    blocked (no step), single (the one step j beside its committed
+    neighbors) and enumerated (more steps)."""
     kinds = dict.fromkeys(("blocked", "single", "enumerated"), 0)
     for solver, h, lam in _reached_states():
         j, state = h[0], dict(lam)
         value = _run_frame(solver._decide(h, state), lambda g: solver._window_value(g, state))
         cached, fresh = solver.plans[h], solver._plan(lam, j)
         assert cached == fresh, h
-        steps = [functools.partial(solver._successors, j=j, caps=cached[1], plan=p) for p in (cached, fresh)]
-        assert _steps(steps[0], lam) == _steps(steps[1], lam), h
+        steps = [functools.partial(solver._successors, plan=p, caps=cached[1]) for p in (cached, fresh)]
+        got = _steps(steps[0], lam)
+        assert got == _steps(steps[1], lam), h
         assert value == _enumerated_value(solver, h, dict(lam)), h
-        own = solver._own_step(cached, lam)
-        kind = "blocked" if own is None else "enumerated" if own[1] and cached[4] else "single"
-        kinds[kind] += 1
+        kinds[("blocked", "single", "enumerated")[min(len(got[0]), 2)]] += 1
     assert min(kinds.values()) > 1000, kinds
 
 
@@ -1158,8 +1182,8 @@ class _Uncapped(GeneralSolver):
     """Reference: every budget split of every fresh joiner (a left-share
     cap of k is no cap)."""
 
-    def _successors(self, lam, j, caps, plan=None):
-        return super()._successors(lam, j, dict.fromkeys(self.s.neighbors[j], self.k), plan)
+    def _successors(self, lam, plan, caps):
+        return super()._successors(lam, plan, dict.fromkeys(self.s.neighbors[plan[2][0]], self.k))
 
 
 def _decision(solver, h, state):
@@ -1393,9 +1417,9 @@ def test_solver_steps_do_not_grow_with_k(monkeypatch):
     counts = []
     successors = GeneralSolver._successors
 
-    def counted(self, lam, j, caps, plan=None):
+    def counted(self, lam, plan, caps):
         counts.append(0)
-        for step in successors(self, lam, j, caps, plan):
+        for step in successors(self, lam, plan, caps):
             counts[-1] += 1
             yield step
 
